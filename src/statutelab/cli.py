@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -96,14 +95,6 @@ def _resolve_config(args) -> RunConfig:
     if isinstance(overrides.get("alpha"), str) and overrides["alpha"] != "grid":
         overrides["alpha"] = float(overrides["alpha"])
     return merge_overrides(cfg, overrides)
-
-
-def _threads() -> int:
-    raw = os.environ.get("SLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise CliError(f"SLAB_THREADS must be an integer, got {raw!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +247,7 @@ def _build_ranker(cfg: RunConfig, vocab):
             seed=cfg.seed or 0, width=cfg.width, dropout=sizes["dropout"], config=rcfg,
         )
     return rankers.build_paraformer_lite(
-        vocab, sizes["embed_dim"], cfg.n_layers, cfg.n_heads, sizes["attn_dim"],
-        seed=cfg.seed or 0, config=rcfg,
+        vocab, sizes["embed_dim"], cfg.n_layers, cfg.n_heads, seed=cfg.seed or 0, config=rcfg,
     )
 
 
@@ -300,19 +290,7 @@ def _cmd_rank_run(args) -> int:
             model, idx, articles, queries, step=cfg.step,
             n_predict=cfg.n_predict, k=cfg.eval_k,
         )
-    threads = _threads()
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(
-                pool.map(
-                    lambda q: _rank_query(model, idx, articles, q, cfg.n_predict, alpha),
-                    queries,
-                )
-            )
-    else:
-        rows = [_rank_query(model, idx, articles, q, cfg.n_predict, alpha) for q in queries]
+    rows = [_rank_query(model, idx, articles, q, cfg.n_predict, alpha) for q in queries]
     out = _out_dir(args)
     _write_jsonl(out / "run.jsonl", rows)
     _write_json(out / "alpha.json", {"alpha": alpha})
@@ -389,7 +367,7 @@ def _cmd_inject_hydra_pretrain(args) -> int:
 
     states = [Tensor(np.stack([table[t] for t in s.tokens])) for s in samples]
     heads = inject.init_hydra_heads(args.d, args.n_heads, args.seed)
-    heads, trace = inject.hydra_pretrain(states, samples, heads, args.epochs, args.lr, args.seed)
+    heads, trace = inject.hydra_pretrain(states, samples, heads, args.epochs, args.lr)
     out = _out_dir(args)
     inject.save_hydra_heads(heads, out / "heads.slrk")
     _write_json(out / "loss_trace.json", trace)

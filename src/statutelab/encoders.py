@@ -55,6 +55,10 @@ class EmbeddingTable:
     def dim(self) -> int:
         return self.matrix.data.shape[1]
 
+    def words(self) -> list[str]:
+        """The vocabulary in row order."""
+        return [w for w, _ in sorted(self.vocab.items(), key=lambda kv: kv[1])]
+
     def embed(self, tokens: list[str]) -> Tensor:
         """Token rows as an [M, d] tensor; OOV handling per policy."""
         if not tokens:
@@ -127,6 +131,10 @@ class SelfAttentionLayer:
     n_heads: int
     d: int
 
+    def tensors(self) -> list[Tensor]:
+        """Weights in checkpoint order."""
+        return [self.w_q, self.w_k, self.w_v, self.w_o]
+
 
 @dataclass
 class SentenceEncoderCNN:
@@ -139,6 +147,10 @@ class SentenceEncoderCNN:
     @property
     def out_dim(self) -> int:
         return self.filters.data.shape[2]
+
+    def tensors(self) -> list[Tensor]:
+        """Embedding table and weights in checkpoint order."""
+        return [self.embeddings.matrix, self.filters, self.attn.A, self.attn.b, self.u]
 
 
 def init_attention_params(d_q: int, d_r: int, rng, weight_fn: str = "softmax") -> GeneralAttentionParams:

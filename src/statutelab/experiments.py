@@ -12,7 +12,6 @@ import numpy as np
 from . import inject, rankers
 from .evalkit import RetrievalJudgment, macro_f2
 from .lexical import build_index, tokenize, top_n
-from .store import bundle_bytes
 from .synth import bracket_grammar, planted_retrieval_world
 from .tensor import Tensor
 
@@ -91,7 +90,7 @@ def hydra_experiment(seed: int, steps: int = 500) -> tuple[dict, bytes]:
     summary and the serialized head bytes."""
     states, targets = _hydra_world(seed)
     heads = inject.init_hydra_heads(16, 1, seed=seed, scale=0.25)
-    heads, trace = inject.hydra_pretrain(states, targets, heads, epochs=steps, lr=0.5, seed=seed)
+    heads, trace = inject.hydra_pretrain(states, targets, heads, epochs=steps, lr=0.5)
     reached = next((i for i, v in enumerate(trace) if v <= 1e-3), None)
     report = {
         "seed": seed,
@@ -99,12 +98,7 @@ def hydra_experiment(seed: int, steps: int = 500) -> tuple[dict, bytes]:
         "loss_last": trace[-1],
         "steps_to_1e-3": reached,
     }
-    blob = bundle_bytes(
-        "hydra_heads",
-        {"n_heads": len(heads), "d": 16, "d_head": heads[0].w_q.data.shape[1]},
-        [t for h in heads for t in (h.w_q, h.w_k)],
-    )
-    return report, blob
+    return report, inject.hydra_heads_bytes(heads)
 
 
 def tre_experiment(
@@ -129,21 +123,7 @@ def tre_experiment(
         "val_metrics": val_metrics,
         "loss_trace": result.loss_trace,
     }
-    tensors = [model.embeddings.matrix, model.positions]
-    for layer in model.layers:
-        tensors += [layer.w_q, layer.w_k, layer.w_v, layer.w_o]
-    blob = bundle_bytes(
-        "tre_model",
-        {
-            "vocab": vocab,
-            "n_layers": 4,
-            "n_heads": 2,
-            "max_len": 24,
-            "positions": list(positions),
-        },
-        tensors,
-    )
-    return report, blob
+    return report, inject.tre_model_bytes(result.model)
 
 
 def tre_position_comparison(seed: int) -> dict:

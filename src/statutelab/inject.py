@@ -28,7 +28,7 @@ from .encoders import (
     self_attention,
     self_attention_weights,
 )
-from .store import read_bundle, write_bundle
+from .store import bundle_bytes, load_bundle, write_bundle
 
 __all__ = [
     "TAGSET",
@@ -58,8 +58,10 @@ __all__ = [
     "attention_weights_report",
     "save_layer_stack",
     "load_layer_stack",
+    "hydra_heads_bytes",
     "save_hydra_heads",
     "load_hydra_heads",
+    "tre_model_bytes",
     "save_tre_model",
     "load_tre_model",
 ]
@@ -245,7 +247,6 @@ def hydra_pretrain(
     heads: list[HydraHead],
     epochs: int,
     lr: float,
-    seed: int = 0,
 ) -> tuple[list[HydraHead], list[float]]:
     """Full-batch gradient descent of the head projections against the
     targets; only the head tensors are updated."""
@@ -257,7 +258,7 @@ def hydra_pretrain(
             raise ValueError(f"hidden state shape {h.data.shape} does not match head dim {d}")
         if h.data.shape[0] != tgt.entries.shape[0]:
             raise ValueError("hidden state length does not match its target")
-    params = [t for head in heads for t in (head.w_q, head.w_k)]
+    params = _head_tensors(heads)
     target_tensors = [Tensor(t.entries) for t in targets]
     trace = []
     for _ in range(epochs):
@@ -267,10 +268,7 @@ def hydra_pretrain(
                 losses.append(T.mse_matrix(hydra_attn_matrix(head, hidden), tgt))
         loss = T.tmean(T.stack(losses))
         T.backward(loss)
-        for p in params:
-            if p.grad is not None:
-                p.data -= lr * p.grad
-                p.zero_grad()
+        T.sgd_step(params, lr)
         trace.append(float(loss.data))
     return heads, trace
 
@@ -308,9 +306,7 @@ def hydra_detach(model: list[SelfAttentionLayer]) -> list[SelfAttentionLayer]:
 
 
 def count_parameters(layers: list[SelfAttentionLayer]) -> int:
-    return sum(
-        t.data.size for l in layers for t in (l.w_q, l.w_k, l.w_v, l.w_o)
-    )
+    return sum(t.data.size for t in _layer_tensors(layers))
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +337,8 @@ def build_tre_model(
 
 
 def _tre_params(model: TreModel) -> list[Tensor]:
-    params = [model.embeddings.matrix, model.positions]
-    for layer in model.layers:
-        params += [layer.w_q, layer.w_k, layer.w_v, layer.w_o]
-    return params
+    """Model tensors in checkpoint order."""
+    return [model.embeddings.matrix, model.positions] + _layer_tensors(model.layers)
 
 
 def tre_forward(model: TreModel, tokens: list[str]) -> list[Tensor]:
@@ -454,10 +448,7 @@ def tre_train(
             for p in parts[1:]:
                 loss = T.add(loss, p)
             T.backward(loss)
-            for p in params:
-                if p.grad is not None:
-                    p.data -= lr * p.grad
-                    p.zero_grad()
+            T.sgd_step(params, lr)
             step_losses.append((float(loss.data), raw))
             total_epoch += float(loss.data)
         trace.append(total_epoch / len(data))
@@ -533,10 +524,15 @@ def attention_weights_report(model: TreModel, tokens: list[str]) -> list[list[np
 
 
 def _layer_tensors(layers: list[SelfAttentionLayer]) -> list[Tensor]:
-    out = []
-    for l in layers:
-        out += [l.w_q, l.w_k, l.w_v, l.w_o]
-    return out
+    return [t for layer in layers for t in layer.tensors()]
+
+
+def _head_tensors(heads: list[HydraHead]) -> list[Tensor]:
+    return [t for head in heads for t in (head.w_q, head.w_k)]
+
+
+def _zeros(*shape) -> Tensor:
+    return Tensor(np.zeros(shape), requires_grad=True)
 
 
 def save_layer_stack(layers: list[SelfAttentionLayer], path) -> None:
@@ -547,57 +543,58 @@ def save_layer_stack(layers: list[SelfAttentionLayer], path) -> None:
 
 
 def load_layer_stack(path) -> list[SelfAttentionLayer]:
-    kind, meta, tensors = read_bundle(path)
-    if kind != "layer_stack":
-        raise ValueError(f"checkpoint holds a {kind}, not a layer stack")
-    layers = []
-    for i in range(meta["n_layers"]):
-        wq, wk, wv, wo = tensors[4 * i : 4 * i + 4]
-        for t in (wq, wk, wv, wo):
-            t.requires_grad = True
-        layers.append(SelfAttentionLayer(wq, wk, wv, wo, meta["n_heads"], meta["d"]))
-    return layers
+    def build(kind, meta, shapes):
+        d, n_heads = meta["d"], meta["n_heads"]
+        layers = [
+            SelfAttentionLayer(_zeros(d, d), _zeros(d, d), _zeros(d, d), _zeros(d, d), n_heads, d)
+            for _ in range(meta["n_layers"])
+        ]
+        return layers, _layer_tensors(layers)
+
+    return load_bundle(path, ("layer_stack",), build)
+
+
+def hydra_heads_bytes(heads: list[HydraHead]) -> bytes:
+    d, dh = heads[0].w_q.data.shape
+    meta = {"n_heads": len(heads), "d": d, "d_head": dh}
+    return bundle_bytes("hydra_heads", meta, _head_tensors(heads))
 
 
 def save_hydra_heads(heads: list[HydraHead], path) -> None:
-    d, dh = heads[0].w_q.data.shape
-    meta = {"n_heads": len(heads), "d": d, "d_head": dh}
-    tensors = [t for h in heads for t in (h.w_q, h.w_k)]
-    write_bundle(path, "hydra_heads", meta, tensors)
+    with open(path, "wb") as fh:
+        fh.write(hydra_heads_bytes(heads))
 
 
 def load_hydra_heads(path) -> list[HydraHead]:
-    kind, meta, tensors = read_bundle(path)
-    if kind != "hydra_heads":
-        raise ValueError(f"checkpoint holds a {kind}, not hydra heads")
-    heads = []
-    for i in range(meta["n_heads"]):
-        wq, wk = tensors[2 * i : 2 * i + 2]
-        wq.requires_grad = wk.requires_grad = True
-        heads.append(HydraHead(wq, wk))
-    return heads
+    def build(kind, meta, shapes):
+        d, dh = meta["d"], meta["d_head"]
+        heads = [HydraHead(_zeros(d, dh), _zeros(d, dh)) for _ in range(meta["n_heads"])]
+        return heads, _head_tensors(heads)
+
+    return load_bundle(path, ("hydra_heads",), build)
 
 
-def save_tre_model(model: TreModel, path) -> None:
-    words = [w for w, _ in sorted(model.embeddings.vocab.items(), key=lambda kv: kv[1])]
+def tre_model_bytes(model: TreModel) -> bytes:
     meta = {
-        "vocab": words,
+        "vocab": model.embeddings.words(),
         "n_layers": len(model.layers),
         "n_heads": model.layers[0].n_heads,
         "max_len": model.positions.data.shape[0],
     }
-    tensors = [model.embeddings.matrix, model.positions] + _layer_tensors(model.layers)
-    write_bundle(path, "tre_model", meta, tensors)
+    return bundle_bytes("tre_model", meta, _tre_params(model))
+
+
+def save_tre_model(model: TreModel, path) -> None:
+    with open(path, "wb") as fh:
+        fh.write(tre_model_bytes(model))
 
 
 def load_tre_model(path) -> TreModel:
-    kind, meta, tensors = read_bundle(path)
-    if kind != "tre_model":
-        raise ValueError(f"checkpoint holds a {kind}, not an injection model")
-    d = tensors[0].data.shape[1]
-    model = build_tre_model(
-        meta["vocab"], d, meta["n_layers"], meta["n_heads"], seed=0, max_len=meta["max_len"]
-    )
-    for dst, src in zip(_tre_params(model), tensors):
-        dst.data[...] = src.data
-    return model
+    def build(kind, meta, shapes):
+        model = build_tre_model(
+            meta["vocab"], shapes[0][1], meta["n_layers"], meta["n_heads"],
+            seed=0, max_len=meta["max_len"],
+        )
+        return model, _tre_params(model)
+
+    return load_bundle(path, ("tre_model",), build)

@@ -32,7 +32,7 @@ from .encoders import (
 )
 from .evalkit import RetrievalJudgment, macro_f2
 from .lexical import InvertedIndex, tokenize, top_n
-from .store import bundle_bytes, read_bundle, write_bundle
+from .store import bundle_bytes, load_bundle, write_bundle
 
 __all__ = [
     "RankerConfig",
@@ -127,7 +127,6 @@ def build_paraformer_lite(
     embed_dim: int,
     n_layers: int,
     n_heads: int,
-    attn_dim: int,
     seed: int,
     max_len: int = 64,
     emb_scale: float = 0.1,
@@ -153,18 +152,13 @@ def build_paraformer_lite(
 
 
 def parameters(model: RankerModel) -> list[Tensor]:
-    """Trainable tensors in declaration order (also the checkpoint order)."""
-    params = []
-    if model.embeddings.matrix.requires_grad:
-        params.append(model.embeddings.matrix)
+    """Model tensors in checkpoint order; a frozen embedding table is listed
+    too, but gets no gradient, so training leaves it alone."""
     if model.kind == "attentive_cnn":
-        enc = model.encoder
-        params += [enc.filters, enc.attn.A, enc.attn.b, enc.u]
+        params = model.encoder.tensors()
     else:
-        if model.positions is not None:
-            params.append(model.positions)
-        for layer in model.layers:
-            params += [layer.w_q, layer.w_k, layer.w_v, layer.w_o]
+        params = [model.embeddings.matrix, model.positions]
+        params += [t for layer in model.layers for t in layer.tensors()]
     params += [model.para_attn.A, model.para_attn.b]
     if model.para_query is not None:
         params.append(model.para_query)
@@ -251,10 +245,7 @@ def train_ranker(
             y_negs = [_score_graph(model, q.text, by_id[n], train=True, rng=rng) for n in neg_ids]
             loss = T.ce_negsample(y_pos, y_negs)
             T.backward(loss)
-            for p in params:
-                if p.grad is not None:
-                    p.data -= cfg.lr * p.grad
-                    p.zero_grad()
+            T.sgd_step(params, cfg.lr)
             total += float(loss.data)
         trace.append(total / max(1, len(queries)))
     return model, trace
@@ -369,12 +360,8 @@ def build_lawfulness_classifier(
 
 
 def _clf_params(clf: LawfulnessClassifier) -> list[Tensor]:
-    enc = clf.encoder
-    params = []
-    if enc.embeddings.matrix.requires_grad:
-        params.append(enc.embeddings.matrix)
-    params += [enc.filters, enc.attn.A, enc.attn.b, enc.u, clf.w, clf.b]
-    return params
+    """Classifier tensors in checkpoint order."""
+    return clf.encoder.tensors() + [clf.w, clf.b]
 
 
 def _logit(clf: LawfulnessClassifier, text: str) -> Tensor:
@@ -397,10 +384,7 @@ def train_lawfulness(clf: LawfulnessClassifier, dataset, seed: int) -> Lawfulnes
             # -ln sigma(z) if lawful else -ln(1 - sigma(z)), via softplus
             loss = T.sub(T.softplus(z), T.scale(z, 1.0 if rec.lawful else 0.0))
             T.backward(loss)
-            for p in params:
-                if p.grad is not None:
-                    p.data -= clf.lr * p.grad
-                    p.zero_grad()
+            T.sgd_step(params, clf.lr)
     return clf
 
 
@@ -417,28 +401,9 @@ def classify(clf: LawfulnessClassifier, text: str) -> bool:
 # checkpoints
 
 
-def _vocab_words(emb: EmbeddingTable) -> list[str]:
-    return [w for w, _ in sorted(emb.vocab.items(), key=lambda kv: kv[1])]
-
-
-def _model_tensors(model: RankerModel) -> list[Tensor]:
-    ts = [model.embeddings.matrix]
-    if model.kind == "attentive_cnn":
-        enc = model.encoder
-        ts += [enc.filters, enc.attn.A, enc.attn.b, enc.u]
-    else:
-        ts.append(model.positions)
-        for layer in model.layers:
-            ts += [layer.w_q, layer.w_k, layer.w_v, layer.w_o]
-    ts += [model.para_attn.A, model.para_attn.b]
-    if model.para_query is not None:
-        ts.append(model.para_query)
-    return ts
-
-
 def model_bytes(model: RankerModel) -> bytes:
     meta = {
-        "vocab": _vocab_words(model.embeddings),
+        "vocab": model.embeddings.words(),
         "oov_policy": model.embeddings.oov_policy,
         "config": asdict(model.config),
     }
@@ -448,7 +413,7 @@ def model_bytes(model: RankerModel) -> bytes:
     else:
         meta["n_heads"] = model.layers[0].n_heads if model.layers else 1
         meta["n_layers"] = len(model.layers)
-    return bundle_bytes(model.kind, meta, _model_tensors(model))
+    return bundle_bytes(model.kind, meta, parameters(model))
 
 
 def save_model(model: RankerModel, path) -> None:
@@ -457,82 +422,60 @@ def save_model(model: RankerModel, path) -> None:
 
 
 def load_model(path) -> RankerModel:
-    kind, meta, tensors = read_bundle(path)
-    if kind not in ("attentive_cnn", "paraformer_lite"):
-        raise ValueError(f"checkpoint holds a {kind}, not a ranker")
-    cfg = RankerConfig(**meta["config"])
-    vocab = meta["vocab"]
-    if kind == "attentive_cnn":
-        model = build_attentive_cnn(
-            vocab,
-            embed_dim=tensors[0].data.shape[1],
-            filters=tensors[1].data.shape[2],
-            attn_dim=tensors[2].data.shape[0],
-            seed=cfg.seed,
-            width=tensors[1].data.shape[0],
-            dropout=meta.get("dropout", 0.0),
-            para_query=meta.get("para_query", "learned"),
-            config=cfg,
-        )
-    else:
-        d = tensors[0].data.shape[1]
-        model = build_paraformer_lite(
-            vocab,
-            embed_dim=d,
-            n_layers=meta["n_layers"],
-            n_heads=meta["n_heads"],
-            attn_dim=d,
-            seed=cfg.seed,
-            max_len=tensors[1].data.shape[0],
-            config=cfg,
-        )
-    model.embeddings.oov_policy = meta["oov_policy"]
-    targets = _model_tensors(model)
-    if len(targets) != len(tensors):
-        raise ValueError("checkpoint tensor count does not match model structure")
-    for dst, src in zip(targets, tensors):
-        if dst.data.shape != src.data.shape:
-            raise ValueError(f"checkpoint shape {src.data.shape} != model {dst.data.shape}")
-        dst.data[...] = src.data
-    return model
+    def build(kind, meta, shapes):
+        cfg = RankerConfig(**meta["config"])
+        if kind == "attentive_cnn":
+            model = build_attentive_cnn(
+                meta["vocab"],
+                embed_dim=shapes[0][1],
+                filters=shapes[1][2],
+                attn_dim=shapes[2][0],
+                seed=cfg.seed,
+                width=shapes[1][0],
+                dropout=meta.get("dropout", 0.0),
+                para_query=meta.get("para_query", "learned"),
+                config=cfg,
+            )
+        else:
+            model = build_paraformer_lite(
+                meta["vocab"],
+                embed_dim=shapes[0][1],
+                n_layers=meta["n_layers"],
+                n_heads=meta["n_heads"],
+                seed=cfg.seed,
+                max_len=shapes[1][0],
+                config=cfg,
+            )
+        model.embeddings.oov_policy = meta["oov_policy"]
+        return model, parameters(model)
+
+    return load_bundle(path, ("attentive_cnn", "paraformer_lite"), build)
 
 
 def save_classifier(clf: LawfulnessClassifier, path) -> None:
     enc = clf.encoder
     meta = {
-        "vocab": _vocab_words(enc.embeddings),
+        "vocab": enc.embeddings.words(),
         "oov_policy": enc.embeddings.oov_policy,
         "lr": clf.lr,
         "epochs": clf.epochs,
     }
-    tensors = [enc.embeddings.matrix, enc.filters, enc.attn.A, enc.attn.b, enc.u, clf.w, clf.b]
-    write_bundle(path, "lawfulness", meta, tensors)
+    write_bundle(path, "lawfulness", meta, _clf_params(clf))
 
 
 def load_classifier(path) -> LawfulnessClassifier:
-    kind, meta, tensors = read_bundle(path)
-    if kind != "lawfulness":
-        raise ValueError(f"checkpoint holds a {kind}, not a lawfulness classifier")
-    clf = build_lawfulness_classifier(
-        meta["vocab"],
-        embed_dim=tensors[0].data.shape[1],
-        filters=tensors[1].data.shape[2],
-        attn_dim=tensors[2].data.shape[0],
-        seed=0,
-        width=tensors[1].data.shape[0],
-        lr=meta["lr"],
-        epochs=meta["epochs"],
-    )
-    clf.encoder.embeddings.oov_policy = meta["oov_policy"]
-    targets = [
-        clf.encoder.embeddings.matrix,
-        clf.encoder.filters,
-        clf.encoder.attn.A,
-        clf.encoder.attn.b,
-        clf.encoder.u,
-        clf.w,
-        clf.b,
-    ]
-    for dst, src in zip(targets, tensors):
-        dst.data[...] = src.data
-    return clf
+    def build(kind, meta, shapes):
+        clf = build_lawfulness_classifier(
+            meta["vocab"],
+            embed_dim=shapes[0][1],
+            filters=shapes[1][2],
+            attn_dim=shapes[2][0],
+            seed=0,
+            width=shapes[1][0],
+            lr=meta["lr"],
+            epochs=meta["epochs"],
+        )
+        clf.encoder.embeddings.oov_policy = meta["oov_policy"]
+        return clf, _clf_params(clf)
+
+    return load_bundle(path, ("lawfulness",), build)

@@ -13,7 +13,9 @@ import struct
 
 from .tensor import Tensor, tensor_from_bytes, tensor_to_bytes
 
-__all__ = ["KIND", "write_bundle", "read_bundle", "bundle_bytes", "bundle_from_bytes"]
+__all__ = [
+    "KIND", "write_bundle", "read_bundle", "bundle_bytes", "bundle_from_bytes", "load_bundle",
+]
 
 _MAGIC = b"SLRK1"
 
@@ -69,3 +71,30 @@ def write_bundle(path, kind: str, meta: dict, tensors: list[Tensor]) -> None:
 def read_bundle(path) -> tuple[str, dict, list[Tensor]]:
     with open(path, "rb") as fh:
         return bundle_from_bytes(fh.read())
+
+
+def load_bundle(path, kinds: tuple[str, ...], build):
+    """Read a checkpoint of one of `kinds` into a freshly built model.
+
+    build(kind, meta, shapes) gets the stored tensor shapes and returns
+    (model, tensors): an untrained model and its tensors in checkpoint
+    order.  The file must hold exactly those tensors, shape for shape;
+    any mismatch raises ValueError.
+    """
+    kind, meta, stored = read_bundle(path)
+    if kind not in kinds:
+        raise ValueError(f"checkpoint holds a {kind}, not a {' or '.join(kinds)}")
+    shapes = [t.data.shape for t in stored]
+    try:
+        model, tensors = build(kind, meta, shapes)
+    except IndexError as exc:
+        raise ValueError(f"{kind} checkpoint is missing tensors or dimensions: {exc}") from exc
+    if len(tensors) != len(stored):
+        raise ValueError(f"{kind} checkpoint holds {len(stored)} tensors, expected {len(tensors)}")
+    for i, (dst, src) in enumerate(zip(tensors, stored)):
+        if dst.data.shape != src.data.shape:
+            raise ValueError(
+                f"{kind} checkpoint tensor {i} has shape {src.data.shape}, expected {dst.data.shape}"
+            )
+        dst.data[...] = src.data
+    return model

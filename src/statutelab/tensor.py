@@ -47,6 +47,7 @@ __all__ = [
     "softargmax",
     "dropout",
     "backward",
+    "sgd_step",
     "grad_check",
     "save_tensor",
     "load_tensor",
@@ -513,6 +514,15 @@ def backward(loss: Tensor) -> None:
                 grads[parent._id] = grads[parent._id] + contrib
             else:
                 grads[parent._id] = np.asarray(contrib, dtype=np.float64)
+
+
+def sgd_step(params: Sequence[Tensor], lr: float) -> None:
+    """One plain gradient-descent update; tensors without a gradient (frozen
+    ones, or ones the loss did not reach) are left alone."""
+    for p in params:
+        if p.grad is not None:
+            p.data -= lr * p.grad
+            p.zero_grad()
 
 
 def grad_check(

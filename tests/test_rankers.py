@@ -263,7 +263,7 @@ def test_paraformer_lite_roundtrip_and_scoring(tmp_path):
     articles, queries = tiny_world()
     cfg = RankerConfig(lr=0.1, epochs=2, k_negatives=1, seed=2, n_predict=4)
     model = build_paraformer_lite(
-        vocab_of(articles, queries), embed_dim=8, n_layers=2, n_heads=2, attn_dim=8,
+        vocab_of(articles, queries), embed_dim=8, n_layers=2, n_heads=2,
         seed=2, config=cfg,
     )
     model, trace = train_ranker(model, articles, queries)
