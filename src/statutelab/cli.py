@@ -267,8 +267,7 @@ def _cmd_rank_train(args) -> int:
     return 0
 
 
-def _rank_query(model, idx, articles, q, n_predict, alpha):
-    cands = rankers.rank(model, idx, articles, q, n_predict=n_predict, alpha=alpha)
+def _rank_row(q, cands):
     return {
         "qid": q.id,
         "ranked": [
@@ -278,33 +277,36 @@ def _rank_query(model, idx, articles, q, n_predict, alpha):
     }
 
 
-def _cmd_rank_run(args) -> int:
-    cfg = _resolve_config(args)
+def _rank_inputs(args):
+    """Model, chunked corpus, queries, index, and the input files to digest."""
     model = rankers.load_model(args.model_path)
     articles = corpus_mod.chunk_corpus(corpus_mod.load_corpus(args.corpus))
     queries = corpus_mod.load_queries(args.queries)
     idx = lexical.load_index(args.index) if args.index else lexical.build_index(articles)
+    files = [args.corpus, args.queries, args.model_path] + ([args.index] if args.index else [])
+    return model, articles, queries, idx, files
+
+
+def _cmd_rank_run(args) -> int:
+    cfg = _resolve_config(args)
+    model, articles, queries, idx, files = _rank_inputs(args)
+    # one scoring pass serves both the alpha grid and the ranked rows
+    scored = rankers.score_candidates(model, idx, articles, queries, n_predict=cfg.n_predict)
     alpha = cfg.alpha
     if alpha == "grid":
-        alpha, _ = rankers.grid_search_alpha(
-            model, idx, articles, queries, step=cfg.step,
-            n_predict=cfg.n_predict, k=cfg.eval_k,
-        )
-    rows = [_rank_query(model, idx, articles, q, cfg.n_predict, alpha) for q in queries]
+        alpha, _ = rankers.best_alpha(queries, scored, step=cfg.step, k=cfg.eval_k)
+    rows = [_rank_row(q, rankers.order_candidates(c, alpha)) for q, c in zip(queries, scored)]
     out = _out_dir(args)
     _write_jsonl(out / "run.jsonl", rows)
     _write_json(out / "alpha.json", {"alpha": alpha})
-    _manifest(args, out, cfg, [args.corpus, args.queries, args.model_path])
+    _manifest(args, out, cfg, files)
     print(f"ranked {len(rows)} queries at alpha {alpha}")
     return 0
 
 
 def _cmd_rank_grid_alpha(args) -> int:
     cfg = _resolve_config(args)
-    model = rankers.load_model(args.model_path)
-    articles = corpus_mod.chunk_corpus(corpus_mod.load_corpus(args.corpus))
-    queries = corpus_mod.load_queries(args.queries)
-    idx = lexical.load_index(args.index) if args.index else lexical.build_index(articles)
+    model, articles, queries, idx, files = _rank_inputs(args)
     alpha, f2 = rankers.grid_search_alpha(
         model, idx, articles, queries, step=cfg.step,
         n_predict=cfg.n_predict, k=cfg.eval_k,
@@ -313,7 +315,7 @@ def _cmd_rank_grid_alpha(args) -> int:
     if args.out:
         out = _out_dir(args)
         _write_json(out / "grid.json", result)
-        _manifest(args, out, cfg, [args.corpus, args.queries, args.model_path])
+        _manifest(args, out, cfg, files)
     print(_dump_json(result), end="")
     return 0
 

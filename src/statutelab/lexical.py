@@ -158,29 +158,36 @@ def save_index(index: InvertedIndex, path) -> None:
 
 
 def load_index(path) -> InvertedIndex:
+    """Read an SLIX1 file; a truncated or corrupt file, or trailing bytes,
+    raise ValueError naming the file and the reader offset."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[:5] != _MAGIC:
-        raise ValueError("bad index magic")
+        raise ValueError(f"{path}: bad index magic")
     r = _Reader(buf)
     r.pos = 5
     idx = InvertedIndex()
-    n_docs = r.u32()
-    doc_ids = []
-    for _ in range(n_docs):
-        doc_id = r.string()
-        doc_ids.append(doc_id)
-        idx.doc_len[doc_id] = r.u32()
-    n_terms = r.u32()
-    for _ in range(n_terms):
-        term = r.string()
-        n_post = r.u32()
-        plist = []
-        for _ in range(n_post):
-            pos = r.u32()
-            tf = r.u32()
-            plist.append((doc_ids[pos], tf))
-        idx.postings[term] = plist
+    try:
+        n_docs = r.u32()
+        doc_ids = []
+        for _ in range(n_docs):
+            doc_id = r.string()
+            doc_ids.append(doc_id)
+            idx.doc_len[doc_id] = r.u32()
+        n_terms = r.u32()
+        for _ in range(n_terms):
+            term = r.string()
+            n_post = r.u32()
+            plist = []
+            for _ in range(n_post):
+                pos = r.u32()
+                tf = r.u32()
+                plist.append((doc_ids[pos], tf))
+            idx.postings[term] = plist
+    except (struct.error, UnicodeDecodeError, IndexError) as exc:
+        raise ValueError(f"{path}: corrupt SLIX1 index at offset {r.pos}: {exc}") from None
+    if r.pos != len(buf):
+        raise ValueError(f"{path}: {len(buf) - r.pos} trailing bytes after the SLIX1 index at offset {r.pos}")
     idx.n_docs = n_docs
     idx.avgdl = sum(idx.doc_len.values()) / n_docs if n_docs else 0.0
     return idx

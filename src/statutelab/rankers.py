@@ -43,9 +43,13 @@ __all__ = [
     "build_paraformer_lite",
     "build_lawfulness_classifier",
     "parameters",
+    "CandidateScores",
     "semantic_score",
     "train_ranker",
     "ensemble",
+    "score_candidates",
+    "order_candidates",
+    "best_alpha",
     "grid_search_alpha",
     "rank",
     "train_lawfulness",
@@ -165,36 +169,32 @@ def parameters(model: RankerModel) -> list[Tensor]:
     return params
 
 
-def _encode_query(model: RankerModel, text: str, train=False, rng=None) -> Tensor:
-    tokens = tokenize(text)
+def _encode_sentence(model: RankerModel, tokens: list[str], train=False, rng=None) -> Tensor:
     if model.kind == "attentive_cnn":
         return encode_sentence_cnn(tokens, model.encoder, train=train, rng=rng)
     return encode_sentence_avg(tokens, model.embeddings, model.layers, model.positions)
 
 
-def _statements(article: Article) -> list[str]:
-    return article.statements if article.statements else [article.text]
+def _statement_tokens(article: Article) -> list[list[str]]:
+    """Token lists of the article's statements; statements without tokens
+    are left out of paragraph pooling."""
+    statements = article.statements if article.statements else [article.text]
+    return [toks for toks in map(tokenize, statements) if toks]
 
 
 def _score_graph(model: RankerModel, query_text: str, article: Article, train=False, rng=None) -> Tensor:
-    qv = _encode_query(model, query_text, train=train, rng=rng)
-    if model.kind == "attentive_cnn":
-        reps = [
-            encode_sentence_cnn(tokenize(s), model.encoder, train=train, rng=rng)
-            for s in _statements(article)
-        ]
-    else:
-        reps = [
-            encode_sentence_avg(tokenize(s), model.embeddings, model.layers, model.positions)
-            for s in _statements(article)
-        ]
+    qv = _encode_sentence(model, tokenize(query_text), train=train, rng=rng)
+    reps = [_encode_sentence(model, toks, train=train, rng=rng) for toks in _statement_tokens(article)]
     pq = model.para_query if model.para_query is not None else qv
     r_a, _ = encode_paragraph(pq, reps, model.para_attn)
     return T.dot(qv, r_a)
 
 
 def semantic_score(model: RankerModel, query_text: str, article: Article) -> float:
-    """Dot product of the encoded query and the pooled article vector."""
+    """Dot product of the encoded query and the pooled article vector; 0.0
+    when the query or every statement of the article has no tokens."""
+    if not tokenize(query_text) or not _statement_tokens(article):
+        return 0.0
     return float(_score_graph(model, query_text, article).data)
 
 
@@ -265,12 +265,73 @@ def _minmax(scores: list[float]) -> list[float]:
     return [1.0 for _ in scores]
 
 
-def _candidates(model, index, by_id, query, n_predict):
-    hits = top_n(index, tokenize(query.text), n_predict, k1=model.config.k1, b=model.config.b)
-    ids = [doc_id for doc_id, _ in hits]
-    lex = _minmax([s for _, s in hits])
-    sem = [semantic_score(model, query.text, by_id[i]) for i in ids]
-    return ids, lex, sem
+@dataclass
+class CandidateScores:
+    """One query's BM25 candidates in top_n order, with their min-max
+    normalized lexical scores and their semantic scores."""
+
+    ids: list[str]
+    lex: list[float]
+    sem: list[float]
+
+
+def _article_encoding(model: RankerModel, article: Article):
+    """What scoring needs of an article, whatever the query: the pooled r_a
+    when the paragraph query is learned, else the statement vectors.  Only
+    the values are kept, not the graph.  None when no statement has tokens."""
+    reps = [Tensor(_encode_sentence(model, toks).data) for toks in _statement_tokens(article)]
+    if not reps:
+        return None
+    if model.para_query is None:
+        return reps
+    return encode_paragraph(model.para_query, reps, model.para_attn)[0].data
+
+
+def score_candidates(
+    model: RankerModel,
+    index: InvertedIndex,
+    corpus: list[Article],
+    queries: list[Query],
+    n_predict: int | None = None,
+) -> list[CandidateScores]:
+    """Retrieve each query's top-N lexically and score the candidates
+    semantically, in one pass: each query is encoded once and each distinct
+    candidate article once, and the encodings live only for this call.
+    Every s_s is bit-identical to semantic_score, the same no-token rule
+    included."""
+    n_predict = model.config.n_predict if n_predict is None else n_predict
+    by_id = {a.id: a for a in corpus}
+    encoded = {}
+    out = []
+    for query in queries:
+        q_tokens = tokenize(query.text)
+        hits = top_n(index, q_tokens, n_predict, k1=model.config.k1, b=model.config.b)
+        ids = [doc_id for doc_id, _ in hits]
+        sem = [0.0] * len(ids)
+        if q_tokens:
+            qv = _encode_sentence(model, q_tokens)
+            for j, doc_id in enumerate(ids):
+                if doc_id not in encoded:
+                    encoded[doc_id] = _article_encoding(model, by_id[doc_id])
+                enc = encoded[doc_id]
+                if enc is None:
+                    continue
+                if model.para_query is None:
+                    enc = encode_paragraph(qv, enc, model.para_attn)[0].data
+                sem[j] = float(np.dot(qv.data, enc))
+        out.append(CandidateScores(ids, _minmax([s for _, s in hits]), sem))
+    return out
+
+
+def order_candidates(scored: CandidateScores, alpha: float) -> list[ScoredCandidate]:
+    """The candidates with their ensemble scores, best first; ties go to the
+    smaller article id."""
+    cands = [
+        ScoredCandidate(i, l, s, ensemble(l, s, alpha))
+        for i, l, s in zip(scored.ids, scored.lex, scored.sem)
+    ]
+    cands.sort(key=lambda c: (-c.s_final, c.article_id))
+    return cands
 
 
 def rank(
@@ -282,16 +343,51 @@ def rank(
     alpha: float | None = None,
 ) -> list[ScoredCandidate]:
     """Retrieve top-N lexically, rescore semantically, sort by the ensemble."""
-    n_predict = model.config.n_predict if n_predict is None else n_predict
     alpha = 0.5 if alpha is None else alpha
-    by_id = {a.id: a for a in corpus}
-    ids, lex, sem = _candidates(model, index, by_id, query, n_predict)
-    cands = [
-        ScoredCandidate(i, l, s, ensemble(l, s, alpha))
-        for i, l, s in zip(ids, lex, sem)
-    ]
-    cands.sort(key=lambda c: (-c.s_final, c.article_id))
-    return cands
+    (scored,) = score_candidates(model, index, corpus, [query], n_predict)
+    return order_candidates(scored, alpha)
+
+
+def best_alpha(
+    queries: list[Query],
+    scored: list[CandidateScores],
+    step: float = 0.01,
+    k: int = 1,
+) -> tuple[float, float]:
+    """Best alpha on the grid 0, step, 2*step, ..., 1 by macro-F2@k over
+    the queries' scored candidates; ties take the smallest alpha.
+
+    Each alpha's final scores are alpha*lex + (1-alpha)*sem in float64,
+    rounded exactly as the scalar expression, and each query's candidates
+    are ordered by (-score, id) with one lexsort over the whole grid."""
+    if not queries:
+        raise ValueError("grid search needs a non-empty validation set")
+    if not 0.0 < step <= 1.0:
+        raise ValueError(f"step must be in (0, 1], got {step}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    alphas = []
+    a = 0.0
+    while a < 1.0 - 1e-12:
+        alphas.append(round(a, 12))
+        a += step
+    alphas.append(1.0)
+    grid = np.array(alphas)[:, None]
+    tops = []  # per query: gold ids, candidate ids, top-k candidate positions per alpha
+    for q, c in zip(queries, scored, strict=True):
+        ids = np.array(c.ids, dtype=object)
+        id_rank = np.empty(len(ids), dtype=np.int64)
+        id_rank[sorted(range(len(ids)), key=c.ids.__getitem__)] = np.arange(len(ids))
+        final = grid * np.array(c.lex) + (1.0 - grid) * np.array(c.sem)
+        order = np.lexsort((np.broadcast_to(id_rank, final.shape), -final), axis=-1)
+        tops.append((set(q.relevant_ids), ids, order[:, :k]))
+    best, best_f2 = 0.0, -1.0
+    for a, alpha in enumerate(alphas):
+        judgments = [RetrievalJudgment(gold, list(ids[top[a]])) for gold, ids, top in tops]
+        _, _, f2 = macro_f2(judgments, k)
+        if f2 > best_f2 + 1e-12:
+            best, best_f2 = alpha, f2
+    return best, best_f2
 
 
 def grid_search_alpha(
@@ -304,34 +400,10 @@ def grid_search_alpha(
     k: int | None = None,
 ) -> tuple[float, float]:
     """Best alpha on the validation queries by macro-F2; ties take the
-    smallest alpha."""
-    if not val_queries:
-        raise ValueError("grid search needs a non-empty validation set")
-    if not 0.0 < step <= 1.0:
-        raise ValueError(f"step must be in (0, 1], got {step}")
-    n_predict = model.config.n_predict if n_predict is None else n_predict
+    smallest alpha.  The candidates are scored once, for the whole grid."""
     k = model.config.eval_k if k is None else k
-    by_id = {a.id: a for a in corpus}
-    per_query = [_candidates(model, index, by_id, q, n_predict) for q in val_queries]
-    alphas = []
-    a = 0.0
-    while a < 1.0 - 1e-12:
-        alphas.append(round(a, 12))
-        a += step
-    alphas.append(1.0)
-    best_alpha, best_f2 = 0.0, -1.0
-    for alpha in alphas:
-        judgments = []
-        for q, (ids, lex, sem) in zip(val_queries, per_query):
-            order = sorted(
-                range(len(ids)),
-                key=lambda i: (-(alpha * lex[i] + (1.0 - alpha) * sem[i]), ids[i]),
-            )
-            judgments.append(RetrievalJudgment(set(q.relevant_ids), [ids[i] for i in order]))
-        _, _, f2 = macro_f2(judgments, k)
-        if f2 > best_f2 + 1e-12:
-            best_alpha, best_f2 = alpha, f2
-    return best_alpha, best_f2
+    scored = score_candidates(model, index, corpus, val_queries, n_predict)
+    return best_alpha(val_queries, scored, step, k)
 
 
 # ---------------------------------------------------------------------------

@@ -41,25 +41,41 @@ def bundle_bytes(kind: str, meta: dict, tensors: list[Tensor]) -> bytes:
     return b"".join(parts)
 
 
+def _take(buf: bytes, pos: int, n: int) -> bytes:
+    if n > len(buf) - pos:
+        raise ValueError(f"checkpoint truncated at offset {pos}: needs {n} bytes, {len(buf) - pos} left")
+    return buf[pos : pos + n]
+
+
 def bundle_from_bytes(buf: bytes) -> tuple[str, dict, list[Tensor]]:
+    """Decode a checkpoint; every length prefix is checked against the
+    buffer, and a truncated buffer or trailing bytes raise ValueError naming
+    the offset."""
     if buf[:5] != _MAGIC:
         raise ValueError("bad checkpoint magic")
-    kind = _KIND_NAMES.get(buf[5])
+    (kind_byte,) = _take(buf, 5, 1)
+    kind = _KIND_NAMES.get(kind_byte)
     if kind is None:
-        raise ValueError(f"unknown checkpoint kind byte {buf[5]}")
+        raise ValueError(f"unknown checkpoint kind byte {kind_byte}")
     pos = 6
-    (meta_len,) = struct.unpack_from("<Q", buf, pos)
+    (meta_len,) = struct.unpack("<Q", _take(buf, pos, 8))
     pos += 8
-    meta = json.loads(buf[pos : pos + meta_len].decode("utf-8"))
+    meta = json.loads(_take(buf, pos, meta_len).decode("utf-8"))
     pos += meta_len
-    (n_tensors,) = struct.unpack_from("<Q", buf, pos)
+    (n_tensors,) = struct.unpack("<Q", _take(buf, pos, 8))
     pos += 8
     tensors = []
-    for _ in range(n_tensors):
-        (blob_len,) = struct.unpack_from("<Q", buf, pos)
+    for i in range(n_tensors):
+        (blob_len,) = struct.unpack("<Q", _take(buf, pos, 8))
         pos += 8
-        tensors.append(tensor_from_bytes(buf[pos : pos + blob_len]))
+        blob = _take(buf, pos, blob_len)
+        try:
+            tensors.append(tensor_from_bytes(blob))
+        except ValueError as exc:
+            raise ValueError(f"checkpoint tensor {i} at offset {pos}: {exc}") from None
         pos += blob_len
+    if pos != len(buf):
+        raise ValueError(f"checkpoint has {len(buf) - pos} trailing bytes at offset {pos}")
     return kind, meta, tensors
 
 

@@ -10,6 +10,7 @@ threaded, so repeated runs are bit-identical.
 from __future__ import annotations
 
 import itertools
+import math
 import struct
 from typing import Callable, Sequence
 
@@ -566,11 +567,23 @@ def tensor_to_bytes(t: Tensor) -> bytes:
 
 
 def tensor_from_bytes(buf: bytes) -> Tensor:
+    """Decode one SLTN1 blob; a blob shorter or longer than its header
+    declares raises ValueError naming the offset."""
     if buf[:5] != _MAGIC:
         raise ValueError("bad tensor magic")
+    if len(buf) < 13:
+        raise ValueError(f"tensor blob truncated at offset {len(buf)}: its header needs 13 bytes")
     ndim = struct.unpack("<Q", buf[5:13])[0]
-    dims = struct.unpack(f"<{ndim}Q", buf[13 : 13 + 8 * ndim])
-    vals = np.frombuffer(buf[13 + 8 * ndim :], dtype="<f8", count=int(np.prod(dims)) if dims else 1)
+    head = 13 + 8 * ndim
+    if len(buf) < head:
+        raise ValueError(f"tensor blob truncated at offset {len(buf)}: its dims end at offset {head}")
+    dims = struct.unpack(f"<{ndim}Q", buf[13:head])
+    end = head + 8 * math.prod(dims)
+    if len(buf) < end:
+        raise ValueError(f"tensor blob truncated at offset {len(buf)}: its data ends at offset {end}")
+    if len(buf) > end:
+        raise ValueError(f"tensor blob has {len(buf) - end} trailing bytes at offset {end}")
+    vals = np.frombuffer(buf, dtype="<f8", offset=head)
     if ndim == 0:
         return Tensor(vals[0])
     return Tensor(vals.reshape(dims).copy())

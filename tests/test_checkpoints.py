@@ -107,6 +107,20 @@ def test_classify_run_on_mismatched_checkpoint_exits_1(tmp_path, capsys, how):
     assert "checkpoint" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit", ["cut 100", "cut inside data", "append 7"])
+def test_classify_run_on_truncated_or_padded_checkpoint_exits_1(tmp_path, capsys, edit):
+    build, save, _ = KINDS["lawfulness"]
+    path = tmp_path / "clf.slrk"
+    save(build(), path)
+    blob = path.read_bytes()
+    path.write_bytes({"cut 100": blob[:-100], "cut inside data": blob[:-3], "append 7": blob + b"\x00" * 7}[edit])
+    data = tmp_path / "data.jsonl"
+    data.write_text(json.dumps({"text": "the gift act"}) + "\n", encoding="utf-8")
+    code = cli_dispatch(["classify", "run", "--model", str(path), "--data", str(data)])
+    assert code == 1
+    assert "offset" in capsys.readouterr().err
+
+
 def test_hydra_experiment_blob_is_the_saved_checkpoint(tmp_path):
     _, blob = hydra_experiment(3, steps=5)
     path = tmp_path / "heads.slrk"

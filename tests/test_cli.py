@@ -330,3 +330,80 @@ def test_embed_commands(tmp_path, capsys):
     code, _, _ = run(capsys, "embed", "project", "--embeddings", str(emb), "--terms", str(terms), "--top-k", "2", "--out", str(proj))
     assert code == 0
     assert len(proj.read_text().strip().split("\n")) == 2
+
+
+def _sha256(path):
+    import hashlib
+
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _write_queries(path, texts):
+    path.write_text("".join(
+        json.dumps({"id": f"q{i}", "text": t, "relevant_ids": [f"a{i}"], "label": None}) + "\n"
+        for i, t in enumerate(texts)
+    ))
+    return path
+
+
+def _trained_ranker(tmp_path, capsys):
+    """A tiny corpus, its queries, an index file and a trained model."""
+    corpus = write_corpus(tmp_path, [{"id": f"a{i}", "title": "", "text": f"tok{i} bg. tok{i + 1}"} for i in range(5)])
+    queries = _write_queries(tmp_path / "queries.jsonl", [f"tok{i} bg" for i in range(5)])
+    code, _, err = run(
+        capsys, "rank", "train", "--corpus", str(corpus), "--queries", str(queries),
+        "--out", str(tmp_path / "train"), "--seed", "2", "--embed-dim", "4", "--filters", "4",
+        "--attn-dim", "3", "--width", "1", "--epochs", "1", "--K", "1", "--n-predict", "5",
+    )
+    assert code == 0, err
+    code, _, err = run(capsys, "index", "build", "--corpus", str(corpus), "--out", str(tmp_path / "ix"))
+    assert code == 0, err
+    return corpus, queries, tmp_path / "ix" / "index.slix", tmp_path / "train" / "model.slrk"
+
+
+def test_rank_manifests_name_the_index_digest(tmp_path, capsys):
+    corpus, queries, index, model = _trained_ranker(tmp_path, capsys)
+    common = ["--model", str(model), "--corpus", str(corpus), "--queries", str(queries), "--n-predict", "5"]
+    for sub, extra in (("run", []), ("grid-alpha", ["--step", "0.25"])):
+        out = tmp_path / sub
+        code, _, err = run(capsys, "rank", sub, *common, *extra, "--index", str(index), "--out", str(out))
+        assert code == 0, err
+        inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+        assert inputs[str(index)] == _sha256(index)
+        assert set(inputs) == {str(corpus), str(queries), str(model), str(index)}
+
+
+def test_rank_run_on_corrupt_index_or_checkpoint_exits_1(tmp_path, capsys):
+    corpus, queries, index, model = _trained_ranker(tmp_path, capsys)
+    bad_index = tmp_path / "cut.slix"
+    bad_index.write_bytes(index.read_bytes()[:-5])
+    bad_model = tmp_path / "long.slrk"
+    bad_model.write_bytes(model.read_bytes() + b"\x00" * 7)
+    for m, ix, name in ((model, bad_index, "cut.slix"), (bad_model, index, "trailing bytes")):
+        code, _, err = run(
+            capsys, "rank", "run", "--model", str(m), "--corpus", str(corpus), "--queries", str(queries),
+            "--index", str(ix), "--alpha", "0.5", "--n-predict", "5", "--out", str(tmp_path / "out"),
+        )
+        assert code == 1
+        assert name in err
+
+
+def test_rank_run_query_without_tokens(tmp_path, capsys):
+    corpus, queries, _, model = _trained_ranker(tmp_path, capsys)
+    lines = queries.read_text().splitlines(keepends=True)
+    blank = json.dumps({"id": "qblank", "text": " ?! ", "relevant_ids": ["a0"], "label": None}) + "\n"
+    with_blank = tmp_path / "with_blank.jsonl"
+    with_blank.write_text("".join(lines[:2] + [blank] + lines[2:]))
+    rows = {}
+    for name, qs in (("plain", queries), ("blank", with_blank)):
+        out = tmp_path / name
+        code, _, err = run(
+            capsys, "rank", "run", "--model", str(model), "--corpus", str(corpus), "--queries", str(qs),
+            "--alpha", "0.5", "--n-predict", "5", "--out", str(out),
+        )
+        assert code == 0, err
+        rows[name] = (out / "run.jsonl").read_bytes().splitlines(keepends=True)
+    blank_row = json.loads(rows["blank"].pop(2))
+    assert blank_row["qid"] == "qblank"
+    assert len(blank_row["ranked"]) == 5 and all(c["s_s"] == 0.0 for c in blank_row["ranked"])
+    assert rows["blank"] == rows["plain"]

@@ -143,3 +143,18 @@ def test_index_persistence_roundtrip(tmp_path):
     assert abs(back.avgdl - idx.avgdl) < 1e-12
     for q in (["gifts"], ["writing", "law"]):
         assert top_n(back, q, 3) == top_n(idx, q, 3)
+
+
+def test_index_load_rejects_every_truncation_and_trailing_bytes(tmp_path):
+    idx = build_index(corpus(["gifts not in writing", "the writing act", "gifts law"]))
+    path = tmp_path / "index.slix"
+    save_index(idx, path)
+    full = path.read_bytes()
+    bad = tmp_path / "bad.slix"
+    for cut in range(len(full)):
+        bad.write_bytes(full[:cut])
+        with pytest.raises(ValueError, match="bad.slix"):
+            load_index(bad)
+    bad.write_bytes(full + b"\x00")
+    with pytest.raises(ValueError, match=f"trailing bytes after the SLIX1 index at offset {len(full)}"):
+        load_index(bad)

@@ -1,12 +1,18 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from statutelab.corpus import Article, Query
+from statutelab import rankers
+from statutelab.cli import cli_dispatch
+from statutelab.corpus import Article, Query, chunk_corpus, load_corpus
+from statutelab.evalkit import RetrievalJudgment, macro_f2
 from statutelab.lexical import build_index, tokenize, top_n
 from statutelab.rankers import (
+    CandidateScores,
     RankerConfig,
+    best_alpha,
     build_attentive_cnn,
     build_lawfulness_classifier,
     build_paraformer_lite,
@@ -20,6 +26,7 @@ from statutelab.rankers import (
     rank,
     save_classifier,
     save_model,
+    score_candidates,
     semantic_score,
     train_lawfulness,
     train_ranker,
@@ -327,3 +334,194 @@ def test_lawfulness_deterministic_and_roundtrip(tmp_path):
     save_classifier(a, path)
     back = load_classifier(path)
     assert [lawful_probability(back, r.text) for r in train] == pa
+
+
+# ---------------------------------------------------------------------------
+# one scoring pass per call: rank, the alpha grid and rank run
+
+
+def statement_world():
+    """Articles with several statements, some shared between queries'
+    candidate lists, and one statement with no tokens."""
+    articles = [
+        Article("a1", "", "gift law writing. deed act", ["gift law writing", "deed act"]),
+        Article("a2", "", "lease lien act", ["lease lien act"]),
+        Article("a3", "", "writing act deed. ?! . claim", ["writing act deed", "?!", "claim"]),
+        Article("a4", "", "claim party goods", []),
+        Article("a5", "", "gift deed party. lease goods", ["gift deed party", "lease goods"]),
+    ]
+    queries = [
+        Query("q1", "gift writing", {"a1"}),
+        Query("q2", "lease lien", {"a2"}),
+        Query("q3", "deed party goods", {"a5"}),
+        Query("q4", "writing act claim lease", {"a3"}),
+    ]
+    return articles, queries
+
+
+def scoring_models(articles, queries):
+    vocab = vocab_of(articles, queries)
+    cfg = dict(lr=0.2, epochs=2, k_negatives=2, n_predict=5, eval_k=1)
+    return {
+        "learned": build_attentive_cnn(
+            vocab, embed_dim=6, filters=6, attn_dim=4, seed=1, width=3, emb_scale=0.5,
+            config=RankerConfig(seed=1, **cfg),
+        ),
+        "derived": build_attentive_cnn(
+            vocab, embed_dim=6, filters=6, attn_dim=4, seed=1, width=3, emb_scale=0.5,
+            para_query="derived", config=RankerConfig(seed=1, **cfg),
+        ),
+        "paraformer_lite": build_paraformer_lite(
+            vocab, embed_dim=8, n_layers=2, n_heads=2, seed=1, config=RankerConfig(seed=1, **cfg),
+        ),
+    }
+
+
+@pytest.mark.parametrize("kind", ["learned", "derived", "paraformer_lite"])
+def test_rank_semantic_scores_are_exactly_semantic_score(kind):
+    articles, queries = statement_world()
+    model = scoring_models(articles, queries)[kind]
+    idx = build_index(articles)
+    by_id = {a.id: a for a in articles}
+
+    def check():
+        for q in queries:
+            for c in rank(model, idx, articles, q, n_predict=5, alpha=0.4):
+                assert c.s_semantic == semantic_score(model, q.text, by_id[c.article_id])
+        # one pass over all queries shares article encodings between them
+        for q, scored in zip(queries, score_candidates(model, idx, articles, queries, n_predict=5)):
+            assert scored.sem == [semantic_score(model, q.text, by_id[i]) for i in scored.ids]
+
+    check()
+    before = model_bytes(model)
+    train_ranker(model, articles, queries)
+    assert model_bytes(model) != before
+    check()
+
+
+def sorted_sweep(queries, scored, step, k):
+    """The alpha sweep written with one Python sort per (alpha, query)."""
+    alphas = []
+    a = 0.0
+    while a < 1.0 - 1e-12:
+        alphas.append(round(a, 12))
+        a += step
+    alphas.append(1.0)
+    best_alpha, best_f2 = 0.0, -1.0
+    for alpha in alphas:
+        judgments = []
+        for q, c in zip(queries, scored):
+            order = sorted(
+                range(len(c.ids)),
+                key=lambda i: (-(alpha * c.lex[i] + (1.0 - alpha) * c.sem[i]), c.ids[i]),
+            )
+            judgments.append(RetrievalJudgment(set(q.relevant_ids), [c.ids[i] for i in order]))
+        _, _, f2 = macro_f2(judgments, k)
+        if f2 > best_f2 + 1e-12:
+            best_alpha, best_f2 = alpha, f2
+    return best_alpha, best_f2
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_best_alpha_equals_sorted_sweep_with_tied_scores(seed):
+    rng = np.random.default_rng(seed)
+    levels = np.array([0.0, 0.25, 0.5, 0.75, 1.0])  # few levels: many exact ties
+    queries, scored = [], []
+    for qi in range(7):
+        n = int(rng.integers(1, 9))
+        ids = [f"d{j}" for j in rng.permutation(12)[:n]]
+        queries.append(Query(f"q{qi}", "", set(rng.choice(ids, size=int(rng.integers(1, n + 1)), replace=False))))
+        scored.append(CandidateScores(ids, list(rng.choice(levels, n)), list(rng.choice(levels, n))))
+    for step in (0.01, 0.125, 0.3, 1.0):
+        for k in (1, 2, 5):
+            assert best_alpha(queries, scored, step, k) == sorted_sweep(queries, scored, step, k)
+
+
+def test_grid_search_alpha_equals_sorted_sweep_on_model_scores():
+    articles, queries = statement_world()
+    idx = build_index(articles)
+    for model in scoring_models(articles, queries).values():
+        scored = score_candidates(model, idx, articles, queries, n_predict=5)
+        for k in (1, 2):
+            got = grid_search_alpha(model, idx, articles, queries, step=0.05, n_predict=5, k=k)
+            assert got == sorted_sweep(queries, scored, 0.05, k)
+
+
+def test_best_alpha_rejects_bad_inputs():
+    scored = [CandidateScores(["a"], [1.0], [0.0])]
+    queries = [Query("q", "", {"a"})]
+    with pytest.raises(ValueError):
+        best_alpha([], [], 0.5, 1)
+    with pytest.raises(ValueError):
+        best_alpha(queries, scored, 1.5, 1)
+    with pytest.raises(ValueError):
+        best_alpha(queries, scored, 0.5, 0)
+
+
+def test_score_candidates_encodes_each_query_and_article_once(monkeypatch):
+    articles, queries = statement_world()
+    model = scoring_models(articles, queries)["learned"]
+    idx = build_index(articles)
+    seen = []
+    real = rankers.encode_sentence_cnn
+
+    def counting(tokens, enc, **kw):
+        seen.append(tuple(tokens))
+        return real(tokens, enc, **kw)
+
+    monkeypatch.setattr(rankers, "encode_sentence_cnn", counting)
+    score_candidates(model, idx, articles, queries, n_predict=5)
+    statements = [tuple(t) for a in articles for t in map(tokenize, a.statements or [a.text]) if t]
+    assert sorted(seen) == sorted([tuple(tokenize(q.text)) for q in queries] + statements)
+
+
+def test_texts_without_tokens_get_defined_scores():
+    articles, queries = statement_world()
+    idx = build_index(articles)
+    for model in scoring_models(articles, queries).values():
+        # a statement without tokens is left out of paragraph pooling
+        a3 = articles[2]
+        kept = Article("a3", "", a3.text, ["writing act deed", "claim"])
+        assert semantic_score(model, "writing claim", a3) == semantic_score(model, "writing claim", kept)
+        # an article without a tokenizable statement scores 0.0
+        blank = Article("z", "", "?! ...", ["?!", "..."])
+        assert semantic_score(model, "gift writing", blank) == 0.0
+        # a query without tokens scores 0.0 against every candidate
+        assert semantic_score(model, " ?! ", articles[0]) == 0.0
+        cands = rank(model, idx, articles, Query("qe", " ?! ", set()), n_predict=5, alpha=0.5)
+        assert len(cands) == 5 and all(c.s_semantic == 0.0 for c in cands)
+        blank_world = articles + [blank]
+        cands = rank(model, build_index(blank_world), blank_world, Query("qz", "gift writing", set()), n_predict=6)
+        assert {c.article_id: c.s_semantic for c in cands}["z"] == 0.0
+
+
+def test_rank_run_grid_rows_equal_rank_at_chosen_alpha(tmp_path, capsys):
+    articles, queries = statement_world()
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps({"id": a.id, "title": "", "text": a.text}) + "\n" for a in articles))
+    qpath = tmp_path / "queries.jsonl"
+    qpath.write_text("".join(
+        json.dumps({"id": q.id, "text": q.text, "relevant_ids": sorted(q.relevant_ids), "label": None}) + "\n"
+        for q in queries
+    ))
+    model = scoring_models(articles, queries)["learned"]
+    train_ranker(model, articles, queries)
+    save_model(model, tmp_path / "model.slrk")
+    out = tmp_path / "ranked"
+    code = cli_dispatch([
+        "rank", "run", "--model", str(tmp_path / "model.slrk"), "--corpus", str(corpus),
+        "--queries", str(qpath), "--alpha", "grid", "--step", "0.05", "--n-predict", "5", "--out", str(out),
+    ])
+    capsys.readouterr()
+    assert code == 0
+    alpha = json.loads((out / "alpha.json").read_text())["alpha"]
+    arts = chunk_corpus(load_corpus(corpus))
+    idx = build_index(arts)
+    assert alpha == grid_search_alpha(model, idx, arts, queries, step=0.05, n_predict=5, k=1)[0]
+    rows = [json.loads(line) for line in (out / "run.jsonl").read_text().splitlines()]
+    for q, row in zip(queries, rows):
+        want = [
+            {"id": c.article_id, "s_l": c.s_lexical, "s_s": c.s_semantic, "s_f": c.s_final}
+            for c in rank(model, idx, arts, q, n_predict=5, alpha=alpha)
+        ]
+        assert row == {"qid": q.id, "ranked": want}

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from statutelab.store import bundle_bytes, bundle_from_bytes, read_bundle, write_bundle
-from statutelab.tensor import Tensor
+from statutelab.tensor import Tensor, tensor_from_bytes, tensor_to_bytes
 
 
 def test_bundle_roundtrip(tmp_path):
@@ -30,3 +30,32 @@ def test_bundle_deterministic_bytes():
 def test_bundle_rejects_garbage():
     with pytest.raises(ValueError):
         bundle_from_bytes(b"NOPE!" + b"\x00" * 16)
+
+
+def _small_bundle():
+    tensors = [Tensor(np.arange(6.0).reshape(2, 3)), Tensor(np.asarray(4.2)), Tensor(np.ones(2))]
+    return bundle_bytes("layer_stack", {"vocab": ["a", "b"]}, tensors)
+
+
+def test_bundle_rejects_every_truncation():
+    blob = _small_bundle()
+    for cut in range(len(blob)):
+        with pytest.raises(ValueError):
+            bundle_from_bytes(blob[:cut])
+
+
+def test_bundle_rejects_a_trailing_byte():
+    blob = _small_bundle()
+    with pytest.raises(ValueError, match=f"trailing bytes at offset {len(blob)}"):
+        bundle_from_bytes(blob + b"\x00")
+
+
+def test_tensor_blob_rejects_every_truncation_and_a_trailing_byte():
+    for data in (np.arange(6.0).reshape(2, 3), np.asarray(4.2), np.zeros((0, 2))):
+        blob = tensor_to_bytes(Tensor(data))
+        assert np.array_equal(tensor_from_bytes(blob).data, data)
+        for cut in range(len(blob)):
+            with pytest.raises(ValueError):
+                tensor_from_bytes(blob[:cut])
+        with pytest.raises(ValueError, match="trailing"):
+            tensor_from_bytes(blob + b"\x00")
