@@ -78,7 +78,7 @@ def _manifest(args, out: Path, cfg: RunConfig | None, inputs: list) -> None:
 _OVERRIDE_KEYS = (
     "seed", "preset", "model", "k1", "b", "n_train", "n_predict", "alpha",
     "step", "K", "lr", "epochs", "eval_k", "embed_dim", "filters",
-    "attn_dim", "dropout", "width", "n_layers", "n_heads", "neg_ratio",
+    "attn_dim", "dropout", "width", "n_layers", "n_heads",
 )
 
 
@@ -277,12 +277,24 @@ def _rank_row(q, cands):
     }
 
 
+def _missing(ids: set, side: str) -> str:
+    first = f" (first {min(ids)!r})" if ids else ""
+    return f"{len(ids)} ids missing from the {side}{first}"
+
+
 def _rank_inputs(args):
-    """Model, chunked corpus, queries, index, and the input files to digest."""
+    """Model, chunked corpus, queries, index, and the input files to digest.
+    An index must hold exactly the chunked corpus's article ids."""
     model = rankers.load_model(args.model_path)
     articles = corpus_mod.chunk_corpus(corpus_mod.load_corpus(args.corpus))
     queries = corpus_mod.load_queries(args.queries)
     idx = lexical.load_index(args.index) if args.index else lexical.build_index(articles)
+    corpus_ids, index_ids = {a.id for a in articles}, set(idx.doc_len)
+    if corpus_ids != index_ids:
+        raise ValueError(
+            f"index {args.index} was not built from corpus {args.corpus}: "
+            f"{_missing(corpus_ids - index_ids, 'index')}, {_missing(index_ids - corpus_ids, 'corpus')}"
+        )
     files = [args.corpus, args.queries, args.model_path] + ([args.index] if args.index else [])
     return model, articles, queries, idx, files
 
@@ -392,13 +404,16 @@ def _cmd_inject_hydra_attach(args) -> int:
 def _cmd_inject_tre_train(args) -> int:
     cfg = _resolve_config(args)
     data = inject.load_bioe(args.bioe)
+    positions = cfg.positions
+    if positions is None:  # the last min(3, n_layers) layers
+        positions = list(range(max(1, cfg.n_layers - 2), cfg.n_layers + 1))
     if cfg.portions is None:
-        n = len(cfg.positions)
+        n = len(positions)
         portions = [1.0 / n] * n
         portions[-1] = 1.0 - sum(portions[:-1])
     else:
         portions = cfg.portions
-    icfg = inject.InjectionConfig(cfg.positions, portions)
+    icfg = inject.InjectionConfig(positions, portions)
     vocab = sorted({t for s in data for t in s.tokens})
     sizes = effective_sizes(cfg)
     model = inject.build_tre_model(

@@ -7,7 +7,7 @@ Unknown keys are rejected by name before any work starts.  The "paper" and
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, fields, asdict
 
 from .encoders import PRESETS
 
@@ -32,8 +32,8 @@ class RunConfig:
     K: int = 2
     lr: float = 0.05
     epochs: int = 10
-    # injection
-    positions: list[int] = field(default_factory=lambda: [2, 3, 4])
+    # injection; positions None means the last min(3, n_layers) layers
+    positions: list[int] | None = None
     portions: list[float] | None = None
     # encoder sizes; None means take the preset value
     embed_dim: int | None = None
@@ -43,7 +43,6 @@ class RunConfig:
     width: int = 3
     n_layers: int = 2
     n_heads: int = 2
-    neg_ratio: float = 1.0
 
     def validate(self) -> None:
         if self.preset not in PRESETS:

@@ -341,13 +341,18 @@ def _tre_params(model: TreModel) -> list[Tensor]:
     return [model.embeddings.matrix, model.positions] + _layer_tensors(model.layers)
 
 
-def tre_forward(model: TreModel, tokens: list[str]) -> list[Tensor]:
-    """Per-layer hidden states Z^1 .. Z^L for one token sequence."""
+def _embed(model: TreModel, tokens: list[str]) -> Tensor:
+    """Token embeddings plus learned positions: the input to the first layer."""
     x = model.embeddings.embed(tokens)
     m = x.data.shape[0]
     if m > model.positions.data.shape[0]:
         raise ValueError(f"sequence length {m} exceeds positional table")
-    x = T.add(x, T.gather_rows(model.positions, range(m)))
+    return T.add(x, T.gather_rows(model.positions, range(m)))
+
+
+def tre_forward(model: TreModel, tokens: list[str]) -> list[Tensor]:
+    """Per-layer hidden states Z^1 .. Z^L for one token sequence."""
+    x = _embed(model, tokens)
     states = []
     for layer in model.layers:
         x = self_attention(x, layer)
@@ -509,9 +514,7 @@ def tre_evaluate(
 
 def attention_weights_report(model: TreModel, tokens: list[str]) -> list[list[np.ndarray]]:
     """Row-stochastic attention matrices per layer per head for one input."""
-    x = model.embeddings.embed(tokens)
-    m = x.data.shape[0]
-    x = T.add(x, T.gather_rows(model.positions, range(m)))
+    x = _embed(model, tokens)
     report = []
     for layer in model.layers:
         report.append(self_attention_weights(x, layer))

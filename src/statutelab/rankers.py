@@ -169,33 +169,55 @@ def parameters(model: RankerModel) -> list[Tensor]:
     return params
 
 
-def _encode_sentence(model: RankerModel, tokens: list[str], train=False, rng=None) -> Tensor:
+def _encode_sentence(model: RankerModel, tokens: list[str], train=False, rng=None) -> Tensor | None:
+    """The encoded token sequence; None when it has no tokens.  Outside
+    training only the values are kept, so the graph goes at once."""
+    if not tokens:
+        return None
     if model.kind == "attentive_cnn":
-        return encode_sentence_cnn(tokens, model.encoder, train=train, rng=rng)
-    return encode_sentence_avg(tokens, model.embeddings, model.layers, model.positions)
+        v = encode_sentence_cnn(tokens, model.encoder, train=train, rng=rng)
+    else:
+        v = encode_sentence_avg(tokens, model.embeddings, model.layers, model.positions)
+    return v if train else Tensor(v.data)
 
 
-def _statement_tokens(article: Article) -> list[list[str]]:
-    """Token lists of the article's statements; statements without tokens
-    are left out of paragraph pooling."""
-    statements = article.statements if article.statements else [article.text]
-    return [toks for toks in map(tokenize, statements) if toks]
-
-
-def _score_graph(model: RankerModel, query_text: str, article: Article, train=False, rng=None) -> Tensor:
-    qv = _encode_sentence(model, tokenize(query_text), train=train, rng=rng)
-    reps = [_encode_sentence(model, toks, train=train, rng=rng) for toks in _statement_tokens(article)]
+def _pool(model: RankerModel, reps: list[Tensor], qv: Tensor | None = None) -> Tensor:
+    """r_a: statement vectors pooled under the learned paragraph query, or
+    under the encoded query when the model has none."""
     pq = model.para_query if model.para_query is not None else qv
-    r_a, _ = encode_paragraph(pq, reps, model.para_attn)
-    return T.dot(qv, r_a)
+    return encode_paragraph(pq, reps, model.para_attn)[0]
+
+
+def _article_encoding(model: RankerModel, article: Article, train=False, rng=None):
+    """What scoring needs of an article, whatever the query: r_a when the
+    paragraph query is learned, else the statement vectors.  Statements
+    without tokens are left out; None when no statement has tokens.  Outside
+    training only the values are kept."""
+    statements = article.statements if article.statements else [article.text]
+    reps = [_encode_sentence(model, t, train=train, rng=rng) for t in map(tokenize, statements) if t]
+    if not reps or model.para_query is None:
+        return reps or None
+    r_a = _pool(model, reps)
+    return r_a if train else Tensor(r_a.data)
+
+
+def _score(model: RankerModel, qv: Tensor | None, article: Article, encoded: dict, train=False, rng=None) -> Tensor:
+    """s_s = q . r_a, the article encoded once per `encoded` dict; 0.0 when
+    the query or every statement of the article has no tokens."""
+    if qv is None:
+        return Tensor(0.0)
+    if article.id not in encoded:
+        encoded[article.id] = _article_encoding(model, article, train=train, rng=rng)
+    enc = encoded[article.id]
+    if enc is None:
+        return Tensor(0.0)
+    return T.dot(qv, enc if model.para_query is not None else _pool(model, enc, qv))
 
 
 def semantic_score(model: RankerModel, query_text: str, article: Article) -> float:
     """Dot product of the encoded query and the pooled article vector; 0.0
     when the query or every statement of the article has no tokens."""
-    if not tokenize(query_text) or not _statement_tokens(article):
-        return 0.0
-    return float(_score_graph(model, query_text, article).data)
+    return float(_score(model, _encode_sentence(model, tokenize(query_text)), article, {}).data)
 
 
 def train_ranker(
@@ -241,9 +263,10 @@ def train_ranker(
             pool = pools[q.id]
             n_negs = min(k, len(pool))
             neg_ids = [pool[i] for i in rng.choice(len(pool), size=n_negs, replace=False)] if pool else []
-            y_pos = _score_graph(model, q.text, by_id[pos_id], train=True, rng=rng)
-            y_negs = [_score_graph(model, q.text, by_id[n], train=True, rng=rng) for n in neg_ids]
-            loss = T.ce_negsample(y_pos, y_negs)
+            # one query node for the positive and every negative
+            qv = _encode_sentence(model, tokenize(q.text), train=True, rng=rng)
+            ys = [_score(model, qv, by_id[d], {}, train=True, rng=rng) for d in [pos_id, *neg_ids]]
+            loss = T.ce_negsample(ys[0], ys[1:])
             T.backward(loss)
             T.sgd_step(params, cfg.lr)
             total += float(loss.data)
@@ -275,18 +298,6 @@ class CandidateScores:
     sem: list[float]
 
 
-def _article_encoding(model: RankerModel, article: Article):
-    """What scoring needs of an article, whatever the query: the pooled r_a
-    when the paragraph query is learned, else the statement vectors.  Only
-    the values are kept, not the graph.  None when no statement has tokens."""
-    reps = [Tensor(_encode_sentence(model, toks).data) for toks in _statement_tokens(article)]
-    if not reps:
-        return None
-    if model.para_query is None:
-        return reps
-    return encode_paragraph(model.para_query, reps, model.para_attn)[0].data
-
-
 def score_candidates(
     model: RankerModel,
     index: InvertedIndex,
@@ -296,9 +307,7 @@ def score_candidates(
 ) -> list[CandidateScores]:
     """Retrieve each query's top-N lexically and score the candidates
     semantically, in one pass: each query is encoded once and each distinct
-    candidate article once, and the encodings live only for this call.
-    Every s_s is bit-identical to semantic_score, the same no-token rule
-    included."""
+    candidate article once, and the encodings live only for this call."""
     n_predict = model.config.n_predict if n_predict is None else n_predict
     by_id = {a.id: a for a in corpus}
     encoded = {}
@@ -307,18 +316,8 @@ def score_candidates(
         q_tokens = tokenize(query.text)
         hits = top_n(index, q_tokens, n_predict, k1=model.config.k1, b=model.config.b)
         ids = [doc_id for doc_id, _ in hits]
-        sem = [0.0] * len(ids)
-        if q_tokens:
-            qv = _encode_sentence(model, q_tokens)
-            for j, doc_id in enumerate(ids):
-                if doc_id not in encoded:
-                    encoded[doc_id] = _article_encoding(model, by_id[doc_id])
-                enc = encoded[doc_id]
-                if enc is None:
-                    continue
-                if model.para_query is None:
-                    enc = encode_paragraph(qv, enc, model.para_attn)[0].data
-                sem[j] = float(np.dot(qv.data, enc))
+        qv = _encode_sentence(model, q_tokens)
+        sem = [float(_score(model, qv, by_id[doc_id], encoded).data) for doc_id in ids]
         out.append(CandidateScores(ids, _minmax([s for _, s in hits]), sem))
     return out
 

@@ -483,10 +483,14 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate gradients of a scalar loss into every requires_grad tensor.
+    """Accumulate gradients of a scalar loss into the .grad of every leaf
+    (a requires_grad tensor with no parents) that the loss depends on.
 
     Nodes are visited in reverse creation order, which is a reverse
-    topological order of the tape by construction.
+    topological order of the tape by construction.  Intermediate gradients
+    stay in a local dict and are never written to .grad.  A leaf's .grad may
+    share memory with another gradient (add passes g to both parents), so
+    nothing may update a .grad in place.
     """
     if loss.data.ndim != 0 and loss.data.size != 1:
         raise ValueError("backward expects a scalar loss")
@@ -504,9 +508,8 @@ def backward(loss: Tensor) -> None:
         g = grads.pop(nid, None)
         if g is None:
             continue
-        if node.grad is None:
-            node.grad = np.zeros_like(node.data)
-        node.grad = node.grad + g
+        if not node._parents:
+            node.grad = g if node.grad is None else node.grad + g
         for parent, vjp in zip(node._parents, node._vjps):
             if not parent.requires_grad:
                 continue

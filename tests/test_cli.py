@@ -407,3 +407,76 @@ def test_rank_run_query_without_tokens(tmp_path, capsys):
     assert blank_row["qid"] == "qblank"
     assert len(blank_row["ranked"]) == 5 and all(c["s_s"] == 0.0 for c in blank_row["ranked"])
     assert rows["blank"] == rows["plain"]
+
+
+def _bioe(tmp_path, n=12):
+    from statutelab.inject import dump_bioe
+    from statutelab.synth import bracket_grammar
+
+    path = tmp_path / "bracket.bioe.tsv"
+    dump_bioe(bracket_grammar(n, seed=4), path)
+    return path
+
+
+def test_inject_tre_train_default_positions_are_the_last_layers(tmp_path, capsys):
+    bioe = _bioe(tmp_path)
+    common = ["inject", "tre-train", "--bioe", str(bioe), "--seed", "2", "--epochs", "1"]
+    code, _, err = run(capsys, *common, "--out", str(tmp_path / "default"))
+    assert code == 0, err
+    assert json.loads((tmp_path / "default" / "config.json").read_text())["positions"] is None
+    # with the default two layers, the default is layers 1 and 2
+    code, _, err = run(capsys, *common, "--positions", "1,2", "--out", str(tmp_path / "explicit"))
+    assert code == 0, err
+    for name in ("model.slrk", "report.json"):
+        assert (tmp_path / "default" / name).read_bytes() == (tmp_path / "explicit" / name).read_bytes()
+
+
+def test_inject_tre_train_positions_beyond_the_stack_exit_1(tmp_path, capsys):
+    bioe = _bioe(tmp_path)
+    code, _, err = run(
+        capsys, "inject", "tre-train", "--bioe", str(bioe), "--seed", "2", "--epochs", "1",
+        "--positions", "2,3,4", "--n-layers", "3", "--out", str(tmp_path / "out"),
+    )
+    assert code == 1
+    assert "positions must lie in [1, 3]" in err
+
+
+def test_inject_attn_report_input_longer_than_the_positional_table_exits_1(tmp_path, capsys):
+    bioe = _bioe(tmp_path)
+    code, _, err = run(
+        capsys, "inject", "tre-train", "--bioe", str(bioe), "--seed", "2", "--epochs", "1",
+        "--positions", "1,2", "--out", str(tmp_path / "tre"),
+    )
+    assert code == 0, err
+    model = str(tmp_path / "tre" / "model.slrk")
+    code, out, err = run(capsys, "inject", "attn-report", "--model", model, "--tokens", "rb0 rm1 re0")
+    assert code == 0, err
+    assert len(json.loads(out)) == 2
+    code, _, err = run(capsys, "inject", "attn-report", "--model", model, "--tokens", " ".join(["rm1"] * 80))
+    assert code == 1
+    assert "exceeds positional table" in err
+
+
+@pytest.mark.parametrize("sub", ["run", "grid-alpha"])
+def test_rank_with_an_index_from_another_corpus_exits_1(sub, tmp_path, capsys):
+    corpus, queries, _, model = _trained_ranker(tmp_path, capsys)
+    other = tmp_path / "other"
+    other.mkdir()
+    subset = write_corpus(other, [json.loads(l) for l in corpus.read_text().splitlines()[:3]])
+    renamed = tmp_path / "renamed.jsonl"
+    renamed.write_text(corpus.read_text().replace('"id": "a', '"id": "xa'))
+    expected = {
+        subset: "2 ids missing from the index (first 'a3'), 0 ids missing from the corpus",
+        renamed: "5 ids missing from the index (first 'a0'), 5 ids missing from the corpus (first 'xa0')",
+    }
+    for source, message in expected.items():
+        ix = tmp_path / f"ix-{source.stem}"
+        code, _, err = run(capsys, "index", "build", "--corpus", str(source), "--out", str(ix))
+        assert code == 0, err
+        code, _, err = run(
+            capsys, "rank", sub, "--model", str(model), "--corpus", str(corpus), "--queries", str(queries),
+            "--index", str(ix / "index.slix"), "--n-predict", "5", "--out", str(tmp_path / "out"),
+        )
+        assert code == 1
+        assert message in err
+        assert not (tmp_path / "out").exists()

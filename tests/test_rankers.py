@@ -525,3 +525,70 @@ def test_rank_run_grid_rows_equal_rank_at_chosen_alpha(tmp_path, capsys):
             for c in rank(model, idx, arts, q, n_predict=5, alpha=alpha)
         ]
         assert row == {"qid": q.id, "ranked": want}
+
+
+# ---------------------------------------------------------------------------
+# training shares the scoring path and its no-token rule
+
+
+def no_token_world():
+    articles = [
+        Article("a1", "", "gift law writing", ["gift law writing"]),
+        Article("a2", "", "lease lien act", ["lease lien act"]),
+        Article("a3", "", "?!", ["?!"]),
+    ]
+    return articles, [Query("q1", "gift writing", {"a1"}), Query("q2", "?!", {"a2"})]
+
+
+def test_train_ranker_survives_texts_without_tokens():
+    articles, queries = no_token_world()
+    model = small_model(articles, queries, epochs=1, k_negatives=2)
+    # a normal query whose negatives include the article with no tokenizable statement
+    _, trace = train_ranker(model, articles, queries[:1])
+    assert all(math.isfinite(v) for v in trace)
+    # a query without tokens scores 0.0 against all 1+K articles: loss ln(1+K), no update
+    before = model_bytes(model)
+    _, trace = train_ranker(model, articles, queries[1:])
+    assert trace == [math.log(3)]
+    assert model_bytes(model) == before
+    _, trace = train_ranker(model, articles, queries)
+    assert all(math.isfinite(v) for v in trace)
+
+
+def test_rank_train_cli_accepts_texts_without_tokens(tmp_path, capsys):
+    articles, queries = no_token_world()
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps({"id": a.id, "title": "", "text": a.text}) + "\n" for a in articles))
+    qpath = tmp_path / "queries.jsonl"
+    qpath.write_text("".join(
+        json.dumps({"id": q.id, "text": q.text, "relevant_ids": sorted(q.relevant_ids), "label": None}) + "\n"
+        for q in queries
+    ))
+    code = cli_dispatch([
+        "rank", "train", "--corpus", str(corpus), "--queries", str(qpath), "--seed", "2",
+        "--embed-dim", "4", "--filters", "4", "--attn-dim", "3", "--width", "1",
+        "--epochs", "1", "--K", "2", "--out", str(tmp_path / "train"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 0, err
+    trace = json.loads((tmp_path / "train" / "loss_trace.json").read_text())
+    assert all(math.isfinite(v) for v in trace)
+
+
+@pytest.mark.parametrize("kind", ["learned", "derived"])
+def test_train_step_encodes_the_query_once(kind, monkeypatch):
+    articles, queries = statement_world()
+    model = scoring_models(articles, queries)[kind]
+    model.config.epochs = 1
+    seen = []
+    real = rankers.encode_sentence_cnn
+
+    def counting(tokens, enc, **kw):
+        seen.append(tuple(tokens))
+        return real(tokens, enc, **kw)
+
+    monkeypatch.setattr(rankers, "encode_sentence_cnn", counting)
+    # K = 4 on five articles: the step draws every article
+    train_ranker(model, articles, queries[:1], k_negatives=4)
+    statements = [tuple(t) for a in articles for t in map(tokenize, a.statements or [a.text]) if t]
+    assert sorted(seen) == sorted([tuple(tokenize(queries[0].text))] + statements)
