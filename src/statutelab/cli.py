@@ -217,7 +217,7 @@ def _cmd_index_build(args) -> int:
     out = _out_dir(args)
     lexical.save_index(idx, out / "index.slix")
     _manifest(args, out, None, [args.corpus])
-    print(f"{idx.n_docs} docs, {len(idx.postings)} terms, avgdl {idx.avgdl:.2f}")
+    print(f"{idx.n_docs} docs, {len(idx.terms)} terms, avgdl {idx.avgdl:.2f}")
     return 0
 
 
@@ -289,7 +289,7 @@ def _rank_inputs(args):
     articles = corpus_mod.chunk_corpus(corpus_mod.load_corpus(args.corpus))
     queries = corpus_mod.load_queries(args.queries)
     idx = lexical.load_index(args.index) if args.index else lexical.build_index(articles)
-    corpus_ids, index_ids = {a.id for a in articles}, set(idx.doc_len)
+    corpus_ids, index_ids = {a.id for a in articles}, set(idx.doc_ids)
     if corpus_ids != index_ids:
         raise ValueError(
             f"index {args.index} was not built from corpus {args.corpus}: "

@@ -9,7 +9,10 @@ from __future__ import annotations
 import math
 import re
 import struct
-from dataclasses import dataclass, field
+from array import array
+from collections import Counter
+
+import numpy as np
 
 from .corpus import Article
 
@@ -31,35 +34,85 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN.findall(text.lower())
 
 
-@dataclass
 class InvertedIndex:
-    postings: dict[str, list[tuple[str, int]]] = field(default_factory=dict)
-    doc_len: dict[str, int] = field(default_factory=dict)
-    avgdl: float = 0.0
-    n_docs: int = 0
+    """BM25 index with postings in compressed sparse row form.
+
+    Document i is ``doc_ids[i]`` with ``lengths[i]`` tokens; term t is
+    ``terms[t]`` (first-occurrence order over the corpus).  Term t's
+    postings are ``docs[starts[t]:starts[t+1]]``, ascending document
+    positions, with term frequencies ``tf[starts[t]:starts[t+1]]``.
+    ``id_rank[i]`` is document i's place in ascending id order (Python
+    string order, which numpy's fixed-width strings would not keep for ids
+    ending in "\\x00"), the tie-break of ``top_n``.
+    """
+
+    def __init__(self, doc_ids: list[str], lengths: np.ndarray, terms: list[str],
+                 starts: np.ndarray, docs: np.ndarray, tf: np.ndarray):
+        self.doc_ids = doc_ids
+        self.lengths = lengths
+        self.terms = terms
+        self.term_ids = {t: i for i, t in enumerate(terms)}
+        self.starts = starts
+        self.docs = docs
+        self.tf = tf
+        self.n_docs = len(doc_ids)
+        self.avgdl = int(lengths.sum()) / self.n_docs if self.n_docs else 0.0
+        self.id_rank = np.empty(self.n_docs, dtype=np.int64)
+        self.id_rank[sorted(range(self.n_docs), key=doc_ids.__getitem__)] = np.arange(self.n_docs)
+
+    @property
+    def doc_len(self) -> dict[str, int]:
+        """doc id -> token count, built anew on each access (O(n_docs))."""
+        return dict(zip(self.doc_ids, self.lengths.tolist()))
+
+    @property
+    def postings(self) -> dict[str, list[tuple[str, int]]]:
+        """term -> [(doc id, tf), ...] in document order, built anew on each
+        access (O(postings)); for inspection and tests, not for scoring."""
+        ids, docs, tf, bounds = self.doc_ids, self.docs.tolist(), self.tf.tolist(), self.starts.tolist()
+        return {
+            term: [(ids[d], f) for d, f in zip(docs[bounds[t] : bounds[t + 1]], tf[bounds[t] : bounds[t + 1]])]
+            for t, term in enumerate(self.terms)
+        }
+
+
+class _TermIds(dict):
+    """term -> id, giving an unseen term the next id on lookup."""
+
+    def __missing__(self, term: str) -> int:
+        self[term] = tid = len(self)
+        return tid
 
 
 def build_index(corpus: list[Article]) -> InvertedIndex:
     """Index tokenized article text; deterministic for a fixed corpus."""
     if not corpus:
         raise ValueError("cannot index an empty corpus")
-    idx = InvertedIndex()
-    for art in corpus:
+    doc_ids = [a.id for a in corpus]
+    dups = [d for d, c in Counter(doc_ids).items() if c > 1]
+    if dups:
+        raise ValueError(f"duplicate article id {dups[0]!r}")
+    n = len(corpus)
+    term_ids = _TermIds()
+    flat = array("q")
+    lengths = np.empty(n, dtype=np.int64)
+    for i, art in enumerate(corpus):
         tokens = tokenize(art.text)
-        idx.doc_len[art.id] = len(tokens)
-        counts: dict[str, int] = {}
-        for t in tokens:
-            counts[t] = counts.get(t, 0) + 1
-        for term, tf in counts.items():
-            idx.postings.setdefault(term, []).append((art.id, tf))
-    idx.n_docs = len(corpus)
-    idx.avgdl = sum(idx.doc_len.values()) / idx.n_docs
-    return idx
+        lengths[i] = len(tokens)
+        flat.extend(map(term_ids.__getitem__, tokens))
+    # one sort groups the (term, doc) pairs by term, docs ascending within a
+    # term, and counts each pair's occurrences
+    keys, tf = np.unique(
+        np.array(flat, dtype=np.int64) * n + np.repeat(np.arange(n, dtype=np.int64), lengths),
+        return_counts=True,
+    )
+    starts = np.zeros(len(term_ids) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=len(term_ids)), out=starts[1:])
+    return InvertedIndex(doc_ids, lengths, list(term_ids), starts, keys % n, tf.astype(np.int64))
 
 
-def _idf(index: InvertedIndex, term: str) -> float:
-    df = len(index.postings.get(term, ()))
-    return math.log((index.n_docs - df + 0.5) / (df + 0.5) + 1.0)
+def _idf(n_docs: int, df: int) -> float:
+    return math.log((n_docs - df + 0.5) / (df + 0.5) + 1.0)
 
 
 def bm25_score(
@@ -74,20 +127,23 @@ def bm25_score(
     Duplicate query terms contribute additively; terms absent from the
     document contribute zero.
     """
-    if doc_id not in index.doc_len:
-        raise KeyError(f"unknown doc id {doc_id!r}")
-    dl = index.doc_len[doc_id]
+    try:
+        i = index.doc_ids.index(doc_id)
+    except ValueError:
+        raise KeyError(f"unknown doc id {doc_id!r}") from None
+    dl = int(index.lengths[i])
     score = 0.0
     for term in query_terms:
-        tf = 0
-        for did, f in index.postings.get(term, ()):
-            if did == doc_id:
-                tf = f
-                break
-        if tf == 0:
+        t = index.term_ids.get(term)
+        if t is None:
             continue
+        lo, hi = index.starts[t : t + 2].tolist()
+        j = lo + int(np.searchsorted(index.docs[lo:hi], i))
+        if j == hi or index.docs[j] != i:
+            continue
+        tf = int(index.tf[j])
         norm = k1 * (1.0 - b + b * dl / index.avgdl)
-        score += _idf(index, term) * tf * (k1 + 1.0) / (tf + norm)
+        score += _idf(index.n_docs, hi - lo) * tf * (k1 + 1.0) / (tf + norm)
     return score
 
 
@@ -98,22 +154,40 @@ def top_n(
     k1: float = 1.2,
     b: float = 0.75,
 ) -> list[tuple[str, float]]:
-    """Top n docs by BM25, descending score then ascending doc id."""
+    """Top n docs by BM25, descending score then ascending doc id.
+
+    Each document's score is summed term by term in query order, with the
+    same operations as ``bm25_score``, so the two agree to the last bit.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    scores = {doc_id: 0.0 for doc_id in index.doc_len}
+    n_docs = index.n_docs
+    scores = np.zeros(n_docs)
     for term in query_terms:
-        idf = _idf(index, term)
-        for doc_id, tf in index.postings.get(term, ()):
-            dl = index.doc_len[doc_id]
-            norm = k1 * (1.0 - b + b * dl / index.avgdl)
-            scores[doc_id] += idf * tf * (k1 + 1.0) / (tf + norm)
-    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-    return ranked[: min(n, index.n_docs)]
+        t = index.term_ids.get(term)
+        if t is None:
+            continue
+        lo, hi = index.starts[t : t + 2].tolist()
+        docs = index.docs[lo:hi]
+        tf = index.tf[lo:hi].astype(np.float64)
+        norm = k1 * (1.0 - b + b * index.lengths[docs].astype(np.float64) / index.avgdl)
+        scores[docs] += _idf(n_docs, hi - lo) * tf * (k1 + 1.0) / (tf + norm)
+    m = min(n, n_docs)
+    if m < n_docs:
+        # every document scoring at least the m-th best score, ties included
+        kth = np.partition(scores, n_docs - m)[n_docs - m]
+        cand = np.flatnonzero(scores >= kth)
+    else:
+        cand = np.arange(n_docs)
+    best = cand[np.lexsort((index.id_rank[cand], -scores[cand]))[:m]]
+    return [(index.doc_ids[i], float(scores[i])) for i in best.tolist()]
 
 
 # ---------------------------------------------------------------------------
-# persistence: b"SLIX1", length-prefixed UTF-8 strings, little-endian u32
+# persistence: b"SLIX1", u32 doc count, per doc a length-prefixed UTF-8 id and
+# its u32 token count, u32 term count, per term a length-prefixed UTF-8 term,
+# its u32 posting count and that many (u32 doc position, u32 tf) pairs; every
+# integer little-endian
 
 _MAGIC = b"SLIX1"
 
@@ -124,70 +198,128 @@ def _pack_str(s: str) -> bytes:
 
 
 class _Reader:
-    def __init__(self, buf: bytes):
+    """Bounds-checked reads; every failure is a ValueError naming the file
+    and the offset."""
+
+    def __init__(self, buf: bytes, path):
         self.buf = buf
+        self.path = path
         self.pos = 0
 
+    def error(self, what: str, at: int) -> ValueError:
+        return ValueError(f"{self.path}: corrupt SLIX1 index at offset {at}: {what}")
+
+    def skip(self, n: int) -> int:
+        """Advance over n bytes and return where they start."""
+        at = self.pos
+        if n > len(self.buf) - at:
+            raise self.error(f"{n} bytes needed, {len(self.buf) - at} left", at)
+        self.pos = at + n
+        return at
+
     def u32(self) -> int:
-        (v,) = struct.unpack_from("<I", self.buf, self.pos)
-        self.pos += 4
-        return v
+        return struct.unpack_from("<I", self.buf, self.skip(4))[0]
 
     def string(self) -> str:
         n = self.u32()
-        s = self.buf[self.pos : self.pos + n].decode("utf-8")
-        self.pos += n
-        return s
+        at = self.skip(n)
+        try:
+            return self.buf[at : at + n].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise self.error(f"invalid UTF-8 ({exc.reason})", at + exc.start) from None
 
 
 def save_index(index: InvertedIndex, path) -> None:
-    doc_ids = list(index.doc_len)
-    doc_pos = {d: i for i, d in enumerate(doc_ids)}
-    parts = [_MAGIC, struct.pack("<I", len(doc_ids))]
-    for d in doc_ids:
-        parts.append(_pack_str(d))
-        parts.append(struct.pack("<I", index.doc_len[d]))
-    parts.append(struct.pack("<I", len(index.postings)))
-    for term, plist in index.postings.items():
-        parts.append(_pack_str(term))
-        parts.append(struct.pack("<I", len(plist)))
-        for doc_id, tf in plist:
-            parts.append(struct.pack("<II", doc_pos[doc_id], tf))
+    parts = [_MAGIC, struct.pack("<I", index.n_docs)]
+    for doc_id, dl in zip(index.doc_ids, index.lengths.tolist()):
+        parts += (_pack_str(doc_id), struct.pack("<I", dl))
+    parts.append(struct.pack("<I", len(index.terms)))
+    pairs = np.empty((len(index.docs), 2), dtype="<u4")
+    pairs[:, 0], pairs[:, 1] = index.docs, index.tf
+    blob = memoryview(pairs.tobytes())
+    bounds = index.starts.tolist()
+    for t, term in enumerate(index.terms):
+        lo, hi = bounds[t], bounds[t + 1]
+        parts += (_pack_str(term), struct.pack("<I", hi - lo), blob[8 * lo : 8 * hi])
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
 
 
 def load_index(path) -> InvertedIndex:
-    """Read an SLIX1 file; a truncated or corrupt file, or trailing bytes,
-    raise ValueError naming the file and the reader offset."""
+    """Read an SLIX1 file.
+
+    A truncated or corrupt file, trailing bytes, a duplicate doc id or term,
+    a posting whose doc position is out of range or not above the previous
+    one of its term, a term frequency of 0, or a doc length that is not the
+    sum of its term frequencies raise ValueError naming the file and offset.
+    """
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[:5] != _MAGIC:
-        raise ValueError(f"{path}: bad index magic")
-    r = _Reader(buf)
+        raise ValueError(f"{path}: bad index magic at offset 0")
+    r = _Reader(buf, path)
     r.pos = 5
-    idx = InvertedIndex()
-    try:
-        n_docs = r.u32()
-        doc_ids = []
-        for _ in range(n_docs):
-            doc_id = r.string()
-            doc_ids.append(doc_id)
-            idx.doc_len[doc_id] = r.u32()
-        n_terms = r.u32()
-        for _ in range(n_terms):
-            term = r.string()
-            n_post = r.u32()
-            plist = []
-            for _ in range(n_post):
-                pos = r.u32()
-                tf = r.u32()
-                plist.append((doc_ids[pos], tf))
-            idx.postings[term] = plist
-    except (struct.error, UnicodeDecodeError, IndexError) as exc:
-        raise ValueError(f"{path}: corrupt SLIX1 index at offset {r.pos}: {exc}") from None
+    doc_ids, lengths, length_at = [], [], []
+    seen: set[str] = set()
+    for _ in range(r.u32()):
+        at = r.pos
+        doc_id = r.string()
+        if doc_id in seen:
+            raise r.error(f"duplicate doc id {doc_id!r}", at)
+        seen.add(doc_id)
+        doc_ids.append(doc_id)
+        length_at.append(r.pos)
+        lengths.append(r.u32())
+    terms, block_at, counts = [], [], []
+    seen = set()
+    for _ in range(r.u32()):
+        at = r.pos
+        term = r.string()
+        if term in seen:
+            raise r.error(f"duplicate term {term!r}", at)
+        seen.add(term)
+        terms.append(term)
+        counts.append(r.u32())
+        block_at.append(r.skip(8 * counts[-1]))
     if r.pos != len(buf):
         raise ValueError(f"{path}: {len(buf) - r.pos} trailing bytes after the SLIX1 index at offset {r.pos}")
-    idx.n_docs = n_docs
-    idx.avgdl = sum(idx.doc_len.values()) / n_docs if n_docs else 0.0
-    return idx
+
+    # every posting block in one read: keep the bytes between each block's
+    # start and end, drop the term headers between them
+    n_docs, n_terms = len(doc_ids), len(terms)
+    block_at = np.array(block_at, dtype=np.int64)
+    counts = np.array(counts, dtype=np.int64)
+    edges = np.empty(2 * n_terms + 2, dtype=np.int64)
+    edges[0], edges[-1] = 0, len(buf)
+    edges[1:-1:2] = block_at
+    edges[2:-1:2] = block_at + 8 * counts
+    keep = np.repeat(np.arange(2 * n_terms + 1) % 2 == 1, np.diff(edges))
+    pairs = np.frombuffer(buf, dtype=np.uint8)[keep].view("<u4").reshape(-1, 2)
+    docs, tf = pairs[:, 0].astype(np.int64), pairs[:, 1].astype(np.int64)
+    starts = np.zeros(n_terms + 1, dtype=np.int64)
+    np.cumsum(counts, out=starts[1:])
+
+    first = np.zeros(len(docs), dtype=bool)
+    first[starts[:-1][counts > 0]] = True
+    rising = np.ones(len(docs), dtype=bool)
+    rising[1:] = first[1:] | (docs[1:] > docs[:-1])
+    for bad, what, field in (
+        (docs >= n_docs, f"doc position out of range for {n_docs} docs", 0),
+        (~rising, "doc position not above the previous one of its term", 0),
+        (tf == 0, "term frequency 0", 4),
+    ):
+        hit = np.flatnonzero(bad)
+        if hit.size:
+            i = int(hit[0])
+            t = int(np.searchsorted(starts, i, side="right")) - 1
+            raise r.error(f"posting {what}", int(block_at[t]) + 8 * (i - int(starts[t])) + field)
+    lengths = np.array(lengths, dtype=np.int64)
+    summed = np.bincount(docs, weights=tf, minlength=n_docs)
+    off = np.flatnonzero(summed != lengths)
+    if off.size:
+        d = int(off[0])
+        raise r.error(
+            f"doc {doc_ids[d]!r} has length {lengths[d]} but term frequencies summing to {int(summed[d])}",
+            length_at[d],
+        )
+    return InvertedIndex(doc_ids, lengths, terms, starts, docs, tf)

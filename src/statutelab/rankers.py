@@ -233,7 +233,9 @@ def train_ranker(
     Negatives are drawn uniformly without replacement from the non-relevant
     articles.  With an index, the pool is first narrowed to each query's
     top n_train lexical candidates (the training-phase cut, which may
-    differ from the prediction-phase n_predict).
+    differ from the prediction-phase n_predict).  A non-finite loss, or a
+    forward pass that meets non-finite values, raises ValueError naming the
+    epoch and the query.
     """
     cfg = model.config
     k = cfg.k_negatives if k_negatives is None else k_negatives
@@ -253,7 +255,7 @@ def train_ranker(
     params = parameters(model)
     rng = np.random.default_rng(seed)
     trace = []
-    for _ in range(cfg.epochs):
+    for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(queries))
         total = 0.0
         for qi in order:
@@ -263,10 +265,15 @@ def train_ranker(
             pool = pools[q.id]
             n_negs = min(k, len(pool))
             neg_ids = [pool[i] for i in rng.choice(len(pool), size=n_negs, replace=False)] if pool else []
-            # one query node for the positive and every negative
-            qv = _encode_sentence(model, tokenize(q.text), train=True, rng=rng)
-            ys = [_score(model, qv, by_id[d], {}, train=True, rng=rng) for d in [pos_id, *neg_ids]]
-            loss = T.ce_negsample(ys[0], ys[1:])
+            try:
+                # one query node for the positive and every negative
+                qv = _encode_sentence(model, tokenize(q.text), train=True, rng=rng)
+                ys = [_score(model, qv, by_id[d], {}, train=True, rng=rng) for d in [pos_id, *neg_ids]]
+                loss = T.ce_negsample(ys[0], ys[1:])
+                if not math.isfinite(float(loss.data)):
+                    raise ValueError(f"non-finite loss {float(loss.data)}")
+            except ValueError as exc:
+                raise ValueError(f"training failed in epoch {epoch} at query {q.id!r}: {exc}") from exc
             T.backward(loss)
             T.sgd_step(params, cfg.lr)
             total += float(loss.data)

@@ -330,8 +330,11 @@ def sparsemax_values(x: np.ndarray) -> np.ndarray:
     Support size k is the largest k with 1 + k*z_(k) > sum_{j<=k} z_(j);
     tau = (sum_{j<=k} z_(j) - 1) / k.  The max of x is subtracted first, which
     makes the computation invariant to a constant shift of the input.
+    Non-finite input raises ValueError.
     """
     z = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(z).all():
+        raise ValueError("sparsemax input holds non-finite values")
     z = z - z.max()
     srt = np.sort(z)[::-1]
     cums = np.cumsum(srt)

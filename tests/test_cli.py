@@ -1,4 +1,5 @@
 import json
+import struct
 
 import pytest
 
@@ -480,3 +481,41 @@ def test_rank_with_an_index_from_another_corpus_exits_1(sub, tmp_path, capsys):
         assert code == 1
         assert message in err
         assert not (tmp_path / "out").exists()
+
+
+def test_rank_run_on_index_with_repeated_posting_exits_1(tmp_path, capsys):
+    corpus, queries, index, model = _trained_ranker(tmp_path, capsys)
+    raw = bytearray(index.read_bytes())
+    at = raw.index(struct.pack("<I", 2) + b"bg") + 6 + 4  # first posting of "bg"
+    raw[at + 8 : at + 12] = raw[at : at + 4]  # its second posting repeats the doc
+    bad = tmp_path / "repeat.slix"
+    bad.write_bytes(bytes(raw))
+    code, _, err = run(
+        capsys, "rank", "run", "--model", str(model), "--corpus", str(corpus), "--queries", str(queries),
+        "--index", str(bad), "--alpha", "0.5", "--n-predict", "5", "--out", str(tmp_path / "out"),
+    )
+    assert code == 1
+    assert f"repeat.slix: corrupt SLIX1 index at offset {at + 8}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_rank_train_that_diverges_exits_1_naming_epoch_and_query(tmp_path, capsys):
+    from statutelab.synth import planted_retrieval_world
+
+    articles, qs = planted_retrieval_world()
+    corpus = write_corpus(tmp_path, [{"id": a.id, "title": a.title, "text": a.text} for a in articles])
+    queries = tmp_path / "queries.jsonl"
+    queries.write_text("".join(
+        json.dumps({"id": q.id, "text": q.text, "relevant_ids": sorted(q.relevant_ids), "label": None}) + "\n"
+        for q in qs
+    ))
+    out = tmp_path / "train"
+    with pytest.warns(RuntimeWarning):
+        code, _, err = run(
+            capsys, "rank", "train", "--corpus", str(corpus), "--queries", str(queries), "--seed", "11",
+            "--embed-dim", "8", "--filters", "8", "--attn-dim", "4", "--width", "1", "--epochs", "3",
+            "--K", "2", "--lr", "0.1", "--n-predict", "50", "--model", "paraformer_lite", "--out", str(out),
+        )
+    assert code == 1
+    assert "error: training failed in epoch 3 at query 'q023': sparsemax input holds non-finite values" in err
+    assert not out.exists()

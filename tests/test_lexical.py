@@ -1,4 +1,6 @@
+import hashlib
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -158,3 +160,177 @@ def test_index_load_rejects_every_truncation_and_trailing_bytes(tmp_path):
     bad.write_bytes(full + b"\x00")
     with pytest.raises(ValueError, match=f"trailing bytes after the SLIX1 index at offset {len(full)}"):
         load_index(bad)
+
+
+# ---------------------------------------------------------------------------
+# the dict-of-postings index and top_n that the array index replaced, kept as
+# the reference the array version must equal bit for bit
+
+
+def _dict_index(corpus_):
+    postings, doc_len = {}, {}
+    for art in corpus_:
+        tokens = tokenize(art.text)
+        doc_len[art.id] = len(tokens)
+        counts = {}
+        for t in tokens:
+            counts[t] = counts.get(t, 0) + 1
+        for term, tf in counts.items():
+            postings.setdefault(term, []).append((art.id, tf))
+    return postings, doc_len, sum(doc_len.values()) / len(corpus_), len(corpus_)
+
+
+def _dict_top_n(ref, query_terms, n, k1=1.2, b=0.75):
+    postings, doc_len, avgdl, n_docs = ref
+    scores = {doc_id: 0.0 for doc_id in doc_len}
+    for term in query_terms:
+        df = len(postings.get(term, ()))
+        idf = math.log((n_docs - df + 0.5) / (df + 0.5) + 1.0)
+        for doc_id, tf in postings.get(term, ()):
+            dl = doc_len[doc_id]
+            norm = k1 * (1.0 - b + b * dl / avgdl)
+            scores[doc_id] += idf * tf * (k1 + 1.0) / (tf + norm)
+    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
+    return ranked[: min(n, n_docs)]
+
+
+WORDS = ["law", "gift", "act", "deed"]
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.lists(st.text(alphabet="ab\x00", min_size=1, max_size=3), min_size=1, max_size=12, unique=True),
+    st.data(),
+)
+def test_top_n_equals_the_dict_reference(tmp_path_factory, ids, data):
+    # few words and short texts make ties at the n-th place common; ids over
+    # "ab\x00" include pairs such as "a" and "a\x00"
+    texts = data.draw(st.lists(st.lists(st.sampled_from(WORDS), max_size=5), min_size=len(ids), max_size=len(ids)))
+    arts = [Article(i, "", " ".join(t)) for i, t in zip(ids, texts)]
+    query = data.draw(st.lists(st.sampled_from(WORDS + ["zzz"]), max_size=6))
+    n = data.draw(st.integers(min_value=1, max_value=len(ids) + 3))
+    ref = _dict_index(arts)
+    idx = build_index(arts)
+    assert (idx.postings, idx.doc_len, idx.avgdl, idx.n_docs) == ref
+    path = tmp_path_factory.mktemp("eq") / "index.slix"
+    save_index(idx, path)
+    want = _dict_top_n(ref, query, n)
+    for index in (idx, load_index(path)):
+        got = top_n(index, query, n)
+        assert got == want
+        assert all(type(s) is float for _, s in got)
+
+
+def test_top_n_equals_the_dict_reference_on_edge_cases():
+    arts = [Article(i, "", t) for i, t in (("a\x00", "law gift"), ("b", "act"), ("a", "law gift"), ("c", "law gift"))]
+    ref = _dict_index(arts)
+    idx = build_index(arts)
+    for query in (["law"], ["law", "law", "zzz"], ["zzz"], [], ["act", "gift"]):
+        for n in (1, 2, 3, 4, 5, 50):
+            assert top_n(idx, query, n) == _dict_top_n(ref, query, n)
+    assert [d for d, _ in top_n(idx, ["law"], 2)] == ["a", "a\x00"]
+
+
+def test_build_index_rejects_duplicate_ids():
+    with pytest.raises(ValueError, match="duplicate article id 'd0'"):
+        build_index([Article("d0", "", "a"), Article("d1", "", "b"), Article("d0", "", "c")])
+
+
+def test_index_file_of_a_fixed_synth_corpus_is_pinned(tmp_path):
+    from statutelab.synth import planted_retrieval_world
+
+    articles, _ = planted_retrieval_world(60, 20)
+    path = tmp_path / "index.slix"
+    save_index(build_index(articles), path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "c0d9c8e80c139956c8da28e15947d13d0ea37551507312e06a6ef31ed3ac1364"
+
+
+def _slix1(docs, terms):
+    """SLIX1 bytes for [(doc id, length)] and [(term, [(doc position, tf)])],
+    and the offset of every doc id, doc length, term and posting."""
+    out, at = bytearray(b"SLIX1"), {}
+
+    def u32(v):
+        out.extend(struct.pack("<I", v))
+
+    def string(s):
+        raw = s.encode("utf-8")
+        u32(len(raw))
+        out.extend(raw)
+
+    u32(len(docs))
+    for i, (doc_id, dl) in enumerate(docs):
+        at["doc", i] = len(out)
+        string(doc_id)
+        at["len", i] = len(out)
+        u32(dl)
+    u32(len(terms))
+    for t, (term, plist) in enumerate(terms):
+        at["term", t] = len(out)
+        string(term)
+        u32(len(plist))
+        for j, (pos, tf) in enumerate(plist):
+            at["post", t, j] = len(out)
+            u32(pos)
+            u32(tf)
+    return bytes(out), at
+
+
+GOOD_DOCS = [("d0", 2), ("d1", 1), ("d2", 1)]
+GOOD_TERMS = [("a", [(0, 1), (1, 1)]), ("b", [(0, 1), (2, 1)])]
+
+
+def test_slix1_test_writer_matches_save_index(tmp_path):
+    path = tmp_path / "index.slix"
+    save_index(build_index([Article("d0", "", "a b"), Article("d1", "", "a"), Article("d2", "", "b")]), path)
+    assert path.read_bytes() == _slix1(GOOD_DOCS, GOOD_TERMS)[0]
+
+
+def _with(items, i, value):
+    return items[:i] + [value] + items[i + 1 :]
+
+
+@pytest.mark.parametrize(
+    "docs, terms, where, what",
+    [
+        (GOOD_DOCS, _with(GOOD_TERMS, 0, ("a", [(0, 1), (3, 1)])), ("post", 0, 1), "doc position out of range for 3 docs"),
+        (GOOD_DOCS, _with(GOOD_TERMS, 0, ("a", [(0, 1), (0, 1)])), ("post", 0, 1), "not above the previous one"),
+        (GOOD_DOCS, _with(GOOD_TERMS, 0, ("a", [(1, 1), (0, 1)])), ("post", 0, 1), "not above the previous one"),
+        (_with(GOOD_DOCS, 1, ("d0", 1)), GOOD_TERMS, ("doc", 1), "duplicate doc id 'd0'"),
+        (GOOD_DOCS, GOOD_TERMS + [("a", [])], ("term", 2), "duplicate term 'a'"),
+        (_with(GOOD_DOCS, 1, ("d1", 0)), _with(GOOD_TERMS, 0, ("a", [(0, 1), (1, 0)])), ("post", 0, 1), "term frequency 0"),
+        (_with(GOOD_DOCS, 1, ("d1", 5)), GOOD_TERMS, ("len", 1), "'d1' has length 5 but term frequencies summing to 1"),
+    ],
+)
+def test_index_load_rejects_corrupt_postings_and_duplicates(tmp_path, docs, terms, where, what):
+    raw, at = _slix1(docs, terms)
+    offset = at[where] + (4 if what == "term frequency 0" else 0)
+    bad = tmp_path / "bad.slix"
+    bad.write_bytes(raw)
+    with pytest.raises(ValueError, match=f"bad.slix: corrupt SLIX1 index at offset {offset}: .*{what}"):
+        load_index(bad)
+
+
+def test_index_load_survives_every_single_byte_flip(tmp_path):
+    raw, _ = _slix1(GOOD_DOCS, GOOD_TERMS)
+    bad = tmp_path / "bad.slix"
+    loaded = 0
+    for pos in range(len(raw)):
+        for mask in (0x01, 0x80, 0xFF):
+            flipped = bytearray(raw)
+            flipped[pos] ^= mask
+            bad.write_bytes(bytes(flipped))
+            try:
+                idx = load_index(bad)
+            except ValueError as exc:
+                assert "bad.slix" in str(exc) and "offset" in str(exc)
+                continue
+            loaded += 1
+            for query in (["a"], ["b", "a"], idx.terms, ["zzz"]):
+                for n in (1, 2, 5):
+                    hits = top_n(idx, query, n)
+                    assert len(hits) == min(n, idx.n_docs)
+                    assert all(math.isfinite(s) for _, s in hits)
+    # flips inside the doc ids and terms leave a well-formed file
+    assert loaded > 0

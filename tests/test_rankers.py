@@ -592,3 +592,21 @@ def test_train_step_encodes_the_query_once(kind, monkeypatch):
     train_ranker(model, articles, queries[:1], k_negatives=4)
     statements = [tuple(t) for a in articles for t in map(tokenize, a.statements or [a.text]) if t]
     assert sorted(seen) == sorted([tuple(tokenize(queries[0].text))] + statements)
+
+
+@pytest.mark.parametrize("para_query, what", [
+    ("learned", "non-finite loss nan"),
+    ("derived", "sparsemax input holds non-finite values"),
+])
+def test_train_ranker_names_epoch_and_query_on_non_finite_values(para_query, what):
+    articles, queries = tiny_world()
+    queries = queries + [Query("q3", "zebra deed", {"a3"})]
+    cfg = RankerConfig(lr=0.2, epochs=2, k_negatives=1, seed=0, n_predict=4, eval_k=1)
+    model = build_attentive_cnn(
+        vocab_of(articles, queries), embed_dim=6, filters=6, attn_dim=4,
+        seed=0, width=1, para_query=para_query, config=cfg,
+    )
+    # "zebra" occurs in no article, so only q3's query vector is poisoned
+    model.embeddings.matrix.data[model.embeddings.vocab["zebra"]] = np.nan
+    with pytest.raises(ValueError, match=f"training failed in epoch 1 at query 'q3': {what}"):
+        train_ranker(model, articles, queries)

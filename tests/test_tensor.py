@@ -85,6 +85,12 @@ def test_sparsemax_fixed_point_on_simplex():
     assert np.allclose(T.sparsemax(Tensor(v)).data, v, atol=1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sparsemax_rejects_non_finite_input(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        T.sparsemax_values(np.array([0.5, bad, 0.1]))
+
+
 def test_conv1d_shapes_and_degenerate_width():
     x = Tensor(np.arange(6.0).reshape(3, 2))
     w1 = Tensor(np.ones((1, 2, 4)))
