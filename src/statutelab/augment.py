@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Article, Query
+from .corpus import Article, Query, open_text
 
 __all__ = [
     "NegationRule",
@@ -105,7 +105,7 @@ def _validate_rules(rules: list[NegationRule]) -> list[NegationRule]:
 def load_rules(path) -> list[NegationRule]:
     """Read a TSV rule file with columns language, trigger, replacement, rank."""
     rules = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
@@ -216,7 +216,7 @@ class BilingualDoc:
 def load_bilingual(path) -> list[BilingualDoc]:
     """JSONL, one doc per line: {"pairs": [["sent a", "sent b"], ...]}."""
     docs = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

@@ -134,7 +134,7 @@ def _cmd_corpus_chunk(args) -> int:
 
 def _load_statements(path) -> list[aug.LabeledStatement]:
     records = []
-    with open(path, encoding="utf-8") as fh:
+    with corpus_mod.open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -302,6 +302,8 @@ def _rank_inputs(args):
 def _cmd_rank_run(args) -> int:
     cfg = _resolve_config(args)
     model, articles, queries, idx, files = _rank_inputs(args)
+    if cfg.alpha == "grid":
+        rankers.require_relevant(queries, {a.id for a in articles})
     # one scoring pass serves both the alpha grid and the ranked rows
     scored = rankers.score_candidates(model, idx, articles, queries, n_predict=cfg.n_predict)
     alpha = cfg.alpha
@@ -454,7 +456,7 @@ def _cmd_inject_attn_report(args) -> int:
 
 
 def _load_terms(path) -> set[str]:
-    with open(path, encoding="utf-8") as fh:
+    with corpus_mod.open_text(path) as fh:
         return {line.strip() for line in fh if line.strip()}
 
 
@@ -495,7 +497,7 @@ def _cmd_embed_project(args) -> int:
 def _cmd_eval_prf2(args) -> int:
     if args.judgments:
         judgments = []
-        with open(args.judgments, encoding="utf-8") as fh:
+        with corpus_mod.open_text(args.judgments) as fh:
             for line in fh:
                 if not line.strip():
                     continue
@@ -517,7 +519,7 @@ def _cmd_eval_prf2(args) -> int:
 def _cmd_eval_accuracy(args) -> int:
     if args.preds:
         preds, golds = [], []
-        with open(args.preds, encoding="utf-8") as fh:
+        with corpus_mod.open_text(args.preds) as fh:
             for line in fh:
                 if not line.strip():
                     continue

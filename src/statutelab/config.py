@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields, asdict
 
+from .corpus import open_text
 from .encoders import PRESETS
 
 __all__ = ["RunConfig", "load_config", "merge_overrides", "effective_sizes"]
@@ -68,7 +69,7 @@ _FIELDS = {f.name for f in fields(RunConfig)}
 
 def load_config(path) -> RunConfig:
     """Read a JSON config; unknown keys are an error naming the key."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict):
         raise ValueError("config must be a JSON object")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,7 @@ __all__ = [
     "Article",
     "Query",
     "CorpusStats",
+    "open_text",
     "load_corpus",
     "load_queries",
     "chunk_article",
@@ -51,11 +53,34 @@ class CorpusStats:
     count: int
 
 
+@contextmanager
+def open_text(path):
+    """open(path, encoding="utf-8") for reading, except that invalid UTF-8
+    raises ValueError naming the file, the line and the column (in bytes)
+    of the first bad byte.  The file is read again, as bytes, only then."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            with open(path, "rb") as raw:
+                data = raw.read()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                lineno = data.count(b"\n", 0, exc.start) + 1
+                column = exc.start - data.rfind(b"\n", 0, exc.start)
+                raise ValueError(
+                    f"{path} line {lineno}: invalid UTF-8 byte 0x{data[exc.start]:02x} "
+                    f"at column {column} ({exc.reason})"
+                ) from None
+            raise
+
+
 def load_corpus(path) -> list[Article]:
     """Read a JSONL corpus; order preserved, statements left empty."""
     articles: list[Article] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -77,7 +102,7 @@ def load_queries(path) -> list[Query]:
     """Read a JSONL query set; label may be true, false or null."""
     queries: list[Query] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .corpus import open_text
 from .tensor import Tensor
 
 __all__ = [
@@ -81,7 +82,7 @@ def load_embeddings(path, oov_policy: str = "zero_vector", trainable: bool = Fal
     vocab: dict[str, int] = {}
     rows: list[list[float]] = []
     dim = None
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.rstrip("\n").split(" ")
             if len(parts) < 2:

@@ -28,6 +28,7 @@ from .encoders import (
     self_attention,
     self_attention_weights,
 )
+from .corpus import open_text
 from .store import bundle_bytes, load_bundle, write_bundle
 
 __all__ = [
@@ -126,7 +127,7 @@ class InjectionConfig:
 def load_sdoi(path) -> list[SdoiMatrix]:
     """JSONL: {"tokens": [...], "matrix": [[0,1,...], ...]} per line."""
     out = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -176,7 +177,7 @@ def load_bioe(path) -> list[BioeSample]:
             samples.append(sample)
         tokens, tags = [], [[], [], []]
 
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():

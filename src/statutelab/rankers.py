@@ -45,6 +45,7 @@ __all__ = [
     "parameters",
     "CandidateScores",
     "semantic_score",
+    "require_relevant",
     "train_ranker",
     "ensemble",
     "score_candidates",
@@ -220,6 +221,15 @@ def semantic_score(model: RankerModel, query_text: str, article: Article) -> flo
     return float(_score(model, _encode_sentence(model, tokenize(query_text)), article, {}).data)
 
 
+def require_relevant(queries: list[Query], article_ids) -> None:
+    """Raise ValueError naming the first query none of whose relevant
+    articles is among `article_ids`: training has no positive for it, and
+    the alpha grid would average its F2 of 0 into the choice."""
+    for q in queries:
+        if not (q.relevant_ids & article_ids):
+            raise ValueError(f"query {q.id!r} has no relevant article in the corpus")
+
+
 def train_ranker(
     model: RankerModel,
     corpus: list[Article],
@@ -243,10 +253,9 @@ def train_ranker(
     if k >= len(corpus):
         raise ValueError(f"need more than K={k} articles, corpus has {len(corpus)}")
     by_id = {a.id: a for a in corpus}
+    require_relevant(queries, by_id.keys())
     pools = {}
     for q in queries:
-        if not (q.relevant_ids & by_id.keys()):
-            raise ValueError(f"query {q.id!r} has no relevant article in the corpus")
         if index is not None:
             cands = top_n(index, tokenize(q.text), cfg.n_train, k1=cfg.k1, b=cfg.b)
             pools[q.id] = [d for d, _ in cands if d not in q.relevant_ids]
@@ -266,16 +275,18 @@ def train_ranker(
             n_negs = min(k, len(pool))
             neg_ids = [pool[i] for i in rng.choice(len(pool), size=n_negs, replace=False)] if pool else []
             try:
-                # one query node for the positive and every negative
-                qv = _encode_sentence(model, tokenize(q.text), train=True, rng=rng)
-                ys = [_score(model, qv, by_id[d], {}, train=True, rng=rng) for d in [pos_id, *neg_ids]]
-                loss = T.ce_negsample(ys[0], ys[1:])
-                if not math.isfinite(float(loss.data)):
-                    raise ValueError(f"non-finite loss {float(loss.data)}")
-            except ValueError as exc:
+                # overflow, 0/0 and x/0 raise here instead of warning on stderr
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    # one query node for the positive and every negative
+                    qv = _encode_sentence(model, tokenize(q.text), train=True, rng=rng)
+                    ys = [_score(model, qv, by_id[d], {}, train=True, rng=rng) for d in [pos_id, *neg_ids]]
+                    loss = T.ce_negsample(ys[0], ys[1:])
+                    if not math.isfinite(float(loss.data)):
+                        raise ValueError(f"non-finite loss {float(loss.data)}")
+                    T.backward(loss)
+                    T.sgd_step(params, cfg.lr)
+            except (ValueError, FloatingPointError) as exc:
                 raise ValueError(f"training failed in epoch {epoch} at query {q.id!r}: {exc}") from exc
-            T.backward(loss)
-            T.sgd_step(params, cfg.lr)
             total += float(loss.data)
         trace.append(total / max(1, len(queries)))
     return model, trace
@@ -406,7 +417,9 @@ def grid_search_alpha(
     k: int | None = None,
 ) -> tuple[float, float]:
     """Best alpha on the validation queries by macro-F2; ties take the
-    smallest alpha.  The candidates are scored once, for the whole grid."""
+    smallest alpha.  The candidates are scored once, for the whole grid.
+    Every query needs a relevant article in the corpus."""
+    require_relevant(val_queries, {a.id for a in corpus})
     k = model.config.eval_k if k is None else k
     scored = score_candidates(model, index, corpus, val_queries, n_predict)
     return best_alpha(val_queries, scored, step, k)

@@ -106,6 +106,29 @@ def _paragraph_check(rng) -> float:
     return grad_check(f, Tensor(reps_data))
 
 
+def _gather_check(rng, dense_use: bool) -> float:
+    """Two gathers of one leaf table with repeated row ids (a row gradient),
+    plus a matmul read of the whole table when `dense_use` (mixed)."""
+    v, d = 5, 3
+    idx1 = rng.integers(0, v, size=4).tolist() + [int(rng.integers(0, v))] * 2
+    idx2 = rng.integers(0, v, size=3).tolist() + [idx1[0]]
+    p1 = Tensor(rng.normal(size=(len(idx1), d)))
+    p2 = Tensor(rng.normal(size=(len(idx2), d)))
+    w = Tensor(rng.normal(size=(d, 2)))
+    pm = Tensor(rng.normal(size=(v, 2)))
+
+    def f(t):
+        out = T.add(
+            T.tsum(T.mul(T.gather_rows(t, idx1), p1)),
+            T.tsum(T.mul(T.tanh(T.gather_rows(t, idx2)), p2)),
+        )
+        if dense_use:
+            out = T.add(out, T.tsum(T.mul(T.matmul(t, w), pm)))
+        return out
+
+    return grad_check(f, Tensor(rng.normal(size=(v, d))))
+
+
 def gradcheck_suite(instances: int = 100, seed: int = 20240501) -> dict[str, float]:
     """Max relative error per kernel over seeded random instances."""
     rng = np.random.default_rng(seed)
@@ -160,6 +183,9 @@ def gradcheck_suite(instances: int = 100, seed: int = 20240501) -> dict[str, flo
         record("encoder_cnn", _cnn_check(rng))
         record("encoder_avg", _avg_check(rng))
         record("encoder_paragraph", _paragraph_check(rng))
+    # drawn after every other case, so their inputs stay as they were
+    for i in range(instances):
+        record("gather_rows", _gather_check(rng, dense_use=i % 2 == 1))
     return results
 
 

@@ -18,6 +18,7 @@ import numpy as np
 
 __all__ = [
     "Tensor",
+    "RowGrad",
     "tensor",
     "add",
     "sub",
@@ -65,7 +66,8 @@ class Tensor:
     ``data`` is a float64 ndarray.  Non-leaf tensors remember their parents
     and one vector-Jacobian-product closure per parent; creation order is the
     tape order, so walking nodes by descending id is a reverse topological
-    sweep.
+    sweep.  After ``backward`` a leaf's ``grad`` is an array, or a RowGrad
+    when the leaf was read only through ``gather_rows``.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjps", "_id", "op")
@@ -277,16 +279,80 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     return _out(a.data[:, start:stop].copy(), (a,), (vjp,), "slice_cols")
 
 
+def _row_sums(idx: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ids in `idx`, ascending, and for each the sum of its rows
+    of `vals` in order of occurrence, added onto 0.0 as np.add.at adds.
+
+    The scatter-add runs over the flattened arrays: np.add.at on 1-D data is
+    several times faster than on rows, and visits each (row, column) pair in
+    the same order."""
+    rows = np.unique(idx)
+    d = vals.shape[1]
+    sums = np.zeros((rows.size, d))
+    flat = np.searchsorted(rows, idx)[:, None] * d + np.arange(d)
+    np.add.at(sums.reshape(-1), flat.reshape(-1), vals.reshape(-1))
+    return rows, sums
+
+
+class RowGrad:
+    """Row-sparse gradient of a leaf table read through ``gather_rows``.
+
+    ``parts`` holds one ``(rows, sums)`` pair per gather, in contribution
+    order: the distinct row ids of that gather and each row's summed
+    gradient.  Adding two RowGrads concatenates their parts; adding a dense
+    array densifies.  ``totals`` and ``dense`` sum a row's parts in order,
+    so they give the same bits as summing the dense per-gather gradients.
+    """
+
+    __slots__ = ("shape", "parts")
+    # ndarray + RowGrad defers to RowGrad.__radd__ instead of broadcasting
+    __array_ufunc__ = None
+
+    def __init__(self, shape, parts):
+        self.shape = shape
+        self.parts = parts
+
+    def __add__(self, other):
+        if isinstance(other, RowGrad):
+            return RowGrad(self.shape, self.parts + other.parts)
+        return self.dense() + other
+
+    __radd__ = __add__
+
+    def totals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct row ids and each row's total gradient."""
+        if len(self.parts) == 1:
+            return self.parts[0]
+        return _row_sums(
+            np.concatenate([r for r, _ in self.parts]), np.concatenate([s for _, s in self.parts])
+        )
+
+    def dense(self) -> np.ndarray:
+        """The full [|V|, d] gradient, zero on rows no gather touched."""
+        out = np.zeros(self.shape)
+        rows, tot = self.totals()
+        out[rows] += tot
+        return out
+
+
 def gather_rows(table: Tensor, indices: Sequence[int]) -> Tensor:
-    """Select rows of a matrix; the gradient scatter-adds back."""
+    """Select rows of a matrix; the gradient scatter-adds back.
+
+    A leaf table gets a RowGrad over the gathered rows only (duplicates
+    summed in ``np.add.at`` order); any other table a dense gradient.
+    """
     idx = np.asarray(list(indices), dtype=np.intp)
     if table.data.ndim != 2:
         raise ValueError("gather_rows expects a matrix")
 
-    def vjp(g):
-        out = np.zeros_like(table.data)
-        np.add.at(out, idx, g)
-        return out
+    if table._parents:
+        def vjp(g):
+            out = np.zeros_like(table.data)
+            np.add.at(out, idx, g)
+            return out
+    else:
+        def vjp(g):
+            return RowGrad(table.data.shape, (_row_sums(idx, g),))
 
     return _out(table.data[idx], (table,), (vjp,), "gather_rows")
 
@@ -494,6 +560,11 @@ def backward(loss: Tensor) -> None:
     stay in a local dict and are never written to .grad.  A leaf's .grad may
     share memory with another gradient (add passes g to both parents), so
     nothing may update a .grad in place.
+
+    A leaf reached only through ``gather_rows`` gets a RowGrad in .grad:
+    the parts of every gather, concatenated in contribution order, with
+    ``.dense()`` giving the full array.  A leaf also reached by a dense op
+    gets a dense array, with the same bits as if every gather had been dense.
     """
     if loss.data.ndim != 0 and loss.data.size != 1:
         raise ValueError("backward expects a scalar loss")
@@ -520,16 +591,24 @@ def backward(loss: Tensor) -> None:
             if parent._id in grads:
                 grads[parent._id] = grads[parent._id] + contrib
             else:
-                grads[parent._id] = np.asarray(contrib, dtype=np.float64)
+                grads[parent._id] = contrib
 
 
 def sgd_step(params: Sequence[Tensor], lr: float) -> None:
     """One plain gradient-descent update; tensors without a gradient (frozen
-    ones, or ones the loss did not reach) are left alone."""
+    ones, or ones the loss did not reach) are left alone.  A RowGrad
+    subtracts lr times each row's total on the gathered rows only, which
+    leaves every parameter with the bits of the dense update."""
     for p in params:
-        if p.grad is not None:
-            p.data -= lr * p.grad
-            p.zero_grad()
+        g = p.grad
+        if g is None:
+            continue
+        if isinstance(g, RowGrad):
+            rows, tot = g.totals()
+            p.data[rows] -= lr * tot
+        else:
+            p.data -= lr * g
+        p.zero_grad()
 
 
 def grad_check(
@@ -543,6 +622,8 @@ def grad_check(
     out = f(leaf)
     backward(out)
     analytic = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
+    if isinstance(analytic, RowGrad):
+        analytic = analytic.dense()
     flat = leaf.data.reshape(-1)
     numeric = np.zeros_like(flat)
     for i in range(flat.size):

@@ -1,5 +1,10 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -510,12 +515,76 @@ def test_rank_train_that_diverges_exits_1_naming_epoch_and_query(tmp_path, capsy
         for q in qs
     ))
     out = tmp_path / "train"
-    with pytest.warns(RuntimeWarning):
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
         code, _, err = run(
             capsys, "rank", "train", "--corpus", str(corpus), "--queries", str(queries), "--seed", "11",
             "--embed-dim", "8", "--filters", "8", "--attn-dim", "4", "--width", "1", "--epochs", "3",
             "--K", "2", "--lr", "0.1", "--n-predict", "50", "--model", "paraformer_lite", "--out", str(out),
         )
     assert code == 1
-    assert "error: training failed in epoch 3 at query 'q023': sparsemax input holds non-finite values" in err
+    assert "error: training failed in epoch 3 at query 'q023': overflow encountered in matmul" in err
+    assert not seen
     assert not out.exists()
+
+
+def test_rank_train_that_diverges_prints_one_error_and_no_numpy_warning(tmp_path):
+    """The same run as a process of its own: numpy warnings would reach its
+    stderr, which pytest's warning capture hides in-process."""
+    import statutelab
+    from statutelab.synth import planted_retrieval_world
+
+    articles, qs = planted_retrieval_world()
+    corpus = write_corpus(tmp_path, [{"id": a.id, "title": a.title, "text": a.text} for a in articles])
+    queries = tmp_path / "queries.jsonl"
+    queries.write_text("".join(
+        json.dumps({"id": q.id, "text": q.text, "relevant_ids": sorted(q.relevant_ids), "label": None}) + "\n"
+        for q in qs
+    ))
+    out = tmp_path / "train"
+    src = str(Path(statutelab.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "statutelab.cli", "rank", "train", "--corpus", str(corpus),
+            "--queries", str(queries), "--seed", "11", "--embed-dim", "8", "--filters", "8",
+            "--attn-dim", "4", "--width", "1", "--epochs", "3", "--K", "2", "--lr", "0.1",
+            "--n-predict", "50", "--model", "paraformer_lite", "--out", str(out),
+        ],
+        capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: training failed in epoch 3 at query 'q023': overflow encountered in matmul\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sub, extra", [("run", ["--alpha", "grid"]), ("grid-alpha", [])])
+def test_alpha_grid_on_a_query_without_relevant_article_exits_1(tmp_path, capsys, sub, extra):
+    corpus, _, _, model = _trained_ranker(tmp_path, capsys)
+    queries = _write_queries(tmp_path / "orphan.jsonl", ["tok0 bg", "tok1 bg"])
+    queries.write_text(queries.read_text().replace('"a1"', '"gone"'))
+    common = ["--model", str(model), "--corpus", str(corpus), "--queries", str(queries), "--n-predict", "5"]
+    code, _, err = run(capsys, "rank", sub, *common, *extra, "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert "error: query 'q1' has no relevant article in the corpus" in err
+    assert not (tmp_path / "out").exists()
+    # a fixed alpha needs no relevance judgments
+    code, _, err = run(capsys, "rank", "run", *common, "--alpha", "0.5", "--out", str(tmp_path / "fixed"))
+    assert code == 0, err
+
+
+def test_invalid_utf8_input_names_file_and_line(tmp_path, capsys):
+    corpus = write_corpus(tmp_path)
+    raw = corpus.read_bytes().split(b"\n")
+    raw[1] = raw[1].replace(b"lease", b"le\xffse")
+    corpus.write_bytes(b"\n".join(raw))
+    column = raw[1].index(b"\xff") + 1
+    code, _, err = run(capsys, "corpus", "stats", "--corpus", str(corpus))
+    assert code == 1
+    assert f"error: {corpus} line 2: invalid UTF-8 byte 0xff at column {column}" in err
+    queries = _write_queries(tmp_path / "q.jsonl", ["tok0 bg", "tok1 bg"])
+    queries.write_bytes(queries.read_bytes().replace(b"tok1", b"tok\xc3"))
+    code, _, err = run(capsys, "rank", "train", "--corpus", str(write_corpus(tmp_path)), "--queries", str(queries),
+                       "--out", str(tmp_path / "train"), "--seed", "1")
+    assert code == 1
+    assert f"error: {queries} line 2: invalid UTF-8 byte 0xc3" in err
+    assert not (tmp_path / "train").exists()

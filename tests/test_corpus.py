@@ -158,3 +158,16 @@ def test_split_dataset_partitions_disjoint_exhaustive(n, seed):
     train, val, test = split_dataset(items, (0.6, 0.2, 0.2), seed=seed)
     combined = sorted(train + val + test)
     assert combined == items
+
+
+def test_invalid_utf8_names_file_line_and_column(tmp_path):
+    from statutelab.corpus import open_text
+
+    p = tmp_path / "t.txt"
+    p.write_bytes(b"ok\nfine\n  \xe2\x82 x\n")
+    with pytest.raises(ValueError, match=r"t\.txt line 3: invalid UTF-8 byte 0xe2 at column 3 \("):
+        with open_text(p) as fh:
+            fh.read()
+    for loader in (load_corpus, load_queries):
+        with pytest.raises(ValueError, match="line 3: invalid UTF-8"):
+            loader(p)

@@ -239,3 +239,84 @@ def test_kernels_bit_deterministic():
     assert a == b
     m = rng.normal(size=(5, 5))
     assert T.softmax_rows(Tensor(m)).data.tobytes() == T.softmax_rows(Tensor(m.copy())).data.tobytes()
+
+
+def _dense_gather(table, indices):
+    """gather_rows with a dense scatter-add gradient for every table: the
+    reference for the row-gradient path."""
+    idx = np.asarray(list(indices), dtype=np.intp)
+
+    def vjp(g):
+        out = np.zeros_like(table.data)
+        np.add.at(out, idx, g)
+        return out
+
+    return T._out(table.data[idx], (table,), (vjp,), "gather_rows")
+
+
+def _gather_loss(t, gather, idx1, idx2, rng, dense_use):
+    """Gather t three times (idx1, idx2, idx1 again), with a matmul read of
+    all of t after the first when `dense_use`, so backward meets row, row,
+    dense, row contributions and the order of a row's parts matters."""
+    d = t.data.shape[1]
+    loss = T.tsum(T.mul(T.tanh(gather(t, idx1)), Tensor(rng.normal(size=(len(idx1), d)))))
+    if dense_use:
+        w, probe = rng.normal(size=(d, 2)), rng.normal(size=(t.data.shape[0], 2))
+        loss = T.add(loss, T.tsum(T.mul(T.matmul(t, Tensor(w)), Tensor(probe))))
+    for idx in (idx2, idx1):
+        loss = T.add(loss, T.tsum(T.mul(gather(t, idx), Tensor(rng.normal(size=(len(idx), d))))))
+    return loss
+
+
+@pytest.mark.parametrize("dense_use", [False, True])
+def test_gather_rows_gradient_matches_dense_reference_bit_for_bit(dense_use):
+    rng = np.random.default_rng(5)
+    for case in range(30):
+        v, d = int(rng.integers(3, 12)), int(rng.integers(1, 6))
+        data = rng.normal(size=(v, d))
+        idx1 = rng.integers(0, v, size=int(rng.integers(1, 8))).tolist() + [1, 1]
+        idx2 = rng.integers(0, v, size=int(rng.integers(1, 8))).tolist() + [1]
+        grads = []
+        # sparse path on the leaf, the reference, and a non-leaf table
+        for make, gather in ((lambda t: t, T.gather_rows), (lambda t: t, _dense_gather),
+                             (lambda t: T.scale(t, 1.0), T.gather_rows)):
+            t = Tensor(data.copy(), requires_grad=True)
+            backward(_gather_loss(make(t), gather, idx1, idx2, np.random.default_rng(case), dense_use))
+            grads.append(t.grad)
+        sparse, dense, via_node = grads
+        assert isinstance(dense, np.ndarray) and isinstance(via_node, np.ndarray)
+        if dense_use:
+            assert isinstance(sparse, np.ndarray)
+        else:
+            assert isinstance(sparse, T.RowGrad) and len(sparse.parts) == 3
+            rows, _ = sparse.totals()
+            assert rows.tolist() == sorted(set(idx1) | set(idx2))
+            sparse = sparse.dense()
+        assert sparse.tobytes() == dense.tobytes()
+        assert via_node.tobytes() == dense.tobytes()
+
+
+def test_sgd_step_on_row_gradient_changes_only_gathered_rows():
+    rng = np.random.default_rng(6)
+    data = rng.normal(size=(12, 4))
+    idx1, idx2 = [3, 7, 3, 3, 0], [7, 9, 0]
+    tables = []
+    for gather in (T.gather_rows, _dense_gather):
+        t = Tensor(data.copy(), requires_grad=True)
+        backward(_gather_loss(t, gather, idx1, idx2, np.random.default_rng(1), dense_use=False))
+        tables.append(t)
+    sparse, dense = tables
+    assert isinstance(sparse.grad, T.RowGrad)
+    T.sgd_step([sparse, dense], 0.3)
+    assert sparse.grad is None and dense.grad is None
+    assert sparse.data.tobytes() == dense.data.tobytes()
+    touched = sorted(set(idx1) | set(idx2))
+    untouched = [r for r in range(12) if r not in touched]
+    assert sparse.data[untouched].tobytes() == data[untouched].tobytes()
+    assert (sparse.data[touched] != data[touched]).all()
+
+
+def test_gradcheck_suite_checks_gather_rows_with_repeated_rows():
+    from statutelab.selftest import gradcheck_suite
+
+    assert gradcheck_suite(instances=4, seed=3)["gather_rows"] < 1e-6
