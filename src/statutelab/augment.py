@@ -8,14 +8,13 @@ pretraining pairs from aligned bilingual documents.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Article, Query, open_text
+from .corpus import Article, Query, open_text, read_jsonl
 
 __all__ = [
     "NegationRule",
@@ -216,16 +215,12 @@ class BilingualDoc:
 def load_bilingual(path) -> list[BilingualDoc]:
     """JSONL, one doc per line: {"pairs": [["sent a", "sent b"], ...]}."""
     docs = []
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            pairs = [(str(a), str(b)) for a, b in obj["pairs"]]
-            for a, b in pairs:
-                if not a or not b:
-                    raise ValueError(f"bilingual line {lineno}: empty sentence in pair")
-            docs.append(BilingualDoc(pairs))
+    for lineno, obj in read_jsonl(path):
+        pairs = [(str(a), str(b)) for a, b in obj["pairs"]]
+        for a, b in pairs:
+            if not a or not b:
+                raise ValueError(f"bilingual line {lineno}: empty sentence in pair")
+        docs.append(BilingualDoc(pairs))
     return docs
 
 

@@ -134,21 +134,17 @@ def _cmd_corpus_chunk(args) -> int:
 
 def _load_statements(path) -> list[aug.LabeledStatement]:
     records = []
-    with corpus_mod.open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            if "text" not in obj:
-                raise CliError(f"line {lineno}: record has no text field")
-            records.append(
-                aug.LabeledStatement(
-                    str(obj["text"]),
-                    bool(obj.get("lawful", True)),
-                    str(obj.get("provenance", "article_chunk")),
-                    obj.get("rule_rank"),
-                )
+    for lineno, obj in corpus_mod.read_jsonl(path):
+        if "text" not in obj:
+            raise CliError(f"line {lineno}: record has no text field")
+        records.append(
+            aug.LabeledStatement(
+                str(obj["text"]),
+                bool(obj.get("lawful", True)),
+                str(obj.get("provenance", "article_chunk")),
+                obj.get("rule_rank"),
             )
+        )
     return records
 
 
@@ -496,15 +492,10 @@ def _cmd_embed_project(args) -> int:
 
 def _cmd_eval_prf2(args) -> int:
     if args.judgments:
-        judgments = []
-        with corpus_mod.open_text(args.judgments) as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                obj = json.loads(line)
-                judgments.append(
-                    evalkit.RetrievalJudgment(set(obj["gold"]), list(obj["retrieved"]))
-                )
+        judgments = [
+            evalkit.RetrievalJudgment(set(obj["gold"]), list(obj["retrieved"]))
+            for _, obj in corpus_mod.read_jsonl(args.judgments)
+        ]
         p, r, f2 = evalkit.macro_f2(judgments, args.k)
     else:
         if args.gold is None or args.retrieved is None:
@@ -519,13 +510,9 @@ def _cmd_eval_prf2(args) -> int:
 def _cmd_eval_accuracy(args) -> int:
     if args.preds:
         preds, golds = [], []
-        with corpus_mod.open_text(args.preds) as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                obj = json.loads(line)
-                preds.append(bool(obj["pred"]))
-                golds.append(bool(obj["gold"]))
+        for _, obj in corpus_mod.read_jsonl(args.preds):
+            preds.append(bool(obj["pred"]))
+            golds.append(bool(obj["gold"]))
         value = evalkit.accuracy(preds, golds)
     else:
         if args.correct is None or args.total is None:

@@ -21,6 +21,7 @@ __all__ = [
     "Query",
     "CorpusStats",
     "open_text",
+    "read_jsonl",
     "load_corpus",
     "load_queries",
     "chunk_article",
@@ -74,6 +75,20 @@ def open_text(path):
                     f"at column {column} ({exc.reason})"
                 ) from None
             raise
+
+
+def read_jsonl(path):
+    """Yield (line number, object) for each non-blank line of a JSONL file.
+    A line that is not JSON raises ValueError naming the file and the line."""
+    with open_text(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path} line {lineno}: invalid JSON ({exc.msg} at column {exc.colno})") from None
+            yield lineno, obj
 
 
 def load_corpus(path) -> list[Article]:

@@ -65,15 +65,16 @@ class EmbeddingTable:
         if not tokens:
             raise ValueError("cannot embed an empty token sequence")
         if self.oov_policy == "skip":
-            idx = [self.vocab[t] for t in tokens if t in self.vocab]
+            idx = [i for i in map(self.vocab.get, tokens) if i is not None]
             if not idx:
                 raise ValueError("all tokens out of vocabulary under skip policy")
             return T.gather_rows(self.matrix, idx)
-        idx = [self.vocab.get(t, 0) for t in tokens]
-        mask = np.array([[1.0] if t in self.vocab else [0.0] for t in tokens])
-        x = T.gather_rows(self.matrix, idx)
-        if mask.min() == 1.0:
-            return x
+        ids = list(map(self.vocab.get, tokens))
+        if None not in ids:
+            return T.gather_rows(self.matrix, ids)
+        # out-of-vocabulary tokens read row 0, masked to zero
+        x = T.gather_rows(self.matrix, [0 if i is None else i for i in ids])
+        mask = np.array([[0.0] if i is None else [1.0] for i in ids])
         return T.mul(x, Tensor(np.repeat(mask, self.dim, axis=1)))
 
 
@@ -203,42 +204,14 @@ def attend(q: Tensor, keys, values, score_fn) -> Tensor:
     return T.vecmat(weights, T.stack_rows(values))
 
 
-def _heads(layer: SelfAttentionLayer, x: Tensor):
-    dh = layer.d // layer.n_heads
-    q = T.matmul(x, layer.w_q)
-    k = T.matmul(x, layer.w_k)
-    v = T.matmul(x, layer.w_v)
-    outs = []
-    weights = []
-    for h in range(layer.n_heads):
-        s, e = h * dh, (h + 1) * dh
-        qh = T.slice_cols(q, s, e)
-        kh = T.slice_cols(k, s, e)
-        vh = T.slice_cols(v, s, e)
-        scores = T.scale(T.matmul(qh, T.transpose(kh)), 1.0 / math.sqrt(dh))
-        attn = T.softmax_rows(scores)
-        weights.append(attn)
-        outs.append(T.matmul(attn, vh))
-    return outs, weights
-
-
 def self_attention(x: Tensor, layer: SelfAttentionLayer) -> Tensor:
     """One multi-head self-attention layer with a residual connection."""
-    outs, _ = _heads(layer, x)
-    z = T.concat_cols(outs)
-    return T.add(T.matmul(z, layer.w_o), x)
+    return T.multihead_self_attention(x, layer)[0]
 
 
 def self_attention_weights(x: Tensor, layer: SelfAttentionLayer) -> list[np.ndarray]:
     """Row-stochastic attention matrices, one [M, M] array per head."""
-    _, weights = _heads(layer, x)
-    return [w.data.copy() for w in weights]
-
-
-def _additive_scores(rows: Tensor, params: GeneralAttentionParams, query: Tensor) -> Tensor:
-    # a_i = q^T tanh(A r_i + b), batched over the rows
-    hidden = T.tanh(T.add(T.matmul(rows, T.transpose(params.A)), params.b))
-    return T.matvec(hidden, query)
+    return T.multihead_self_attention(x, layer)[1]
 
 
 def encode_sentence_cnn(
@@ -247,16 +220,15 @@ def encode_sentence_cnn(
     train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """embed -> conv1d -> tanh -> learned-query additive attention."""
+    """embed -> conv1d + tanh -> (dropout) -> learned-query additive
+    attention with softmax weights."""
     x = enc.embeddings.embed(tokens)
-    feats = T.tanh(T.conv1d(x, enc.filters))
+    feats = T.conv_tanh(x, enc.filters)
     if train and enc.dropout > 0.0:
         if rng is None:
             raise ValueError("dropout requires an rng in training mode")
         feats = T.dropout(feats, enc.dropout, rng)
-    scores = _additive_scores(feats, enc.attn, enc.u)
-    weights = T.softmax(scores)
-    return T.vecmat(weights, feats)
+    return T.additive_attention(feats, enc.attn.A, enc.attn.b, enc.u, "softmax")[0]
 
 
 def encode_sentence_avg(
@@ -286,12 +258,7 @@ def encode_paragraph(
     and the attention weights for inspection."""
     if not sent_reps:
         raise ValueError("encode_paragraph needs at least one sentence vector")
-    rows = T.stack_rows(sent_reps)
-    scores = _additive_scores(rows, params, q)
-    if params.weight_fn == "sparsemax":
-        weights = T.sparsemax(scores)
-    elif params.weight_fn == "softmax":
-        weights = T.softmax(scores)
-    else:
-        raise ValueError(f"unknown weight_fn {params.weight_fn!r}")
-    return T.vecmat(weights, rows), [float(w) for w in weights.data]
+    pooled, weights = T.additive_attention(
+        T.stack_rows(sent_reps), params.A, params.b, q, params.weight_fn
+    )
+    return pooled, weights.tolist()

@@ -13,7 +13,6 @@ the needles are dropped from checkpoints after training.
 from __future__ import annotations
 
 import math
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,7 @@ from .encoders import (
     self_attention,
     self_attention_weights,
 )
-from .corpus import open_text
+from .corpus import open_text, read_jsonl
 from .store import bundle_bytes, load_bundle, write_bundle
 
 __all__ = [
@@ -127,15 +126,11 @@ class InjectionConfig:
 def load_sdoi(path) -> list[SdoiMatrix]:
     """JSONL: {"tokens": [...], "matrix": [[0,1,...], ...]} per line."""
     out = []
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            try:
-                out.append(SdoiMatrix(list(map(str, obj["tokens"])), np.array(obj["matrix"])))
-            except (KeyError, ValueError) as exc:
-                raise ValueError(f"sdoi line {lineno}: {exc}") from exc
+    for lineno, obj in read_jsonl(path):
+        try:
+            out.append(SdoiMatrix(list(map(str, obj["tokens"])), np.array(obj["matrix"])))
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"sdoi line {lineno}: {exc}") from exc
     return out
 
 

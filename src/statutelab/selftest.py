@@ -129,6 +129,50 @@ def _gather_check(rng, dense_use: bool) -> float:
     return grad_check(f, Tensor(rng.normal(size=(v, d))))
 
 
+def _slot_check(rng, build, inputs: list) -> float:
+    """grad_check ``build(*inputs)`` wrt one input picked at random."""
+    slot = int(rng.integers(0, len(inputs)))
+
+    def f(t):
+        return build(*inputs[:slot], t, *inputs[slot + 1 :])
+
+    return grad_check(f, inputs[slot])
+
+
+def _conv_tanh_check(rng) -> float:
+    # filters at the encoder's init scale 1/sqrt(w*d): at unit scale tanh
+    # saturates, and central differences lose the tiny slopes to rounding
+    m = int(rng.integers(1, 5))
+    x, probe = Tensor(rng.normal(size=(m, 3))), Tensor(rng.normal(size=(m, 2)))
+    filt = Tensor(rng.normal(0.0, 1.0 / 3.0, size=(3, 3, 2)))
+    return _slot_check(rng, lambda a, f: T.tsum(T.mul(T.conv_tanh(a, f), probe)), [x, filt])
+
+
+def _additive_check(rng, weight_fn: str) -> float:
+    n, d, dq = int(rng.integers(1, 5)), 4, 3
+    shapes = ((n, d), (dq, d), (dq,), (dq,), (d,))
+    rows, a, b, q, probe = (Tensor(rng.normal(size=s)) for s in shapes)
+
+    def build(r, a_, b_, q_):
+        return T.dot(T.additive_attention(r, a_, b_, q_, weight_fn)[0], probe)
+
+    return _slot_check(rng, build, [rows, a, b, q])
+
+
+def _multihead_check(rng) -> float:
+    m, d = int(rng.integers(1, 5)), 4
+    layer = init_self_attention_layer(d, int(rng.choice([1, 2])), rng)
+    x, probe = Tensor(rng.normal(size=(m, d))), Tensor(rng.normal(size=(m, d)))
+    slots = ["w_q", "w_k", "w_v", "w_o"]
+
+    def build(x_, *weights):
+        for name, w in zip(slots, weights):
+            setattr(layer, name, w)
+        return T.tsum(T.mul(T.multihead_self_attention(x_, layer)[0], probe))
+
+    return _slot_check(rng, build, [x] + [getattr(layer, s) for s in slots])
+
+
 def gradcheck_suite(instances: int = 100, seed: int = 20240501) -> dict[str, float]:
     """Max relative error per kernel over seeded random instances."""
     rng = np.random.default_rng(seed)
@@ -186,6 +230,12 @@ def gradcheck_suite(instances: int = 100, seed: int = 20240501) -> dict[str, flo
     # drawn after every other case, so their inputs stay as they were
     for i in range(instances):
         record("gather_rows", _gather_check(rng, dense_use=i % 2 == 1))
+    # the fused encoder ops, drawn after every case above for the same reason
+    for _ in range(instances):
+        record("conv_tanh", _conv_tanh_check(rng))
+        record("additive_attention_softmax", _additive_check(rng, "softmax"))
+        record("additive_attention_sparsemax", _additive_check(rng, "sparsemax"))
+        record("multihead_self_attention", _multihead_check(rng))
     return results
 
 

@@ -3,7 +3,9 @@
 Every kernel the trainable models need lives here: matmul, stable softmax,
 sparsemax (exact simplex projection), same-length 1-D convolution, average
 pooling, the negative-sampling cross-entropy, element-wise matrix MSE and
-a differentiable soft argmax.  All math is double precision and single
+a differentiable soft argmax.  The encoders run on three fused ops, each one
+tape node with a hand-written VJP: ``conv_tanh``, ``additive_attention`` and
+``multihead_self_attention``.  All math is double precision and single
 threaded, so repeated runs are bit-identical.
 """
 
@@ -43,6 +45,9 @@ __all__ = [
     "sparsemax",
     "sparsemax_values",
     "conv1d",
+    "conv_tanh",
+    "additive_attention",
+    "multihead_self_attention",
     "avg_pool",
     "ce_negsample",
     "mse_matrix",
@@ -64,10 +69,12 @@ class Tensor:
     """A node in the computation graph.
 
     ``data`` is a float64 ndarray.  Non-leaf tensors remember their parents
-    and one vector-Jacobian-product closure per parent; creation order is the
-    tape order, so walking nodes by descending id is a reverse topological
-    sweep.  After ``backward`` a leaf's ``grad`` is an array, or a RowGrad
-    when the leaf was read only through ``gather_rows``.
+    and their vector-Jacobian products: a tuple of one closure per parent, or
+    (for the fused ops) one joint closure that maps the output gradient to a
+    tuple of per-parent gradients.  Creation order is the tape order, so
+    walking nodes by descending id is a reverse topological sweep.  After
+    ``backward`` a leaf's ``grad`` is an array, or a RowGrad when the leaf was
+    read only through ``gather_rows``.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjps", "_id", "op")
@@ -77,7 +84,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in parents)
         self.grad = None
         self._parents = tuple(parents)
-        self._vjps = tuple(vjps)
+        self._vjps = vjps
         self._id = next(_ids)
         self.op = op
 
@@ -116,10 +123,9 @@ def tensor(data, requires_grad=False) -> Tensor:
 
 
 def _out(data, parents, vjps, op):
-    needs = any(p.requires_grad for p in parents)
-    if not needs:
-        return Tensor(data, parents=(), vjps=(), op=op)
-    return Tensor(data, parents=parents, vjps=vjps, op=op)
+    if any(p.requires_grad for p in parents):
+        return Tensor(data, True, parents, vjps, op)
+    return Tensor(data, op=op)
 
 
 # ---------------------------------------------------------------------------
@@ -411,28 +417,25 @@ def sparsemax_values(x: np.ndarray) -> np.ndarray:
     return np.maximum(z - tau, 0.0)
 
 
+def _sparsemax_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """VJP of sparsemax at output p: g minus its mean on the support of p,
+    zero off it (Martins & Astudillo 2016)."""
+    supp = p > 0.0
+    out = np.zeros_like(p)
+    out[supp] = g[supp] - g[supp].sum() / supp.sum()
+    return out
+
+
 def sparsemax(a: Tensor) -> Tensor:
     """Sparsemax of a vector; subgradient averages over the support at ties."""
     if a.data.ndim != 1:
         raise ValueError("sparsemax expects a vector")
     p = sparsemax_values(a.data)
-    supp = p > 0.0
-
-    def vjp(g):
-        k = supp.sum()
-        out = np.zeros_like(p)
-        out[supp] = g[supp] - g[supp].sum() / k
-        return out
-
-    return _out(p, (a,), (vjp,), "sparsemax")
+    return _out(p, (a,), (lambda g: _sparsemax_grad(p, g),), "sparsemax")
 
 
-def conv1d(x: Tensor, filters: Tensor) -> Tensor:
-    """Same-length 1-D convolution over the rows of x.
-
-    x is [M, d], filters is [w, d, F] with odd width w; the input is
-    zero-padded by (w-1)/2 rows on each side and no bias is applied.
-    """
+def _conv_same(x: Tensor, filters: Tensor):
+    """Check shapes, then convolve: the zero-padded input and the output."""
     if x.data.ndim != 2 or filters.data.ndim != 3:
         raise ValueError("conv1d expects x [M,d] and filters [w,d,F]")
     w, d, nf = filters.data.shape
@@ -447,20 +450,137 @@ def conv1d(x: Tensor, filters: Tensor) -> Tensor:
     out = np.zeros((m, nf))
     for j in range(w):
         out += xp[j : j + m] @ filters.data[j]
+    return xp, out
 
-    def vjp_x(g):
-        gp = np.zeros_like(xp)
-        for j in range(w):
-            gp[j : j + m] += g @ filters.data[j].T
-        return gp[pad : pad + m]
 
-    def vjp_f(g):
-        gf = np.zeros_like(filters.data)
-        for j in range(w):
-            gf[j] = xp[j : j + m].T @ g
-        return gf
+def _conv_grad_x(g: np.ndarray, xp: np.ndarray, filt: np.ndarray) -> np.ndarray:
+    w, m = filt.shape[0], g.shape[0]
+    gp = np.zeros_like(xp)
+    for j in range(w):
+        gp[j : j + m] += g @ filt[j].T
+    pad = (w - 1) // 2
+    return gp[pad : pad + m]
 
-    return _out(out, (x, filters), (vjp_x, vjp_f), "conv1d")
+
+def _conv_grad_f(g: np.ndarray, xp: np.ndarray, filt: np.ndarray) -> np.ndarray:
+    m = g.shape[0]
+    gf = np.zeros_like(filt)
+    for j in range(filt.shape[0]):
+        gf[j] = xp[j : j + m].T @ g
+    return gf
+
+
+def conv1d(x: Tensor, filters: Tensor) -> Tensor:
+    """Same-length 1-D convolution over the rows of x.
+
+    x is [M, d], filters is [w, d, F] with odd width w; the input is
+    zero-padded by (w-1)/2 rows on each side and no bias is applied.
+    """
+    xp, out = _conv_same(x, filters)
+    return _out(
+        out,
+        (x, filters),
+        (lambda g: _conv_grad_x(g, xp, filters.data), lambda g: _conv_grad_f(g, xp, filters.data)),
+        "conv1d",
+    )
+
+
+def conv_tanh(x: Tensor, filters: Tensor) -> Tensor:
+    """tanh(conv1d(x, filters)) as one node, with the values of the two ops."""
+    xp, out = _conv_same(x, filters)
+    y = np.tanh(out)
+
+    def vjp(g):
+        gc = g * (1.0 - y * y)
+        gx = _conv_grad_x(gc, xp, filters.data) if x.requires_grad else None
+        return gx, _conv_grad_f(gc, xp, filters.data)
+
+    return _out(y, (x, filters), vjp, "conv_tanh")
+
+
+def additive_attention(
+    rows: Tensor, A: Tensor, b: Tensor, q: Tensor, weight_fn: str = "softmax"
+) -> tuple[Tensor, np.ndarray]:
+    """Pool the rows r_i of an [n, d_r] matrix under additive attention, as
+    one node: returns (sum_i w_i r_i, w) with w = softmax or sparsemax of
+    a_i = q^T tanh(A r_i + b).  A is [d_q, d_r], b and q are [d_q]; w is a
+    plain array.  The values are those of transpose, matmul, add, tanh,
+    matvec, softmax|sparsemax and vecmat applied in turn.  rows is a parent
+    twice, once per use (vecmat, then matmul), so its gradient sums in the
+    order the separate ops add it.
+    """
+    if weight_fn not in ("softmax", "sparsemax"):
+        raise ValueError(f"unknown weight_fn {weight_fn!r}")
+    r = rows.data
+    if r.ndim != 2 or A.data.ndim != 2 or r.shape[1] != A.data.shape[1]:
+        raise ValueError(f"additive_attention: incompatible shapes {r.shape} and {A.data.shape}")
+    if b.data.shape != A.data.shape[:1] or q.data.shape != A.data.shape[:1]:
+        raise ValueError(f"additive_attention: b and q must have shape {A.data.shape[:1]}")
+    at = A.data.T.copy()
+    h = np.tanh(r @ at + b.data)
+    scores = h @ q.data
+    w = _softmax1d(scores) if weight_fn == "softmax" else sparsemax_values(scores)
+
+    def vjp(g):
+        gw = r @ g
+        gs = w * (gw - np.dot(gw, w)) if weight_fn == "softmax" else _sparsemax_grad(w, gw)
+        gh = np.outer(gs, q.data) * (1.0 - h * h)
+        return np.outer(w, g), gh @ at.T, (r.T @ gh).T, gh.sum(axis=0), h.T @ gs
+
+    return _out(w @ r, (rows, rows, A, b, q), vjp, "additive_attention"), w
+
+
+def multihead_self_attention(x: Tensor, layer) -> tuple[Tensor, list[np.ndarray]]:
+    """One multi-head self-attention layer as one node: the Q/K/V
+    projections, per-head softmax(Q_h K_h^T / sqrt(d_h)) V_h, the head
+    outputs concatenated, then W_o and the residual.  ``layer`` carries
+    w_q, w_k, w_v, w_o ([d, d] tensors) and n_heads.  Returns the [M, d]
+    output and the [M, M] attention matrix of each head.
+
+    The values are those of the matmul, slice_cols, transpose, scale,
+    softmax_rows, concat_cols and add ops in turn.  x is a parent four
+    times, once per use (the residual, then V, K and Q), so its gradient
+    sums in the order the separate ops add it.
+    """
+    xd = x.data
+    wq, wk, wv, wo = layer.w_q, layer.w_k, layer.w_v, layer.w_o
+    d = wq.data.shape[0]
+    if xd.ndim != 2 or xd.shape[1] != d:
+        raise ValueError(f"multihead_self_attention: input shape {xd.shape} does not match width {d}")
+    dh = d // layer.n_heads
+    c = 1.0 / math.sqrt(dh)
+    q = xd @ wq.data
+    k = xd @ wk.data
+    v = xd @ wv.data
+    heads = []  # (slice, q_h, k_h^T, v_h, attention) per head
+    for h in range(layer.n_heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        qh, vh = q[:, cols].copy(), v[:, cols].copy()
+        kt = k[:, cols].copy().T.copy()
+        sc = (qh @ kt) * c
+        e = np.exp(sc - sc.max(axis=1, keepdims=True))
+        heads.append((cols, qh, kt, vh, e / e.sum(axis=1, keepdims=True)))
+    z = np.concatenate([a @ vh for _, _, _, vh, a in heads], axis=1)
+
+    def vjp(g):
+        gz = g @ wo.data.T
+        gq, gk, gv = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
+        for cols, qh, kt, vh, a in heads:
+            go = gz[:, cols]
+            ga = go @ vh.T
+            gs = a * (ga - (ga * a).sum(axis=1, keepdims=True)) * c
+            gq[:, cols] = gs @ kt.T
+            gk[:, cols] = (qh.T @ gs).T
+            gv[:, cols] = a.T @ go
+        if x.requires_grad:
+            gx = (g, gv @ wv.data.T, gk @ wk.data.T, gq @ wq.data.T)
+        else:
+            gx = (None,) * 4
+        return (*gx, xd.T @ gq, xd.T @ gk, xd.T @ gv, z.T @ g)
+
+    parents = (x, x, x, x, wq, wk, wv, wo)
+    out = _out(z @ wo.data + xd, parents, vjp, "multihead_self_attention")
+    return out, [a for *_, a in heads]
 
 
 def avg_pool(z: Tensor) -> Tensor:
@@ -556,7 +676,9 @@ def backward(loss: Tensor) -> None:
     (a requires_grad tensor with no parents) that the loss depends on.
 
     Nodes are visited in reverse creation order, which is a reverse
-    topological order of the tape by construction.  Intermediate gradients
+    topological order of the tape by construction.  Each node's gradients
+    are added onto its parents' in parent order; a fused op's joint VJP runs
+    once and gives them all.  Intermediate gradients
     stay in a local dict and are never written to .grad.  A leaf's .grad may
     share memory with another gradient (add passes g to both parents), so
     nothing may update a .grad in place.
@@ -584,10 +706,14 @@ def backward(loss: Tensor) -> None:
             continue
         if not node._parents:
             node.grad = g if node.grad is None else node.grad + g
-        for parent, vjp in zip(node._parents, node._vjps):
-            if not parent.requires_grad:
+        vjps = node._vjps
+        if callable(vjps):
+            contribs = vjps(g)
+        else:
+            contribs = [vjp(g) if p.requires_grad else None for p, vjp in zip(node._parents, vjps)]
+        for parent, contrib in zip(node._parents, contribs):
+            if contrib is None or not parent.requires_grad:
                 continue
-            contrib = vjp(g)
             if parent._id in grads:
                 grads[parent._id] = grads[parent._id] + contrib
             else:

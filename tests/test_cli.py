@@ -588,3 +588,35 @@ def test_invalid_utf8_input_names_file_and_line(tmp_path, capsys):
     assert code == 1
     assert f"error: {queries} line 2: invalid UTF-8 byte 0xc3" in err
     assert not (tmp_path / "train").exists()
+
+
+# each JSONL reader: the command that reads it and one good record
+_JSONL_READERS = {
+    "bilingual": (["augment", "nmsp", "--seed", "7", "--out", "{out}", "--doc"], {"pairs": [["a b", "c d"]]}),
+    "statements": (["augment", "negate", "--out", "{out}", "--data"], {"text": "X can do Y"}),
+    "judgments": (["eval", "prf2", "--judgments"], {"gold": ["a"], "retrieved": ["a"]}),
+    "predictions": (["eval", "accuracy", "--preds"], {"pred": True, "gold": True}),
+    "sdoi": (["inject", "hydra-pretrain", "--seed", "1", "--out", "{out}", "--sdoi"],
+             {"tokens": ["a", "b"], "matrix": [[0, 1], [1, 0]]}),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_JSONL_READERS))
+def test_jsonl_reader_names_file_and_line_of_bad_json(tmp_path, capsys, reader):
+    argv, good = _JSONL_READERS[reader]
+    path = tmp_path / "in.jsonl"
+    path.write_text(f"{json.dumps(good)}\n{json.dumps(good)}\nnot json\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, *[a.replace("{out}", str(out)) for a in argv], str(path))
+    assert code == 1
+    assert err == f"error: {path} line 3: invalid JSON (Expecting value at column 1)\n"
+    assert stdout == "" and not out.exists()
+
+
+def test_selftest_gradcheck_prints_the_fused_op_cases(capsys):
+    code, out, _ = run(capsys, "selftest", "gradcheck", "--instances", "2")
+    assert code == 0
+    names = [line.split(":")[0] for line in out.splitlines()[:-1]]
+    for case in ("conv_tanh", "additive_attention_softmax", "additive_attention_sparsemax",
+                 "multihead_self_attention"):
+        assert case in names
