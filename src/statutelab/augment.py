@@ -215,7 +215,7 @@ class BilingualDoc:
 def load_bilingual(path) -> list[BilingualDoc]:
     """JSONL, one doc per line: {"pairs": [["sent a", "sent b"], ...]}."""
     docs = []
-    for lineno, obj in read_jsonl(path):
+    for lineno, obj in read_jsonl(path, ("pairs",)):
         pairs = [(str(a), str(b)) for a, b in obj["pairs"]]
         for a, b in pairs:
             if not a or not b:

@@ -134,9 +134,7 @@ def _cmd_corpus_chunk(args) -> int:
 
 def _load_statements(path) -> list[aug.LabeledStatement]:
     records = []
-    for lineno, obj in corpus_mod.read_jsonl(path):
-        if "text" not in obj:
-            raise CliError(f"line {lineno}: record has no text field")
+    for _, obj in corpus_mod.read_jsonl(path, ("text",)):
         records.append(
             aug.LabeledStatement(
                 str(obj["text"]),
@@ -494,7 +492,7 @@ def _cmd_eval_prf2(args) -> int:
     if args.judgments:
         judgments = [
             evalkit.RetrievalJudgment(set(obj["gold"]), list(obj["retrieved"]))
-            for _, obj in corpus_mod.read_jsonl(args.judgments)
+            for _, obj in corpus_mod.read_jsonl(args.judgments, ("gold", "retrieved"))
         ]
         p, r, f2 = evalkit.macro_f2(judgments, args.k)
     else:
@@ -510,7 +508,7 @@ def _cmd_eval_prf2(args) -> int:
 def _cmd_eval_accuracy(args) -> int:
     if args.preds:
         preds, golds = [], []
-        for _, obj in corpus_mod.read_jsonl(args.preds):
+        for _, obj in corpus_mod.read_jsonl(args.preds, ("pred", "gold")):
             preds.append(bool(obj["pred"]))
             golds.append(bool(obj["gold"]))
         value = evalkit.accuracy(preds, golds)

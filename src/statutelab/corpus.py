@@ -77,9 +77,10 @@ def open_text(path):
             raise
 
 
-def read_jsonl(path):
+def read_jsonl(path, keys=()):
     """Yield (line number, object) for each non-blank line of a JSONL file.
-    A line that is not JSON raises ValueError naming the file and the line."""
+    A line that is not a JSON object, or an object without one of `keys`,
+    raises ValueError naming the file and the line."""
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -88,6 +89,11 @@ def read_jsonl(path):
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path} line {lineno}: invalid JSON ({exc.msg} at column {exc.colno})") from None
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path} line {lineno}: expected a JSON object, got a {type(obj).__name__}")
+            for key in keys:
+                if key not in obj:
+                    raise ValueError(f"{path} line {lineno}: missing key {key!r}")
             yield lineno, obj
 
 

@@ -20,6 +20,7 @@ from .corpus import open_text
 from .tensor import Tensor
 
 __all__ = [
+    "OOV_POLICIES",
     "EmbeddingTable",
     "GeneralAttentionParams",
     "SelfAttentionLayer",
@@ -46,11 +47,14 @@ PRESETS = {
 }
 
 
+OOV_POLICIES = ("zero_vector", "skip")
+
+
 @dataclass
 class EmbeddingTable:
     vocab: dict[str, int]
     matrix: Tensor  # [|V|, d]
-    oov_policy: str = "zero_vector"  # or "skip"
+    oov_policy: str = "zero_vector"  # one of OOV_POLICIES
 
     @property
     def dim(self) -> int:

@@ -25,7 +25,6 @@ from .encoders import (
     init_self_attention_layer,
     random_embeddings,
     self_attention,
-    self_attention_weights,
 )
 from .corpus import open_text, read_jsonl
 from .store import bundle_bytes, load_bundle, write_bundle
@@ -126,11 +125,11 @@ class InjectionConfig:
 def load_sdoi(path) -> list[SdoiMatrix]:
     """JSONL: {"tokens": [...], "matrix": [[0,1,...], ...]} per line."""
     out = []
-    for lineno, obj in read_jsonl(path):
+    for lineno, obj in read_jsonl(path, ("tokens", "matrix")):
         try:
             out.append(SdoiMatrix(list(map(str, obj["tokens"])), np.array(obj["matrix"])))
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"sdoi line {lineno}: {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"{path} line {lineno}: {exc}") from exc
     return out
 
 
@@ -513,8 +512,8 @@ def attention_weights_report(model: TreModel, tokens: list[str]) -> list[list[np
     x = _embed(model, tokens)
     report = []
     for layer in model.layers:
-        report.append(self_attention_weights(x, layer))
-        x = self_attention(x, layer)
+        x, weights = T.multihead_self_attention(x, layer)
+        report.append(weights)
     return report
 
 
@@ -553,15 +552,17 @@ def load_layer_stack(path) -> list[SelfAttentionLayer]:
     return load_bundle(path, ("layer_stack",), build)
 
 
-def hydra_heads_bytes(heads: list[HydraHead]) -> bytes:
+def _heads_bundle(heads: list[HydraHead]) -> tuple[str, dict, list[Tensor]]:
     d, dh = heads[0].w_q.data.shape
-    meta = {"n_heads": len(heads), "d": d, "d_head": dh}
-    return bundle_bytes("hydra_heads", meta, _head_tensors(heads))
+    return "hydra_heads", {"n_heads": len(heads), "d": d, "d_head": dh}, _head_tensors(heads)
+
+
+def hydra_heads_bytes(heads: list[HydraHead]) -> bytes:
+    return bundle_bytes(*_heads_bundle(heads))
 
 
 def save_hydra_heads(heads: list[HydraHead], path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(hydra_heads_bytes(heads))
+    write_bundle(path, *_heads_bundle(heads))
 
 
 def load_hydra_heads(path) -> list[HydraHead]:
@@ -573,19 +574,22 @@ def load_hydra_heads(path) -> list[HydraHead]:
     return load_bundle(path, ("hydra_heads",), build)
 
 
-def tre_model_bytes(model: TreModel) -> bytes:
+def _tre_bundle(model: TreModel) -> tuple[str, dict, list[Tensor]]:
     meta = {
         "vocab": model.embeddings.words(),
         "n_layers": len(model.layers),
         "n_heads": model.layers[0].n_heads,
         "max_len": model.positions.data.shape[0],
     }
-    return bundle_bytes("tre_model", meta, _tre_params(model))
+    return "tre_model", meta, _tre_params(model)
+
+
+def tre_model_bytes(model: TreModel) -> bytes:
+    return bundle_bytes(*_tre_bundle(model))
 
 
 def save_tre_model(model: TreModel, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(tre_model_bytes(model))
+    write_bundle(path, *_tre_bundle(model))
 
 
 def load_tre_model(path) -> TreModel:

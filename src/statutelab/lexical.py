@@ -11,10 +11,12 @@ import re
 import struct
 from array import array
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
 from .corpus import Article
+from .store import Reader
 
 __all__ = [
     "InvertedIndex",
@@ -189,48 +191,13 @@ def top_n(
 # its u32 posting count and that many (u32 doc position, u32 tf) pairs; every
 # integer little-endian
 
-_MAGIC = b"SLIX1"
-
-
 def _pack_str(s: str) -> bytes:
     raw = s.encode("utf-8")
     return struct.pack("<I", len(raw)) + raw
 
 
-class _Reader:
-    """Bounds-checked reads; every failure is a ValueError naming the file
-    and the offset."""
-
-    def __init__(self, buf: bytes, path):
-        self.buf = buf
-        self.path = path
-        self.pos = 0
-
-    def error(self, what: str, at: int) -> ValueError:
-        return ValueError(f"{self.path}: corrupt SLIX1 index at offset {at}: {what}")
-
-    def skip(self, n: int) -> int:
-        """Advance over n bytes and return where they start."""
-        at = self.pos
-        if n > len(self.buf) - at:
-            raise self.error(f"{n} bytes needed, {len(self.buf) - at} left", at)
-        self.pos = at + n
-        return at
-
-    def u32(self) -> int:
-        return struct.unpack_from("<I", self.buf, self.skip(4))[0]
-
-    def string(self) -> str:
-        n = self.u32()
-        at = self.skip(n)
-        try:
-            return self.buf[at : at + n].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise self.error(f"invalid UTF-8 ({exc.reason})", at + exc.start) from None
-
-
 def save_index(index: InvertedIndex, path) -> None:
-    parts = [_MAGIC, struct.pack("<I", index.n_docs)]
+    parts = [b"SLIX1", struct.pack("<I", index.n_docs)]
     for doc_id, dl in zip(index.doc_ids, index.lengths.tolist()):
         parts += (_pack_str(doc_id), struct.pack("<I", dl))
     parts.append(struct.pack("<I", len(index.terms)))
@@ -241,8 +208,7 @@ def save_index(index: InvertedIndex, path) -> None:
     for t, term in enumerate(index.terms):
         lo, hi = bounds[t], bounds[t + 1]
         parts += (_pack_str(term), struct.pack("<I", hi - lo), blob[8 * lo : 8 * hi])
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+    Path(path).write_bytes(b"".join(parts))
 
 
 def load_index(path) -> InvertedIndex:
@@ -253,56 +219,37 @@ def load_index(path) -> InvertedIndex:
     one of its term, a term frequency of 0, or a doc length that is not the
     sum of its term frequencies raise ValueError naming the file and offset.
     """
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    if buf[:5] != _MAGIC:
-        raise ValueError(f"{path}: bad index magic at offset 0")
-    r = _Reader(buf, path)
-    r.pos = 5
-    doc_ids, lengths, length_at = [], [], []
-    seen: set[str] = set()
+    buf = Path(path).read_bytes()
+    r = Reader(buf, "SLIX1 index", path)
+    r.magic(b"SLIX1")
+    ids: dict[str, int] = {}  # doc id or term -> its offset
+    lengths, length_at = [], []
     for _ in range(r.u32()):
         at = r.pos
-        doc_id = r.string()
-        if doc_id in seen:
+        if ids.setdefault(doc_id := r.string(), at) != at:
             raise r.error(f"duplicate doc id {doc_id!r}", at)
-        seen.add(doc_id)
-        doc_ids.append(doc_id)
         length_at.append(r.pos)
         lengths.append(r.u32())
-    terms, block_at, counts = [], [], []
-    seen = set()
+    doc_ids, ids = list(ids), {}
+    block_at, counts = [], []
     for _ in range(r.u32()):
         at = r.pos
-        term = r.string()
-        if term in seen:
+        if ids.setdefault(term := r.string(), at) != at:
             raise r.error(f"duplicate term {term!r}", at)
-        seen.add(term)
-        terms.append(term)
         counts.append(r.u32())
-        block_at.append(r.skip(8 * counts[-1]))
-    if r.pos != len(buf):
-        raise ValueError(f"{path}: {len(buf) - r.pos} trailing bytes after the SLIX1 index at offset {r.pos}")
+        block_at.append(r.take(8 * counts[-1]))
+    r.end()
+    terms = list(ids)
 
-    # every posting block in one read: keep the bytes between each block's
-    # start and end, drop the term headers between them
-    n_docs, n_terms = len(doc_ids), len(terms)
-    block_at = np.array(block_at, dtype=np.int64)
-    counts = np.array(counts, dtype=np.int64)
-    edges = np.empty(2 * n_terms + 2, dtype=np.int64)
-    edges[0], edges[-1] = 0, len(buf)
-    edges[1:-1:2] = block_at
-    edges[2:-1:2] = block_at + 8 * counts
-    keep = np.repeat(np.arange(2 * n_terms + 1) % 2 == 1, np.diff(edges))
-    pairs = np.frombuffer(buf, dtype=np.uint8)[keep].view("<u4").reshape(-1, 2)
+    blocks = b"".join([buf[at : at + 8 * n] for at, n in zip(block_at, counts)])
+    pairs = np.frombuffer(blocks, dtype="<u4").reshape(-1, 2)
     docs, tf = pairs[:, 0].astype(np.int64), pairs[:, 1].astype(np.int64)
-    starts = np.zeros(n_terms + 1, dtype=np.int64)
-    np.cumsum(counts, out=starts[1:])
+    n_docs = len(doc_ids)
+    block_at, counts = np.array(block_at, dtype=np.int64), np.array(counts, dtype=np.int64)
+    starts = np.concatenate(([0], np.cumsum(counts)))
 
-    first = np.zeros(len(docs), dtype=bool)
-    first[starts[:-1][counts > 0]] = True
-    rising = np.ones(len(docs), dtype=bool)
-    rising[1:] = first[1:] | (docs[1:] > docs[:-1])
+    rising = np.diff(docs, prepend=-1) > 0
+    rising[starts[:-1][counts > 0]] = True  # a term's first posting
     for bad, what, field in (
         (docs >= n_docs, f"doc position out of range for {n_docs} docs", 0),
         (~rising, "doc position not above the previous one of its term", 0),
@@ -318,8 +265,6 @@ def load_index(path) -> InvertedIndex:
     off = np.flatnonzero(summed != lengths)
     if off.size:
         d = int(off[0])
-        raise r.error(
-            f"doc {doc_ids[d]!r} has length {lengths[d]} but term frequencies summing to {int(summed[d])}",
-            length_at[d],
-        )
+        what = f"doc {doc_ids[d]!r} has length {lengths[d]} but term frequencies summing to {int(summed[d])}"
+        raise r.error(what, length_at[d])
     return InvertedIndex(doc_ids, lengths, terms, starts, docs, tf)

@@ -18,6 +18,7 @@ from . import tensor as T
 from .tensor import Tensor
 from .corpus import Article, Query
 from .encoders import (
+    OOV_POLICIES,
     EmbeddingTable,
     GeneralAttentionParams,
     SelfAttentionLayer,
@@ -492,7 +493,7 @@ def classify(clf: LawfulnessClassifier, text: str) -> bool:
 # checkpoints
 
 
-def model_bytes(model: RankerModel) -> bytes:
+def _bundle(model: RankerModel) -> tuple[str, dict, list[Tensor]]:
     meta = {
         "vocab": model.embeddings.words(),
         "oov_policy": model.embeddings.oov_policy,
@@ -504,12 +505,22 @@ def model_bytes(model: RankerModel) -> bytes:
     else:
         meta["n_heads"] = model.layers[0].n_heads if model.layers else 1
         meta["n_layers"] = len(model.layers)
-    return bundle_bytes(model.kind, meta, parameters(model))
+    return model.kind, meta, parameters(model)
+
+
+def model_bytes(model: RankerModel) -> bytes:
+    return bundle_bytes(*_bundle(model))
 
 
 def save_model(model: RankerModel, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(model_bytes(model))
+    write_bundle(path, *_bundle(model))
+
+
+def _oov_policy(meta: dict) -> str:
+    policy = meta["oov_policy"]
+    if policy not in OOV_POLICIES:
+        raise ValueError(f"unknown oov_policy {policy!r}, expected one of {OOV_POLICIES}")
+    return policy
 
 
 def load_model(path) -> RankerModel:
@@ -537,7 +548,7 @@ def load_model(path) -> RankerModel:
                 max_len=shapes[1][0],
                 config=cfg,
             )
-        model.embeddings.oov_policy = meta["oov_policy"]
+        model.embeddings.oov_policy = _oov_policy(meta)
         return model, parameters(model)
 
     return load_bundle(path, ("attentive_cnn", "paraformer_lite"), build)
@@ -566,7 +577,7 @@ def load_classifier(path) -> LawfulnessClassifier:
             lr=meta["lr"],
             epochs=meta["epochs"],
         )
-        clf.encoder.embeddings.oov_policy = meta["oov_policy"]
+        clf.encoder.embeddings.oov_policy = _oov_policy(meta)
         return clf, _clf_params(clf)
 
     return load_bundle(path, ("lawfulness",), build)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import struct
 from typing import Callable, Sequence
 
 import numpy as np
@@ -766,47 +765,12 @@ def grad_check(
 
 
 # ---------------------------------------------------------------------------
-# serialization: b"SLTN1", ndim and dims as little-endian u64, then doubles
-
-_MAGIC = b"SLTN1"
+# serialization: the SLTN1 codec lives in ``store``, which imports this module
 
 
-def tensor_to_bytes(t: Tensor) -> bytes:
-    dims = t.data.shape
-    head = _MAGIC + struct.pack("<Q", len(dims)) + b"".join(
-        struct.pack("<Q", d) for d in dims
-    )
-    return head + t.data.astype("<f8").tobytes()
+def __getattr__(name):
+    if name in ("save_tensor", "load_tensor", "tensor_to_bytes", "tensor_from_bytes"):
+        from . import store
 
-
-def tensor_from_bytes(buf: bytes) -> Tensor:
-    """Decode one SLTN1 blob; a blob shorter or longer than its header
-    declares raises ValueError naming the offset."""
-    if buf[:5] != _MAGIC:
-        raise ValueError("bad tensor magic")
-    if len(buf) < 13:
-        raise ValueError(f"tensor blob truncated at offset {len(buf)}: its header needs 13 bytes")
-    ndim = struct.unpack("<Q", buf[5:13])[0]
-    head = 13 + 8 * ndim
-    if len(buf) < head:
-        raise ValueError(f"tensor blob truncated at offset {len(buf)}: its dims end at offset {head}")
-    dims = struct.unpack(f"<{ndim}Q", buf[13:head])
-    end = head + 8 * math.prod(dims)
-    if len(buf) < end:
-        raise ValueError(f"tensor blob truncated at offset {len(buf)}: its data ends at offset {end}")
-    if len(buf) > end:
-        raise ValueError(f"tensor blob has {len(buf) - end} trailing bytes at offset {end}")
-    vals = np.frombuffer(buf, dtype="<f8", offset=head)
-    if ndim == 0:
-        return Tensor(vals[0])
-    return Tensor(vals.reshape(dims).copy())
-
-
-def save_tensor(t: Tensor, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(tensor_to_bytes(t))
-
-
-def load_tensor(path) -> Tensor:
-    with open(path, "rb") as fh:
-        return tensor_from_bytes(fh.read())
+        return getattr(store, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

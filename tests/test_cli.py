@@ -613,6 +613,24 @@ def test_jsonl_reader_names_file_and_line_of_bad_json(tmp_path, capsys, reader):
     assert stdout == "" and not out.exists()
 
 
+@pytest.mark.parametrize("reader", sorted(_JSONL_READERS))
+def test_jsonl_reader_names_file_line_and_key_of_a_wrong_shape(tmp_path, capsys, reader):
+    argv, good = _JSONL_READERS[reader]
+    first_key = next(iter(good))
+    path = tmp_path / "in.jsonl"
+    out = tmp_path / "out"
+    argv = [a.replace("{out}", str(out)) for a in argv]
+    for line, message in (
+        ("[1, 2]", "expected a JSON object, got a list"),
+        (json.dumps({k: v for k, v in good.items() if k != first_key}), f"missing key {first_key!r}"),
+    ):
+        path.write_text(f"{json.dumps(good)}\n{line}\n", encoding="utf-8")
+        code, stdout, err = run(capsys, *argv, str(path))
+        assert code == 1
+        assert err == f"error: {path} line 2: {message}\n"
+        assert stdout == "" and not out.exists()
+
+
 def test_selftest_gradcheck_prints_the_fused_op_cases(capsys):
     code, out, _ = run(capsys, "selftest", "gradcheck", "--instances", "2")
     assert code == 0

@@ -1,8 +1,11 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 
 from statutelab.store import bundle_bytes, bundle_from_bytes, read_bundle, write_bundle
-from statutelab.tensor import Tensor, tensor_from_bytes, tensor_to_bytes
+from statutelab.tensor import Tensor, load_tensor, tensor_from_bytes, tensor_to_bytes
 
 
 def test_bundle_roundtrip(tmp_path):
@@ -59,3 +62,30 @@ def test_tensor_blob_rejects_every_truncation_and_a_trailing_byte():
                 tensor_from_bytes(blob[:cut])
         with pytest.raises(ValueError, match="trailing"):
             tensor_from_bytes(blob + b"\x00")
+
+
+def test_every_decode_error_names_path_format_and_absolute_offset(tmp_path):
+    blob = _small_bundle()  # its last tensor's 16 value bytes end the file
+    path = tmp_path / "cut.slrk"
+    path.write_bytes(blob[:-3])
+    want = f"{path}: corrupt SLRK1 checkpoint at offset {len(blob) - 16}: 16 bytes needed, 13 left"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        read_bundle(path)
+    path = tmp_path / "cut.sltn"
+    path.write_bytes(tensor_to_bytes(Tensor(np.ones(2)))[:-3])
+    with pytest.raises(ValueError, match=re.escape(f"{path}: corrupt SLTN1 tensor at offset 21: 16 bytes needed")):
+        load_tensor(path)
+
+
+def test_bundle_length_prefix_must_match_its_blob():
+    blob = bytearray(_small_bundle())
+    first = blob.index(b"SLTN1") - 8
+    blob[first] += 1
+    with pytest.raises(ValueError, match=f"at offset {first}: tensor 0 is 77 bytes, its length prefix says 78"):
+        bundle_from_bytes(bytes(blob))
+
+
+def test_tensor_blob_with_astronomical_dims_is_rejected_at_an_offset():
+    blob = b"SLTN1" + struct.pack("<Q", 300) + b"\xff" * 8 * 300
+    with pytest.raises(ValueError, match=f"corrupt SLTN1 tensor at offset {len(blob)}: over 2\\*\\*64 bytes needed"):
+        tensor_from_bytes(blob)
