@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Article, Query, open_text, read_jsonl
+from .corpus import Article, Query, json_list, open_text, read_jsonl
 
 __all__ = [
     "NegationRule",
@@ -214,14 +214,19 @@ class BilingualDoc:
 
 def load_bilingual(path) -> list[BilingualDoc]:
     """JSONL, one doc per line: {"pairs": [["sent a", "sent b"], ...]}."""
-    docs = []
-    for lineno, obj in read_jsonl(path, ("pairs",)):
-        pairs = [(str(a), str(b)) for a, b in obj["pairs"]]
-        for a, b in pairs:
+
+    def parse(obj):
+        pairs = []
+        for i, pair in enumerate(json_list(obj, "pairs"), start=1):
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ValueError(f"pair {i} must be a [sentence, sentence] array")
+            a, b = str(pair[0]), str(pair[1])
             if not a or not b:
-                raise ValueError(f"bilingual line {lineno}: empty sentence in pair")
-        docs.append(BilingualDoc(pairs))
-    return docs
+                raise ValueError(f"pair {i} has an empty sentence")
+            pairs.append((a, b))
+        return BilingualDoc(pairs)
+
+    return [doc for _, doc in read_jsonl(path, ("pairs",), parse)]
 
 
 @dataclass

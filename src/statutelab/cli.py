@@ -26,7 +26,9 @@ from . import inject
 from . import lexical
 from . import rankers
 from .config import RunConfig, effective_sizes, load_config, merge_overrides
+from .encoders import load_embeddings
 from .selftest import gradcheck_suite, property_suite
+from .tensor import Tensor
 
 __all__ = ["main", "cli_dispatch"]
 
@@ -116,13 +118,7 @@ def _cmd_corpus_stats(args) -> int:
 def _cmd_corpus_chunk(args) -> int:
     articles = corpus_mod.chunk_corpus(corpus_mod.load_corpus(args.corpus))
     out = _out_dir(args)
-    _write_jsonl(
-        out / "chunked.jsonl",
-        (
-            {"id": a.id, "title": a.title, "text": a.text, "statements": a.statements}
-            for a in articles
-        ),
-    )
+    _write_jsonl(out / "chunked.jsonl", map(dataclasses.asdict, articles))
     _manifest(args, out, None, [args.corpus])
     print(f"wrote {out / 'chunked.jsonl'}")
     return 0
@@ -146,22 +142,12 @@ def _load_statements(path) -> list[aug.LabeledStatement]:
     return records
 
 
-def _statement_dicts(records):
-    for r in records:
-        yield {
-            "text": r.text,
-            "lawful": r.lawful,
-            "provenance": r.provenance,
-            "rule_rank": r.rule_rank,
-        }
-
-
 def _cmd_augment_negate(args) -> int:
     rules = aug.load_rules(args.rules) if args.rules else None
     records = _load_statements(args.data)
     out = _out_dir(args)
     augmented = aug.augment_negation(records, args.lang, rules)
-    _write_jsonl(out / "augmented.jsonl", _statement_dicts(augmented))
+    _write_jsonl(out / "augmented.jsonl", map(dataclasses.asdict, augmented))
     _manifest(args, out, None, [args.data] + ([args.rules] if args.rules else []))
     print(f"{len(records)} in, {len(augmented)} out")
     return 0
@@ -172,7 +158,7 @@ def _cmd_augment_lawfulness(args) -> int:
     queries = corpus_mod.load_queries(args.queries)
     records = aug.derive_lawfulness(articles, queries)
     out = _out_dir(args)
-    _write_jsonl(out / "lawfulness.jsonl", _statement_dicts(records))
+    _write_jsonl(out / "lawfulness.jsonl", map(dataclasses.asdict, records))
     _manifest(args, out, None, [args.corpus, args.queries])
     print(f"{len(records)} labeled statements")
     return 0
@@ -185,17 +171,7 @@ def _cmd_augment_pairs(args) -> int:
     for i, doc in enumerate(docs):
         examples.extend(gen(doc, seed=args.seed + i, neg_ratio=args.neg_ratio))
     out = _out_dir(args)
-    _write_jsonl(
-        out / "pairs.jsonl",
-        (
-            {
-                "first": e.first, "second": e.second, "label": e.label, "task": e.task,
-                "first_index": e.first_index, "second_index": e.second_index,
-                "first_side": e.first_side, "second_side": e.second_side,
-            }
-            for e in examples
-        ),
-    )
+    _write_jsonl(out / "pairs.jsonl", map(dataclasses.asdict, examples))
     _manifest(args, out, None, [args.doc])
     print(f"{len(examples)} examples")
     return 0
@@ -277,9 +253,17 @@ def _missing(ids: set, side: str) -> str:
 
 
 def _rank_inputs(args):
-    """Model, chunked corpus, queries, index, and the input files to digest.
-    An index must hold exactly the chunked corpus's article ids."""
+    """Config, model, chunked corpus, queries, index, and the input files to
+    digest.  BM25 scores with the checkpoint's k1 and b, so the config
+    records those, and a --k1 or --b that differs is an error.  An index
+    must hold exactly the chunked corpus's article ids."""
+    cfg = _resolve_config(args)
     model = rankers.load_model(args.model_path)
+    for key in ("k1", "b"):
+        given, stored = getattr(args, key), getattr(model.config, key)
+        if given is not None and given != stored:
+            raise CliError(f"--{key} {given} differs from the checkpoint's {key} {stored}, which BM25 scoring uses")
+    cfg = dataclasses.replace(cfg, k1=model.config.k1, b=model.config.b)
     articles = corpus_mod.chunk_corpus(corpus_mod.load_corpus(args.corpus))
     queries = corpus_mod.load_queries(args.queries)
     idx = lexical.load_index(args.index) if args.index else lexical.build_index(articles)
@@ -290,12 +274,11 @@ def _rank_inputs(args):
             f"{_missing(corpus_ids - index_ids, 'index')}, {_missing(index_ids - corpus_ids, 'corpus')}"
         )
     files = [args.corpus, args.queries, args.model_path] + ([args.index] if args.index else [])
-    return model, articles, queries, idx, files
+    return cfg, model, articles, queries, idx, files
 
 
 def _cmd_rank_run(args) -> int:
-    cfg = _resolve_config(args)
-    model, articles, queries, idx, files = _rank_inputs(args)
+    cfg, model, articles, queries, idx, files = _rank_inputs(args)
     if cfg.alpha == "grid":
         rankers.require_relevant(queries, {a.id for a in articles})
     # one scoring pass serves both the alpha grid and the ranked rows
@@ -313,8 +296,7 @@ def _cmd_rank_run(args) -> int:
 
 
 def _cmd_rank_grid_alpha(args) -> int:
-    cfg = _resolve_config(args)
-    model, articles, queries, idx, files = _rank_inputs(args)
+    cfg, model, articles, queries, idx, files = _rank_inputs(args)
     alpha, f2 = rankers.grid_search_alpha(
         model, idx, articles, queries, step=cfg.step,
         n_predict=cfg.n_predict, k=cfg.eval_k,
@@ -373,8 +355,6 @@ def _cmd_inject_hydra_pretrain(args) -> int:
     rng = np.random.default_rng(args.seed)
     vocab = sorted({t for s in samples for t in s.tokens})
     table = {w: rng.normal(0.0, 1.0, size=args.d) for w in vocab}
-    from .tensor import Tensor
-
     states = [Tensor(np.stack([table[t] for t in s.tokens])) for s in samples]
     heads = inject.init_hydra_heads(args.d, args.n_heads, args.seed)
     heads, trace = inject.hydra_pretrain(states, samples, heads, args.epochs, args.lr)
@@ -455,8 +435,6 @@ def _load_terms(path) -> set[str]:
 
 
 def _cmd_embed_lvc(args) -> int:
-    from .encoders import load_embeddings
-
     emb = load_embeddings(args.embeddings)
     value = embedmetrics.lvc(emb, _load_terms(args.terms))
     print(round(value, 4))
@@ -464,8 +442,6 @@ def _cmd_embed_lvc(args) -> int:
 
 
 def _cmd_embed_leca(args) -> int:
-    from .encoders import load_embeddings
-
     emb = load_embeddings(args.embeddings)
     articles = corpus_mod.load_corpus(args.corpus)
     sentences = [lexical.tokenize(a.text) for a in articles]
@@ -475,8 +451,6 @@ def _cmd_embed_leca(args) -> int:
 
 
 def _cmd_embed_project(args) -> int:
-    from .encoders import load_embeddings
-
     emb = load_embeddings(args.embeddings)
     terms = _load_terms(args.terms)
     count = embedmetrics.export_projection(emb, terms, {}, args.top_k, args.out)
@@ -490,10 +464,11 @@ def _cmd_embed_project(args) -> int:
 
 def _cmd_eval_prf2(args) -> int:
     if args.judgments:
-        judgments = [
-            evalkit.RetrievalJudgment(set(obj["gold"]), list(obj["retrieved"]))
-            for _, obj in corpus_mod.read_jsonl(args.judgments, ("gold", "retrieved"))
-        ]
+        def judgment(obj):
+            gold = set(corpus_mod.json_list(obj, "gold"))
+            return evalkit.RetrievalJudgment(gold, corpus_mod.json_list(obj, "retrieved"))
+
+        judgments = [j for _, j in corpus_mod.read_jsonl(args.judgments, ("gold", "retrieved"), judgment)]
         p, r, f2 = evalkit.macro_f2(judgments, args.k)
     else:
         if args.gold is None or args.retrieved is None:

@@ -22,6 +22,7 @@ __all__ = [
     "CorpusStats",
     "open_text",
     "read_jsonl",
+    "json_list",
     "load_corpus",
     "load_queries",
     "chunk_article",
@@ -77,10 +78,11 @@ def open_text(path):
             raise
 
 
-def read_jsonl(path, keys=()):
-    """Yield (line number, object) for each non-blank line of a JSONL file.
-    A line that is not a JSON object, or an object without one of `keys`,
-    raises ValueError naming the file and the line."""
+def read_jsonl(path, keys=(), parse=None):
+    """Yield (line number, record) for each non-blank line of a JSONL file;
+    the record is the line's object, or parse(object).  A line that is not
+    a JSON object, an object without one of `keys`, or a ValueError or
+    TypeError from `parse` raises ValueError naming the file and the line."""
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -94,56 +96,57 @@ def read_jsonl(path, keys=()):
             for key in keys:
                 if key not in obj:
                     raise ValueError(f"{path} line {lineno}: missing key {key!r}")
+            if parse is not None:
+                try:
+                    obj = parse(obj)
+                except (ValueError, TypeError) as exc:
+                    raise ValueError(f"{path} line {lineno}: {exc}") from None
             yield lineno, obj
+
+
+def json_list(obj: dict, key: str) -> list:
+    """obj[key], an empty list when the key is absent; TypeError unless the
+    value is a JSON array."""
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise TypeError(f"{key!r} must be a JSON array, got {type(value).__name__}")
+    return value
+
+
+def _article(obj: dict) -> Article:
+    art = Article(id=str(obj["id"]), title=str(obj.get("title", "")), text=str(obj["text"]))
+    if not art.id:
+        raise ValueError("empty article id")
+    return art
+
+
+def _query(obj: dict) -> Query:
+    label = obj.get("label")
+    if label is not None and not isinstance(label, bool):
+        raise ValueError("label must be true/false/null")
+    return Query(str(obj["id"]), str(obj["text"]), set(map(str, json_list(obj, "relevant_ids"))), label)
+
+
+def _unique(path, records, what: str) -> list:
+    """The records of (line number, record) pairs, in order; a repeated id
+    raises ValueError naming its line."""
+    out, seen = [], set()
+    for lineno, rec in records:
+        if rec.id in seen:
+            raise ValueError(f"{path} line {lineno}: duplicate {what} id {rec.id!r}")
+        seen.add(rec.id)
+        out.append(rec)
+    return out
 
 
 def load_corpus(path) -> list[Article]:
     """Read a JSONL corpus; order preserved, statements left empty."""
-    articles: list[Article] = []
-    seen: set[str] = set()
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                art = Article(id=str(obj["id"]), title=str(obj.get("title", "")), text=str(obj["text"]))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ValueError(f"malformed corpus line {lineno}: {exc}") from exc
-            if not art.id:
-                raise ValueError(f"malformed corpus line {lineno}: empty id")
-            if art.id in seen:
-                raise ValueError(f"duplicate article id {art.id!r}")
-            seen.add(art.id)
-            articles.append(art)
-    return articles
+    return _unique(path, read_jsonl(path, ("id", "text"), _article), "article")
 
 
 def load_queries(path) -> list[Query]:
     """Read a JSONL query set; label may be true, false or null."""
-    queries: list[Query] = []
-    seen: set[str] = set()
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                q = Query(
-                    id=str(obj["id"]),
-                    text=str(obj["text"]),
-                    relevant_ids=set(map(str, obj.get("relevant_ids", []))),
-                    entailment_label=obj.get("label"),
-                )
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ValueError(f"malformed query line {lineno}: {exc}") from exc
-            if q.entailment_label is not None and not isinstance(q.entailment_label, bool):
-                raise ValueError(f"malformed query line {lineno}: label must be true/false/null")
-            if q.id in seen:
-                raise ValueError(f"duplicate query id {q.id!r}")
-            seen.add(q.id)
-            queries.append(q)
-    return queries
+    return _unique(path, read_jsonl(path, ("id", "text"), _query), "query")
 
 
 _MARKER = re.compile(r"\((\d+)\)")

@@ -25,6 +25,7 @@ __all__ = [
     "GeneralAttentionParams",
     "SelfAttentionLayer",
     "SentenceEncoderCNN",
+    "SelfAttentionEncoder",
     "PRESETS",
     "load_embeddings",
     "random_embeddings",
@@ -34,6 +35,7 @@ __all__ = [
     "attend",
     "self_attention",
     "self_attention_weights",
+    "self_attention_states",
     "encode_sentence_cnn",
     "encode_sentence_avg",
     "encode_paragraph",
@@ -159,6 +161,21 @@ class SentenceEncoderCNN:
         return [self.embeddings.matrix, self.filters, self.attn.A, self.attn.b, self.u]
 
 
+@dataclass
+class SelfAttentionEncoder:
+    embeddings: EmbeddingTable
+    positions: Tensor | None  # learned positions, [max_len, d]; None adds none
+    layers: list[SelfAttentionLayer]
+
+    def tensors(self) -> list[Tensor]:
+        """Embedding table, positions and layer weights in checkpoint order."""
+        return [self.embeddings.matrix, self.positions] + [t for layer in self.layers for t in layer.tensors()]
+
+    def encode(self, tokens: list[str]) -> Tensor:
+        """The last layer's states, average-pooled."""
+        return T.avg_pool(self_attention_states(tokens, self)[0][-1])
+
+
 def init_attention_params(d_q: int, d_r: int, rng, weight_fn: str = "softmax") -> GeneralAttentionParams:
     a = rng.normal(0.0, 1.0 / math.sqrt(d_r), size=(d_q, d_r))
     return GeneralAttentionParams(
@@ -235,6 +252,26 @@ def encode_sentence_cnn(
     return T.additive_attention(feats, enc.attn.A, enc.attn.b, enc.u, "softmax")[0]
 
 
+def self_attention_states(
+    tokens: list[str], enc: SelfAttentionEncoder
+) -> tuple[list[Tensor], list[list[np.ndarray]]]:
+    """embed (+ learned positions) -> each self-attention layer in turn.
+    Returns the states, the embedded input first and then each layer's
+    output, and each layer's row-stochastic attention matrices per head."""
+    x = enc.embeddings.embed(tokens)
+    m = x.data.shape[0]
+    if enc.positions is not None:
+        if m > enc.positions.data.shape[0]:
+            raise ValueError(f"sequence length {m} exceeds positional table")
+        x = T.add(x, T.gather_rows(enc.positions, range(m)))
+    states, weights = [x], []
+    for layer in enc.layers:
+        x, w = T.multihead_self_attention(x, layer)
+        states.append(x)
+        weights.append(w)
+    return states, weights
+
+
 def encode_sentence_avg(
     tokens: list[str],
     embeddings: EmbeddingTable,
@@ -242,15 +279,7 @@ def encode_sentence_avg(
     positions: Tensor | None = None,
 ) -> Tensor:
     """embed (+ learned positions) -> stacked self-attention -> average pool."""
-    x = embeddings.embed(tokens)
-    m = x.data.shape[0]
-    if positions is not None:
-        if m > positions.data.shape[0]:
-            raise ValueError(f"sentence length {m} exceeds positional table")
-        x = T.add(x, T.gather_rows(positions, range(m)))
-    for layer in layers:
-        x = self_attention(x, layer)
-    return T.avg_pool(x)
+    return SelfAttentionEncoder(embeddings, positions, layers).encode(tokens)
 
 
 def encode_paragraph(

@@ -12,6 +12,7 @@ the needles are dropped from checkpoints after training.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,13 +21,13 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor
 from .encoders import (
-    EmbeddingTable,
+    SelfAttentionEncoder,
     SelfAttentionLayer,
     init_self_attention_layer,
     random_embeddings,
-    self_attention,
+    self_attention_states,
 )
-from .corpus import open_text, read_jsonl
+from .corpus import json_list, open_text, read_jsonl
 from .store import bundle_bytes, load_bundle, write_bundle
 
 __all__ = [
@@ -35,7 +36,6 @@ __all__ = [
     "HydraHead",
     "BioeSample",
     "InjectionConfig",
-    "TreModel",
     "Needle",
     "load_sdoi",
     "load_bioe",
@@ -124,13 +124,11 @@ class InjectionConfig:
 
 def load_sdoi(path) -> list[SdoiMatrix]:
     """JSONL: {"tokens": [...], "matrix": [[0,1,...], ...]} per line."""
-    out = []
-    for lineno, obj in read_jsonl(path, ("tokens", "matrix")):
-        try:
-            out.append(SdoiMatrix(list(map(str, obj["tokens"])), np.array(obj["matrix"])))
-        except ValueError as exc:
-            raise ValueError(f"{path} line {lineno}: {exc}") from exc
-    return out
+
+    def parse(obj):
+        return SdoiMatrix(list(map(str, json_list(obj, "tokens"))), np.array(json_list(obj, "matrix")))
+
+    return [m for _, m in read_jsonl(path, ("tokens", "matrix"), parse)]
 
 
 def validate_bioe(sample: BioeSample) -> None:
@@ -244,7 +242,9 @@ def hydra_pretrain(
     lr: float,
 ) -> tuple[list[HydraHead], list[float]]:
     """Full-batch gradient descent of the head projections against the
-    targets; only the head tensors are updated."""
+    targets; only the head tensors are updated.  Training that diverges
+    raises ValueError naming the epoch, and the sample (counted from 1) when
+    its own forward pass meets the overflow."""
     if len(hidden_states) != len(targets):
         raise ValueError(f"{len(hidden_states)} states but {len(targets)} targets")
     d = heads[0].w_q.data.shape[0]
@@ -256,14 +256,13 @@ def hydra_pretrain(
     params = _head_tensors(heads)
     target_tensors = [Tensor(t.entries) for t in targets]
     trace = []
-    for _ in range(epochs):
+    for epoch in range(1, epochs + 1):
         losses = []
-        for hidden, tgt in zip(hidden_states, target_tensors):
-            for head in heads:
-                losses.append(T.mse_matrix(hydra_attn_matrix(head, hidden), tgt))
-        loss = T.tmean(T.stack(losses))
-        T.backward(loss)
-        T.sgd_step(params, lr)
+        for i, (hidden, tgt) in enumerate(zip(hidden_states, target_tensors), start=1):
+            with T.diverging_raises(f"epoch {epoch} at sample {i}"):
+                for head in heads:
+                    losses.append(T.mse_matrix(hydra_attn_matrix(head, hidden), tgt))
+        loss = T.train_step(params, lr, lambda: T.tmean(T.stack(losses)), f"epoch {epoch}")
         trace.append(float(loss.data))
     return heads, trace
 
@@ -309,13 +308,6 @@ def count_parameters(layers: list[SelfAttentionLayer]) -> int:
 
 
 @dataclass
-class TreModel:
-    embeddings: EmbeddingTable
-    positions: Tensor
-    layers: list[SelfAttentionLayer]
-
-
-@dataclass
 class Needle:
     w: Tensor  # [d, T]
     b: Tensor  # [T]
@@ -323,36 +315,20 @@ class Needle:
 
 def build_tre_model(
     vocab, d: int, n_layers: int, n_heads: int, seed: int, max_len: int = 64
-) -> TreModel:
+) -> SelfAttentionEncoder:
     rng = np.random.default_rng(seed)
     emb = random_embeddings(vocab, d, seed, scale=0.5)
     positions = Tensor(rng.normal(0.0, 0.1, size=(max_len, d)), requires_grad=True)
     layers = [init_self_attention_layer(d, n_heads, rng) for _ in range(n_layers)]
-    return TreModel(emb, positions, layers)
+    return SelfAttentionEncoder(emb, positions, layers)
 
 
-def _tre_params(model: TreModel) -> list[Tensor]:
-    """Model tensors in checkpoint order."""
-    return [model.embeddings.matrix, model.positions] + _layer_tensors(model.layers)
+_tre_params = SelfAttentionEncoder.tensors  # model tensors in checkpoint order
 
 
-def _embed(model: TreModel, tokens: list[str]) -> Tensor:
-    """Token embeddings plus learned positions: the input to the first layer."""
-    x = model.embeddings.embed(tokens)
-    m = x.data.shape[0]
-    if m > model.positions.data.shape[0]:
-        raise ValueError(f"sequence length {m} exceeds positional table")
-    return T.add(x, T.gather_rows(model.positions, range(m)))
-
-
-def tre_forward(model: TreModel, tokens: list[str]) -> list[Tensor]:
+def tre_forward(model: SelfAttentionEncoder, tokens: list[str]) -> list[Tensor]:
     """Per-layer hidden states Z^1 .. Z^L for one token sequence."""
-    x = _embed(model, tokens)
-    states = []
-    for layer in model.layers:
-        x = self_attention(x, layer)
-        states.append(x)
-    return states
+    return self_attention_states(tokens, model)[0][1:]
 
 
 def _token_cross_entropy(logits: Tensor, gold_idx: np.ndarray) -> Tensor:
@@ -394,7 +370,7 @@ def _needle_assignment(config: InjectionConfig) -> list[tuple[int, float]]:
 
 @dataclass
 class TreTrainResult:
-    model: TreModel
+    model: SelfAttentionEncoder
     needles: list[Needle]
     loss_trace: list[float]  # per-epoch mean of the total loss
     step_losses: list[tuple[float, list[float]]]  # (total, per-needle) per step
@@ -402,7 +378,7 @@ class TreTrainResult:
 
 
 def tre_train(
-    model: TreModel,
+    model: SelfAttentionEncoder,
     config: InjectionConfig,
     data: list[BioeSample],
     epochs: int,
@@ -413,7 +389,8 @@ def tre_train(
 
     The total loss per sample is the portion-weighted sum of the per-level
     needle losses; every model weight is updated, and the needles are kept
-    out of checkpoints.
+    out of checkpoints.  A step that diverges raises ValueError naming the
+    epoch and the sample, counted from 1 in data order (tensor.train_step).
     """
     config.validate(len(model.layers))
     if not data:
@@ -431,24 +408,24 @@ def tre_train(
     params = _tre_params(model) + [t for n in needles for t in (n.w, n.b)]
     trace = []
     step_losses: list[tuple[float, list[float]]] = []
-    for _ in range(epochs):
+    for epoch in range(1, epochs + 1):
         total_epoch = 0.0
         for si in rng.permutation(len(data)):
             sample = data[int(si)]
-            states = tre_forward(model, sample.tokens)
-            parts = []
             raw = []
-            for level, (pos, portion) in enumerate(assignment):
-                l = tre_needle_loss(
-                    states[pos - 1], sample.tags[level], needles[level].w, needles[level].b
-                )
-                raw.append(float(l.data))
-                parts.append(T.scale(l, portion))
-            loss = parts[0]
-            for p in parts[1:]:
-                loss = T.add(loss, p)
-            T.backward(loss)
-            T.sgd_step(params, lr)
+
+            def loss_fn():
+                states = tre_forward(model, sample.tokens)
+                parts = []
+                for level, (pos, portion) in enumerate(assignment):
+                    l = tre_needle_loss(
+                        states[pos - 1], sample.tags[level], needles[level].w, needles[level].b
+                    )
+                    raw.append(float(l.data))
+                    parts.append(T.scale(l, portion))
+                return functools.reduce(T.add, parts)
+
+            loss = T.train_step(params, lr, loss_fn, f"epoch {epoch} at sample {int(si) + 1}")
             step_losses.append((float(loss.data), raw))
             total_epoch += float(loss.data)
         trace.append(total_epoch / len(data))
@@ -456,7 +433,7 @@ def tre_train(
     return TreTrainResult(model, needles, trace, step_losses, metrics)
 
 
-def _predict_tags(model: TreModel, needles: list[Needle], config: InjectionConfig, tokens):
+def _predict_tags(model: SelfAttentionEncoder, needles: list[Needle], config: InjectionConfig, tokens):
     states = tre_forward(model, tokens)
     assignment = _needle_assignment(config)
     out = []
@@ -482,7 +459,7 @@ def spans_from_tags(tags: list[str]) -> set[tuple[str, int, int]]:
 
 
 def tre_evaluate(
-    model: TreModel, needles: list[Needle], config: InjectionConfig, data: list[BioeSample]
+    model: SelfAttentionEncoder, needles: list[Needle], config: InjectionConfig, data: list[BioeSample]
 ) -> dict:
     """Segment-level P/R/F1 per level plus overall token accuracy."""
     per_level = [{"match": 0, "pred": 0, "gold": 0} for _ in range(_LEVELS)]
@@ -507,14 +484,9 @@ def tre_evaluate(
     return {"levels": levels, "token_accuracy": correct / total if total else 0.0}
 
 
-def attention_weights_report(model: TreModel, tokens: list[str]) -> list[list[np.ndarray]]:
+def attention_weights_report(model: SelfAttentionEncoder, tokens: list[str]) -> list[list[np.ndarray]]:
     """Row-stochastic attention matrices per layer per head for one input."""
-    x = _embed(model, tokens)
-    report = []
-    for layer in model.layers:
-        x, weights = T.multihead_self_attention(x, layer)
-        report.append(weights)
-    return report
+    return self_attention_states(tokens, model)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +546,7 @@ def load_hydra_heads(path) -> list[HydraHead]:
     return load_bundle(path, ("hydra_heads",), build)
 
 
-def _tre_bundle(model: TreModel) -> tuple[str, dict, list[Tensor]]:
+def _tre_bundle(model: SelfAttentionEncoder) -> tuple[str, dict, list[Tensor]]:
     meta = {
         "vocab": model.embeddings.words(),
         "n_layers": len(model.layers),
@@ -584,15 +556,15 @@ def _tre_bundle(model: TreModel) -> tuple[str, dict, list[Tensor]]:
     return "tre_model", meta, _tre_params(model)
 
 
-def tre_model_bytes(model: TreModel) -> bytes:
+def tre_model_bytes(model: SelfAttentionEncoder) -> bytes:
     return bundle_bytes(*_tre_bundle(model))
 
 
-def save_tre_model(model: TreModel, path) -> None:
+def save_tre_model(model: SelfAttentionEncoder, path) -> None:
     write_bundle(path, *_tre_bundle(model))
 
 
-def load_tre_model(path) -> TreModel:
+def load_tre_model(path) -> SelfAttentionEncoder:
     def build(kind, meta, shapes):
         model = build_tre_model(
             meta["vocab"], shapes[0][1], meta["n_layers"], meta["n_heads"],

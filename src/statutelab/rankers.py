@@ -10,7 +10,7 @@ cross-entropy in tensor.ce_negsample and plain gradient descent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -21,10 +21,9 @@ from .encoders import (
     OOV_POLICIES,
     EmbeddingTable,
     GeneralAttentionParams,
-    SelfAttentionLayer,
+    SelfAttentionEncoder,
     SentenceEncoderCNN,
     encode_paragraph,
-    encode_sentence_avg,
     encode_sentence_cnn,
     init_attention_params,
     init_cnn_encoder,
@@ -81,14 +80,16 @@ class RankerConfig:
 @dataclass
 class RankerModel:
     kind: str  # attentive_cnn | paraformer_lite
-    embeddings: EmbeddingTable
+    # SentenceEncoderCNN for attentive_cnn, SelfAttentionEncoder for paraformer_lite
+    encoder: SentenceEncoderCNN | SelfAttentionEncoder
     para_attn: GeneralAttentionParams
     config: RankerConfig
     # learned global paragraph query; None means derive it from the encoded query
     para_query: Tensor | None = None
-    encoder: SentenceEncoderCNN | None = None  # attentive_cnn
-    layers: list[SelfAttentionLayer] = field(default_factory=list)  # paraformer_lite
-    positions: Tensor | None = None
+
+    @property
+    def embeddings(self) -> EmbeddingTable:
+        return self.encoder.embeddings
 
 
 @dataclass
@@ -123,9 +124,7 @@ def build_attentive_cnn(
         pq = Tensor(rng.normal(0.0, 1.0 / math.sqrt(attn_dim), size=attn_dim), requires_grad=True)
     elif para_query != "derived":
         raise ValueError(f"para_query must be learned or derived, got {para_query!r}")
-    return RankerModel(
-        "attentive_cnn", emb, para, config or RankerConfig(seed=seed), pq, encoder=enc
-    )
+    return RankerModel("attentive_cnn", enc, para, config or RankerConfig(seed=seed), pq)
 
 
 def build_paraformer_lite(
@@ -141,31 +140,17 @@ def build_paraformer_lite(
     rng = np.random.default_rng(seed)
     emb = random_embeddings(vocab, embed_dim, seed, scale=emb_scale, oov_policy="zero_vector")
     layers = [init_self_attention_layer(embed_dim, n_heads, rng) for _ in range(n_layers)]
-    positions = Tensor(
-        rng.normal(0.0, 0.1, size=(max_len, embed_dim)), requires_grad=True
-    )
+    positions = Tensor(rng.normal(0.0, 0.1, size=(max_len, embed_dim)), requires_grad=True)
     # paragraph attention queried by the encoded query sentence itself
     para = init_attention_params(embed_dim, embed_dim, rng, weight_fn="sparsemax")
-    return RankerModel(
-        "paraformer_lite",
-        emb,
-        para,
-        config or RankerConfig(seed=seed),
-        None,
-        layers=layers,
-        positions=positions,
-    )
+    enc = SelfAttentionEncoder(emb, positions, layers)
+    return RankerModel("paraformer_lite", enc, para, config or RankerConfig(seed=seed))
 
 
 def parameters(model: RankerModel) -> list[Tensor]:
     """Model tensors in checkpoint order; a frozen embedding table is listed
     too, but gets no gradient, so training leaves it alone."""
-    if model.kind == "attentive_cnn":
-        params = model.encoder.tensors()
-    else:
-        params = [model.embeddings.matrix, model.positions]
-        params += [t for layer in model.layers for t in layer.tensors()]
-    params += [model.para_attn.A, model.para_attn.b]
+    params = model.encoder.tensors() + [model.para_attn.A, model.para_attn.b]
     if model.para_query is not None:
         params.append(model.para_query)
     return params
@@ -176,10 +161,13 @@ def _encode_sentence(model: RankerModel, tokens: list[str], train=False, rng=Non
     training only the values are kept, so the graph goes at once."""
     if not tokens:
         return None
-    if model.kind == "attentive_cnn":
-        v = encode_sentence_cnn(tokens, model.encoder, train=train, rng=rng)
+    enc = model.encoder
+    # a CNN goes through this module's encode_sentence_cnn name, which tests
+    # patch to count encodes
+    if isinstance(enc, SentenceEncoderCNN):
+        v = encode_sentence_cnn(tokens, enc, train=train, rng=rng)
     else:
-        v = encode_sentence_avg(tokens, model.embeddings, model.layers, model.positions)
+        v = enc.encode(tokens)
     return v if train else Tensor(v.data)
 
 
@@ -244,9 +232,8 @@ def train_ranker(
     Negatives are drawn uniformly without replacement from the non-relevant
     articles.  With an index, the pool is first narrowed to each query's
     top n_train lexical candidates (the training-phase cut, which may
-    differ from the prediction-phase n_predict).  A non-finite loss, or a
-    forward pass that meets non-finite values, raises ValueError naming the
-    epoch and the query.
+    differ from the prediction-phase n_predict).  A step that diverges
+    raises ValueError naming the epoch and the query (tensor.train_step).
     """
     cfg = model.config
     k = cfg.k_negatives if k_negatives is None else k_negatives
@@ -275,19 +262,14 @@ def train_ranker(
             pool = pools[q.id]
             n_negs = min(k, len(pool))
             neg_ids = [pool[i] for i in rng.choice(len(pool), size=n_negs, replace=False)] if pool else []
-            try:
-                # overflow, 0/0 and x/0 raise here instead of warning on stderr
-                with np.errstate(over="raise", invalid="raise", divide="raise"):
-                    # one query node for the positive and every negative
-                    qv = _encode_sentence(model, tokenize(q.text), train=True, rng=rng)
-                    ys = [_score(model, qv, by_id[d], {}, train=True, rng=rng) for d in [pos_id, *neg_ids]]
-                    loss = T.ce_negsample(ys[0], ys[1:])
-                    if not math.isfinite(float(loss.data)):
-                        raise ValueError(f"non-finite loss {float(loss.data)}")
-                    T.backward(loss)
-                    T.sgd_step(params, cfg.lr)
-            except (ValueError, FloatingPointError) as exc:
-                raise ValueError(f"training failed in epoch {epoch} at query {q.id!r}: {exc}") from exc
+
+            def loss_fn():
+                # one query node for the positive and every negative
+                qv = _encode_sentence(model, tokenize(q.text), train=True, rng=rng)
+                ys = [_score(model, qv, by_id[d], {}, train=True, rng=rng) for d in [pos_id, *neg_ids]]
+                return T.ce_negsample(ys[0], ys[1:])
+
+            loss = T.train_step(params, cfg.lr, loss_fn, f"epoch {epoch} at query {q.id!r}")
             total += float(loss.data)
         trace.append(total / max(1, len(queries)))
     return model, trace
@@ -462,27 +444,34 @@ def _logit(clf: LawfulnessClassifier, text: str) -> Tensor:
 
 
 def train_lawfulness(clf: LawfulnessClassifier, dataset, seed: int) -> LawfulnessClassifier:
-    """Binary cross-entropy training of the CNN encoder plus linear head."""
+    """Binary cross-entropy training of the CNN encoder plus linear head.  A
+    step that diverges raises ValueError naming the epoch and the sample,
+    counted from 1 in dataset order (tensor.train_step)."""
     labels = {rec.lawful for rec in dataset}
     if labels != {True, False}:
         raise ValueError("training data must contain both lawful and unlawful records")
     params = _clf_params(clf)
     rng = np.random.default_rng(seed)
     items = list(dataset)
-    for _ in range(clf.epochs):
+    for epoch in range(1, clf.epochs + 1):
         for i in rng.permutation(len(items)):
             rec = items[int(i)]
-            z = _logit(clf, rec.text)
-            # -ln sigma(z) if lawful else -ln(1 - sigma(z)), via softplus
-            loss = T.sub(T.softplus(z), T.scale(z, 1.0 if rec.lawful else 0.0))
-            T.backward(loss)
-            T.sgd_step(params, clf.lr)
+
+            def loss_fn():
+                z = _logit(clf, rec.text)
+                # -ln sigma(z) if lawful else -ln(1 - sigma(z)), via softplus
+                return T.sub(T.softplus(z), T.scale(z, 1.0 if rec.lawful else 0.0))
+
+            T.train_step(params, clf.lr, loss_fn, f"epoch {epoch} at sample {int(i) + 1}")
     return clf
 
 
 def lawful_probability(clf: LawfulnessClassifier, text: str) -> float:
     z = float(_logit(clf, text).data)
-    return 1.0 / (1.0 + math.exp(-z))
+    try:
+        return 1.0 / (1.0 + math.exp(-z))
+    except OverflowError:  # z below about -709, where sigma(z) rounds to 0
+        return 0.0
 
 
 def classify(clf: LawfulnessClassifier, text: str) -> bool:
@@ -503,8 +492,9 @@ def _bundle(model: RankerModel) -> tuple[str, dict, list[Tensor]]:
         meta["dropout"] = model.encoder.dropout
         meta["para_query"] = "learned" if model.para_query is not None else "derived"
     else:
-        meta["n_heads"] = model.layers[0].n_heads if model.layers else 1
-        meta["n_layers"] = len(model.layers)
+        layers = model.encoder.layers
+        meta["n_heads"] = layers[0].n_heads if layers else 1
+        meta["n_layers"] = len(layers)
     return model.kind, meta, parameters(model)
 
 
@@ -523,20 +513,19 @@ def _oov_policy(meta: dict) -> str:
     return policy
 
 
+def _cnn_sizes(shapes) -> dict:
+    """CNN encoder sizes read off the stored shapes of its first tensors:
+    the table [|V|, d], the filters [w, d, F] and A [d_q, F]."""
+    return {"embed_dim": shapes[0][1], "filters": shapes[1][2], "attn_dim": shapes[2][0], "width": shapes[1][0]}
+
+
 def load_model(path) -> RankerModel:
     def build(kind, meta, shapes):
         cfg = RankerConfig(**meta["config"])
         if kind == "attentive_cnn":
             model = build_attentive_cnn(
-                meta["vocab"],
-                embed_dim=shapes[0][1],
-                filters=shapes[1][2],
-                attn_dim=shapes[2][0],
-                seed=cfg.seed,
-                width=shapes[1][0],
-                dropout=meta.get("dropout", 0.0),
-                para_query=meta.get("para_query", "learned"),
-                config=cfg,
+                meta["vocab"], **_cnn_sizes(shapes), seed=cfg.seed, dropout=meta.get("dropout", 0.0),
+                para_query=meta.get("para_query", "learned"), config=cfg,
             )
         else:
             model = build_paraformer_lite(
@@ -568,14 +557,7 @@ def save_classifier(clf: LawfulnessClassifier, path) -> None:
 def load_classifier(path) -> LawfulnessClassifier:
     def build(kind, meta, shapes):
         clf = build_lawfulness_classifier(
-            meta["vocab"],
-            embed_dim=shapes[0][1],
-            filters=shapes[1][2],
-            attn_dim=shapes[2][0],
-            seed=0,
-            width=shapes[1][0],
-            lr=meta["lr"],
-            epochs=meta["epochs"],
+            meta["vocab"], **_cnn_sizes(shapes), seed=0, lr=meta["lr"], epochs=meta["epochs"]
         )
         clf.encoder.embeddings.oov_policy = _oov_policy(meta)
         return clf, _clf_params(clf)

@@ -14,8 +14,12 @@ from . import tensor as T
 from .tensor import Tensor, grad_check
 from .corpus import Article
 from .encoders import (
+    EmbeddingTable,
+    GeneralAttentionParams,
+    SelfAttentionEncoder,
+    SelfAttentionLayer,
+    SentenceEncoderCNN,
     encode_paragraph,
-    encode_sentence_avg,
     encode_sentence_cnn,
     init_attention_params,
     init_cnn_encoder,
@@ -33,24 +37,6 @@ __all__ = [
 ]
 
 
-def _check_slot(build_graph, holder, slot) -> float:
-    """grad_check the whole pipeline wrt one parameter slot of `holder`.
-
-    The checker hands us a fresh leaf; we swap it into the slot, run the
-    forward pass through it, then restore the original tensor.
-    """
-    original = getattr(holder, slot)
-
-    def f(t):
-        setattr(holder, slot, t)
-        try:
-            return build_graph()
-        finally:
-            setattr(holder, slot, original)
-
-    return grad_check(f, Tensor(original.data.copy()))
-
-
 def _cnn_check(rng) -> float:
     vocab = [f"w{i}" for i in range(6)]
     emb = random_embeddings(vocab, 4, int(rng.integers(1 << 30)), scale=0.7)
@@ -58,12 +44,11 @@ def _cnn_check(rng) -> float:
     tokens = [vocab[int(i)] for i in rng.integers(0, 6, size=3)]
     probe = Tensor(rng.normal(size=5))
 
-    def graph():
-        return T.dot(encode_sentence_cnn(tokens, enc), probe)
+    def build(filters, a, b, u, matrix):
+        cnn = SentenceEncoderCNN(EmbeddingTable(emb.vocab, matrix), filters, GeneralAttentionParams(a, b), u)
+        return T.dot(encode_sentence_cnn(tokens, cnn), probe)
 
-    slots = [(enc, "filters"), (enc.attn, "A"), (enc.attn, "b"), (enc, "u"), (emb, "matrix")]
-    holder, slot = slots[int(rng.integers(0, len(slots)))]
-    return _check_slot(graph, holder, slot)
+    return _slot_check(rng, build, [enc.filters, enc.attn.A, enc.attn.b, enc.u, emb.matrix])
 
 
 def _avg_check(rng) -> float:
@@ -71,23 +56,16 @@ def _avg_check(rng) -> float:
     d = 4
     emb = random_embeddings(vocab, d, int(rng.integers(1 << 30)), scale=0.7)
     layer = init_self_attention_layer(d, 2, rng)
-
-    class _Box:
-        positions = Tensor(rng.normal(0.0, 0.3, size=(8, d)), requires_grad=True)
-
-    box = _Box()
+    positions = Tensor(rng.normal(0.0, 0.3, size=(8, d)), requires_grad=True)
     tokens = [vocab[int(i)] for i in rng.integers(0, 6, size=3)]
     probe = Tensor(rng.normal(size=d))
 
-    def graph():
-        return T.dot(encode_sentence_avg(tokens, emb, [layer], box.positions), probe)
+    def build(w_q, w_k, w_v, w_o, matrix, pos):
+        stack = [SelfAttentionLayer(w_q, w_k, w_v, w_o, 2, d)]
+        enc = SelfAttentionEncoder(EmbeddingTable(emb.vocab, matrix), pos, stack)
+        return T.dot(enc.encode(tokens), probe)
 
-    slots = [
-        (layer, "w_q"), (layer, "w_k"), (layer, "w_v"), (layer, "w_o"),
-        (emb, "matrix"), (box, "positions"),
-    ]
-    holder, slot = slots[int(rng.integers(0, len(slots)))]
-    return _check_slot(graph, holder, slot)
+    return _slot_check(rng, build, layer.tensors() + [emb.matrix, positions])
 
 
 def _paragraph_check(rng) -> float:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
@@ -54,6 +55,8 @@ __all__ = [
     "dropout",
     "backward",
     "sgd_step",
+    "diverging_raises",
+    "train_step",
     "grad_check",
     "save_tensor",
     "load_tensor",
@@ -734,6 +737,30 @@ def sgd_step(params: Sequence[Tensor], lr: float) -> None:
         else:
             p.data -= lr * g
         p.zero_grad()
+
+
+@contextmanager
+def diverging_raises(where: str):
+    """Overflow, 0/0 and x/0 raise inside the block instead of warning on
+    stderr; that or a ValueError leaves as one ValueError naming `where`."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except (ValueError, FloatingPointError) as exc:
+        raise ValueError(f"training failed in {where}: {exc}") from exc
+
+
+def train_step(params: Sequence[Tensor], lr: float, loss_fn: Callable[[], Tensor], where: str) -> Tensor:
+    """Build the loss with loss_fn(), then backward and sgd_step, all under
+    diverging_raises(where); a non-finite loss raises too, before any
+    parameter moves.  Returns the loss."""
+    with diverging_raises(where):
+        loss = loss_fn()
+        if not math.isfinite(float(loss.data)):
+            raise ValueError(f"non-finite loss {float(loss.data)}")
+        backward(loss)
+        sgd_step(params, lr)
+    return loss
 
 
 def grad_check(
