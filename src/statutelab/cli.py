@@ -26,7 +26,7 @@ from . import inject
 from . import lexical
 from . import rankers
 from .config import RunConfig, effective_sizes, load_config, merge_overrides
-from .encoders import load_embeddings
+from .encoders import PRESETS, load_embeddings
 from .selftest import gradcheck_suite, property_suite
 from .tensor import Tensor
 
@@ -77,26 +77,12 @@ def _manifest(args, out: Path, cfg: RunConfig | None, inputs: list) -> None:
         _write_json(out / "config.json", dataclasses.asdict(cfg))
 
 
-_OVERRIDE_KEYS = (
-    "seed", "preset", "model", "k1", "b", "n_train", "n_predict", "alpha",
-    "step", "K", "lr", "epochs", "eval_k", "embed_dim", "filters",
-    "attn_dim", "dropout", "width", "n_layers", "n_heads",
-)
-
-
 def _resolve_config(args) -> RunConfig:
-    cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
-    overrides = {}
-    for key in _OVERRIDE_KEYS:
-        if hasattr(args, key):
-            overrides[key] = getattr(args, key)
-    if getattr(args, "positions", None):
-        overrides["positions"] = [int(p) for p in args.positions.split(",")]
-    if getattr(args, "portions", None):
-        overrides["portions"] = [float(p) for p in args.portions.split(",")]
-    if isinstance(overrides.get("alpha"), str) and overrides["alpha"] != "grid":
-        overrides["alpha"] = float(overrides["alpha"])
-    return merge_overrides(cfg, overrides)
+    """The --config file (or the defaults) under the command's config flags;
+    a flag left unset keeps the file's value."""
+    cfg = load_config(args.config) if args.config else RunConfig()
+    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig) if hasattr(args, f.name)}
+    return merge_overrides(cfg, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -207,17 +193,17 @@ def _vocab_from(articles, queries) -> list[str]:
 def _build_ranker(cfg: RunConfig, vocab):
     sizes = effective_sizes(cfg)
     rcfg = rankers.RankerConfig(
-        lr=cfg.lr, epochs=cfg.epochs, k_negatives=cfg.K, seed=cfg.seed or 0,
+        lr=cfg.lr, epochs=cfg.epochs, k_negatives=cfg.K, seed=cfg.seed,
         n_train=cfg.n_train, n_predict=cfg.n_predict, eval_k=cfg.eval_k,
         k1=cfg.k1, b=cfg.b,
     )
     if cfg.model == "attentive_cnn":
         return rankers.build_attentive_cnn(
             vocab, sizes["embed_dim"], sizes["filters"], sizes["attn_dim"],
-            seed=cfg.seed or 0, width=cfg.width, dropout=sizes["dropout"], config=rcfg,
+            seed=cfg.seed, width=cfg.width, dropout=sizes["dropout"], config=rcfg,
         )
     return rankers.build_paraformer_lite(
-        vocab, sizes["embed_dim"], cfg.n_layers, cfg.n_heads, seed=cfg.seed or 0, config=rcfg,
+        vocab, sizes["embed_dim"], cfg.n_layers, cfg.n_heads, seed=cfg.seed, config=rcfg,
     )
 
 
@@ -317,9 +303,9 @@ def _cmd_classify_train(args) -> int:
     vocab = sorted({w for r in records for w in lexical.tokenize(r.text)})
     clf = rankers.build_lawfulness_classifier(
         vocab, sizes["embed_dim"], sizes["filters"], sizes["attn_dim"],
-        seed=cfg.seed or 0, width=cfg.width, lr=cfg.lr, epochs=cfg.epochs,
+        seed=cfg.seed, width=cfg.width, lr=cfg.lr, epochs=cfg.epochs,
     )
-    rankers.train_lawfulness(clf, records, seed=cfg.seed or 0)
+    rankers.train_lawfulness(clf, records, seed=cfg.seed)
     out = _out_dir(args)
     rankers.save_classifier(clf, out / "classifier.slrk")
     _manifest(args, out, cfg, [args.data])
@@ -380,23 +366,14 @@ def _cmd_inject_hydra_attach(args) -> int:
 def _cmd_inject_tre_train(args) -> int:
     cfg = _resolve_config(args)
     data = inject.load_bioe(args.bioe)
-    positions = cfg.positions
-    if positions is None:  # the last min(3, n_layers) layers
-        positions = list(range(max(1, cfg.n_layers - 2), cfg.n_layers + 1))
-    if cfg.portions is None:
-        n = len(positions)
-        portions = [1.0 / n] * n
-        portions[-1] = 1.0 - sum(portions[:-1])
-    else:
-        portions = cfg.portions
-    icfg = inject.InjectionConfig(positions, portions)
+    icfg = inject.injection_config(cfg.n_layers, cfg.positions, cfg.portions)
     vocab = sorted({t for s in data for t in s.tokens})
     sizes = effective_sizes(cfg)
     model = inject.build_tre_model(
         vocab, sizes["embed_dim"], cfg.n_layers, cfg.n_heads,
-        seed=cfg.seed or 0, max_len=max(len(s.tokens) for s in data) + 1,
+        seed=cfg.seed, max_len=max(len(s.tokens) for s in data) + 1,
     )
-    result = inject.tre_train(model, icfg, data, cfg.epochs, cfg.lr, cfg.seed or 0)
+    result = inject.tre_train(model, icfg, data, cfg.epochs, cfg.lr, cfg.seed)
     out = _out_dir(args)
     inject.save_tre_model(result.model, out / "model.slrk")
     _write_json(out / "report.json", {"loss_trace": result.loss_trace, "metrics": result.metrics})
@@ -530,28 +507,58 @@ def _cmd_selftest_properties(args) -> int:
 # parser
 
 
-def _add_config_flags(p, seed_required=False):
+# argparse names these in its messages ("invalid int_list value: '2,x'");
+# an empty list sets nothing
+def int_list(text: str) -> list[int] | None:
+    return [int(x) for x in text.split(",")] if text else None
+
+
+def float_list(text: str) -> list[float] | None:
+    return [float(x) for x in text.split(",")] if text else None
+
+
+def number_or_grid(text: str) -> float | str:
+    return text if text == "grid" else float(text)
+
+
+# every RunConfig key a flag can set: flag name (the key, "_" as "-") and
+# argparse options.  Each command adds the flags of the keys it reads.
+_CONFIG_FLAGS = {
+    "seed": {"type": int},
+    "preset": {"choices": list(PRESETS)},
+    "model": {"flag": "--model-kind", "choices": ["attentive_cnn", "paraformer_lite"]},
+    "k1": {"type": float},
+    "b": {"type": float},
+    "n_train": {"type": int},
+    "n_predict": {"type": int},
+    "alpha": {"type": number_or_grid},
+    "step": {"type": float},
+    "K": {"type": int},
+    "lr": {"type": float},
+    "epochs": {"type": int},
+    "eval_k": {"type": int},
+    "embed_dim": {"type": int},
+    "filters": {"type": int},
+    "attn_dim": {"type": int},
+    "dropout": {"type": float},
+    "width": {"type": int},
+    "n_layers": {"type": int},
+    "n_heads": {"type": int},
+    "positions": {"type": int_list},
+    "portions": {"type": float_list},
+}
+# one set for all three rank subcommands, so a flag list fits each of them
+_RANK_KEYS = tuple(k for k in _CONFIG_FLAGS if k not in ("positions", "portions"))
+_CLASSIFY_KEYS = ("seed", "preset", "embed_dim", "filters", "attn_dim", "width", "lr", "epochs")
+_TRE_KEYS = ("seed", "preset", "embed_dim", "n_layers", "n_heads", "lr", "epochs", "positions", "portions")
+
+
+def _add_config_flags(p, keys, seed_required=False):
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--seed", type=int, required=seed_required)
-    p.add_argument("--preset", choices=["paper", "desk"])
-    p.add_argument("--model-kind", dest="model", choices=["attentive_cnn", "paraformer_lite"])
-    p.add_argument("--k1", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--n-train", dest="n_train", type=int)
-    p.add_argument("--n-predict", dest="n_predict", type=int)
-    p.add_argument("--alpha")
-    p.add_argument("--step", type=float)
-    p.add_argument("--K", dest="K", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--eval-k", dest="eval_k", type=int)
-    p.add_argument("--embed-dim", dest="embed_dim", type=int)
-    p.add_argument("--filters", type=int)
-    p.add_argument("--attn-dim", dest="attn_dim", type=int)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--width", type=int)
-    p.add_argument("--n-layers", dest="n_layers", type=int)
-    p.add_argument("--n-heads", dest="n_heads", type=int)
+    for key in keys:
+        opts = dict(_CONFIG_FLAGS[key])
+        flag = opts.pop("flag", "--" + key.replace("_", "-"))
+        p.add_argument(flag, dest=key, required=seed_required and key == "seed", **opts)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -598,27 +605,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--out", required=True)
-    _add_config_flags(p, seed_required=True)
+    _add_config_flags(p, _RANK_KEYS, seed_required=True)
     p = sub(rank_p, "run", _cmd_rank_run)
     p.add_argument("--model", dest="model_path", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--index")
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, _RANK_KEYS)
     p = sub(rank_p, "grid-alpha", _cmd_rank_grid_alpha)
     p.add_argument("--model", dest="model_path", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--index")
     p.add_argument("--out")
-    _add_config_flags(p)
+    _add_config_flags(p, _RANK_KEYS)
 
     classify_p = top.add_parser("classify").add_subparsers(dest="subcommand", required=True)
     p = sub(classify_p, "train", _cmd_classify_train)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    _add_config_flags(p, seed_required=True)
+    _add_config_flags(p, _CLASSIFY_KEYS, seed_required=True)
     p = sub(classify_p, "run", _cmd_classify_run)
     p.add_argument("--model", dest="model_path", required=True)
     p.add_argument("--data", required=True)
@@ -639,10 +646,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p = sub(inject_p, "tre-train", _cmd_inject_tre_train)
     p.add_argument("--bioe", required=True)
-    p.add_argument("--positions")
-    p.add_argument("--portions")
     p.add_argument("--out", required=True)
-    _add_config_flags(p, seed_required=True)
+    _add_config_flags(p, _TRE_KEYS, seed_required=True)
     p = sub(inject_p, "tag-stats", _cmd_inject_tag_stats)
     p.add_argument("--bioe", required=True)
     p = sub(inject_p, "attn-report", _cmd_inject_attn_report)
@@ -700,7 +705,7 @@ def cli_dispatch(argv) -> int:
         return 1
     try:
         return handler(args)
-    except (CliError, ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (CliError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure

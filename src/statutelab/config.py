@@ -68,28 +68,28 @@ _FIELDS = {f.name for f in fields(RunConfig)}
 
 
 def load_config(path) -> RunConfig:
-    """Read a JSON config; unknown keys are an error naming the key."""
+    """Read a JSON config object whose keys override the defaults, as
+    command-line flags do; any fault raises ValueError naming the file."""
     with open_text(path) as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, dict):
-        raise ValueError("config must be a JSON object")
-    for key in obj:
-        if key not in _FIELDS:
-            raise ValueError(f"unknown config key {key!r}")
-    cfg = RunConfig(**obj)
-    cfg.validate()
-    return cfg
+        text = fh.read()
+    try:
+        obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError(f"expected a JSON object, got a {type(obj).__name__}")
+        return merge_overrides(RunConfig(), obj)
+    except (ValueError, TypeError) as exc:  # a wrongly typed value fails validate
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def merge_overrides(cfg: RunConfig, overrides: dict) -> RunConfig:
-    """Apply non-None command-line overrides on top of the file config."""
+    """Apply non-None overrides on top of `cfg`; an unknown key is an error
+    naming the key."""
     data = asdict(cfg)
     for key, value in overrides.items():
-        if value is None:
-            continue
         if key not in _FIELDS:
             raise ValueError(f"unknown config key {key!r}")
-        data[key] = value
+        if value is not None:
+            data[key] = value
     merged = RunConfig(**data)
     merged.validate()
     return merged

@@ -84,8 +84,9 @@ class EmbeddingTable:
         return T.mul(x, Tensor(np.repeat(mask, self.dim, axis=1)))
 
 
-def load_embeddings(path, oov_policy: str = "zero_vector", trainable: bool = False) -> EmbeddingTable:
-    """GloVe-style text: one "word v1 v2 ... vd" line per word."""
+def load_embeddings(path) -> EmbeddingTable:
+    """GloVe-style text: one "word v1 v2 ... vd" line per word, read into a
+    frozen table."""
     vocab: dict[str, int] = {}
     rows: list[list[float]] = []
     dim = None
@@ -107,20 +108,20 @@ def load_embeddings(path, oov_policy: str = "zero_vector", trainable: bool = Fal
             rows.append([float(v) for v in vals])
     if not rows:
         raise ValueError("empty embedding file")
-    return EmbeddingTable(vocab, Tensor(np.array(rows), requires_grad=trainable), oov_policy)
+    return EmbeddingTable(vocab, Tensor(np.array(rows)))
 
 
 def random_embeddings(
-    words, d: int, seed: int, scale: float = 0.1,
-    oov_policy: str = "zero_vector", trainable: bool = True,
+    words, d: int, seed: int, scale: float = 0.1, oov_policy: str = "zero_vector"
 ) -> EmbeddingTable:
+    """A trainable table of N(0, scale^2) rows, one per word."""
     rng = np.random.default_rng(seed)
     words = list(words)
     mat = rng.normal(0.0, scale, size=(len(words), d))
     vocab = {w: i for i, w in enumerate(words)}
     if len(vocab) != len(words):
         raise ValueError("duplicate words in vocabulary")
-    return EmbeddingTable(vocab, Tensor(mat, requires_grad=trainable), oov_policy)
+    return EmbeddingTable(vocab, Tensor(mat, requires_grad=True), oov_policy)
 
 
 @dataclass
@@ -151,10 +152,6 @@ class SentenceEncoderCNN:
     attn: GeneralAttentionParams
     u: Tensor  # learned attention query, [d_q]
     dropout: float = 0.0
-
-    @property
-    def out_dim(self) -> int:
-        return self.filters.data.shape[2]
 
     def tensors(self) -> list[Tensor]:
         """Embedding table and weights in checkpoint order."""

@@ -111,9 +111,7 @@ def tre_experiment(
     train, val = data[:n_train], data[n_train:]
     vocab = sorted({t for s in data for t in s.tokens})
     model = inject.build_tre_model(vocab, d=16, n_layers=4, n_heads=2, seed=seed, max_len=24)
-    portions = [1.0 / len(positions)] * len(positions)
-    portions[-1] = 1.0 - sum(portions[:-1])
-    config = inject.InjectionConfig(list(positions), portions)
+    config = inject.injection_config(4, positions)
     result = inject.tre_train(model, config, train, epochs=epochs, lr=lr, seed=seed)
     val_metrics = inject.tre_evaluate(result.model, result.needles, config, val)
     report = {

@@ -36,6 +36,7 @@ __all__ = [
     "HydraHead",
     "BioeSample",
     "InjectionConfig",
+    "injection_config",
     "Needle",
     "load_sdoi",
     "load_bioe",
@@ -116,6 +117,21 @@ class InjectionConfig:
             raise ValueError("portions must be non-negative")
         if abs(sum(self.portions) - 1.0) > 1e-9:
             raise ValueError(f"portions must sum to 1, got {sum(self.portions)}")
+
+
+def injection_config(n_layers: int, positions=None, portions=None) -> InjectionConfig:
+    """Needles at `positions`, by default on the last min(3, n_layers)
+    layers, with loss weights `portions`, by default equal shares with the
+    last one taking the remainder."""
+    if positions is None:
+        positions = list(range(max(1, n_layers - 2), n_layers + 1))
+    if portions is None:
+        if not positions:
+            raise ValueError("need at least one injection position")
+        n = len(positions)
+        portions = [1.0 / n] * n
+        portions[-1] = 1.0 - sum(portions[:-1])
+    return InjectionConfig(list(positions), portions)
 
 
 # ---------------------------------------------------------------------------

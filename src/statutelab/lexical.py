@@ -117,6 +117,23 @@ def _idf(n_docs: int, df: int) -> float:
     return math.log((n_docs - df + 0.5) / (df + 0.5) + 1.0)
 
 
+def _scores(index: InvertedIndex, query_terms: list[str], k1: float, b: float) -> np.ndarray:
+    """Every document's Okapi BM25 score, summed term by term in query
+    order.  Duplicate query terms contribute additively; terms absent from
+    a document contribute zero."""
+    scores = np.zeros(index.n_docs)
+    for term in query_terms:
+        t = index.term_ids.get(term)
+        if t is None:
+            continue
+        lo, hi = index.starts[t : t + 2].tolist()
+        docs = index.docs[lo:hi]
+        tf = index.tf[lo:hi].astype(np.float64)
+        norm = k1 * (1.0 - b + b * index.lengths[docs].astype(np.float64) / index.avgdl)
+        scores[docs] += _idf(index.n_docs, hi - lo) * tf * (k1 + 1.0) / (tf + norm)
+    return scores
+
+
 def bm25_score(
     index: InvertedIndex,
     query_terms: list[str],
@@ -124,29 +141,13 @@ def bm25_score(
     k1: float = 1.2,
     b: float = 0.75,
 ) -> float:
-    """Okapi BM25 of one document against a bag of query terms.
-
-    Duplicate query terms contribute additively; terms absent from the
-    document contribute zero.
-    """
+    """Okapi BM25 of one document against a bag of query terms, the score
+    ``top_n`` gives it; KeyError for an unknown doc id."""
     try:
         i = index.doc_ids.index(doc_id)
     except ValueError:
         raise KeyError(f"unknown doc id {doc_id!r}") from None
-    dl = int(index.lengths[i])
-    score = 0.0
-    for term in query_terms:
-        t = index.term_ids.get(term)
-        if t is None:
-            continue
-        lo, hi = index.starts[t : t + 2].tolist()
-        j = lo + int(np.searchsorted(index.docs[lo:hi], i))
-        if j == hi or index.docs[j] != i:
-            continue
-        tf = int(index.tf[j])
-        norm = k1 * (1.0 - b + b * dl / index.avgdl)
-        score += _idf(index.n_docs, hi - lo) * tf * (k1 + 1.0) / (tf + norm)
-    return score
+    return float(_scores(index, query_terms, k1, b)[i])
 
 
 def top_n(
@@ -156,24 +157,11 @@ def top_n(
     k1: float = 1.2,
     b: float = 0.75,
 ) -> list[tuple[str, float]]:
-    """Top n docs by BM25, descending score then ascending doc id.
-
-    Each document's score is summed term by term in query order, with the
-    same operations as ``bm25_score``, so the two agree to the last bit.
-    """
+    """Top n docs by BM25, descending score then ascending doc id."""
     if n < 1:
         raise ValueError("n must be >= 1")
     n_docs = index.n_docs
-    scores = np.zeros(n_docs)
-    for term in query_terms:
-        t = index.term_ids.get(term)
-        if t is None:
-            continue
-        lo, hi = index.starts[t : t + 2].tolist()
-        docs = index.docs[lo:hi]
-        tf = index.tf[lo:hi].astype(np.float64)
-        norm = k1 * (1.0 - b + b * index.lengths[docs].astype(np.float64) / index.avgdl)
-        scores[docs] += _idf(n_docs, hi - lo) * tf * (k1 + 1.0) / (tf + norm)
+    scores = _scores(index, query_terms, k1, b)
     m = min(n, n_docs)
     if m < n_docs:
         # every document scoring at least the m-th best score, ties included

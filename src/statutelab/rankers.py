@@ -113,7 +113,7 @@ def build_attentive_cnn(
     config: RankerConfig | None = None,
 ) -> RankerModel:
     rng = np.random.default_rng(seed)
-    emb = random_embeddings(vocab, embed_dim, seed, scale=emb_scale, oov_policy="zero_vector")
+    emb = random_embeddings(vocab, embed_dim, seed, scale=emb_scale)
     enc = init_cnn_encoder(emb, filters, attn_dim, rng, width=width, dropout=dropout)
     # a derived paragraph query is the encoded query sentence, so its size is
     # the encoder output size rather than the attention query size
@@ -134,11 +134,10 @@ def build_paraformer_lite(
     n_heads: int,
     seed: int,
     max_len: int = 64,
-    emb_scale: float = 0.1,
     config: RankerConfig | None = None,
 ) -> RankerModel:
     rng = np.random.default_rng(seed)
-    emb = random_embeddings(vocab, embed_dim, seed, scale=emb_scale, oov_policy="zero_vector")
+    emb = random_embeddings(vocab, embed_dim, seed)
     layers = [init_self_attention_layer(embed_dim, n_heads, rng) for _ in range(n_layers)]
     positions = Tensor(rng.normal(0.0, 0.1, size=(max_len, embed_dim)), requires_grad=True)
     # paragraph attention queried by the encoded query sentence itself
@@ -148,8 +147,7 @@ def build_paraformer_lite(
 
 
 def parameters(model: RankerModel) -> list[Tensor]:
-    """Model tensors in checkpoint order; a frozen embedding table is listed
-    too, but gets no gradient, so training leaves it alone."""
+    """Model tensors in checkpoint order, every one of them trained."""
     params = model.encoder.tensors() + [model.para_attn.A, model.para_attn.b]
     if model.para_query is not None:
         params.append(model.para_query)
@@ -224,7 +222,6 @@ def train_ranker(
     corpus: list[Article],
     queries: list[Query],
     k_negatives: int | None = None,
-    seed: int | None = None,
     index: InvertedIndex | None = None,
 ) -> tuple[RankerModel, list[float]]:
     """Negative-sampling training; returns the model and per-epoch mean loss.
@@ -232,12 +229,12 @@ def train_ranker(
     Negatives are drawn uniformly without replacement from the non-relevant
     articles.  With an index, the pool is first narrowed to each query's
     top n_train lexical candidates (the training-phase cut, which may
-    differ from the prediction-phase n_predict).  A step that diverges
-    raises ValueError naming the epoch and the query (tensor.train_step).
+    differ from the prediction-phase n_predict).  The draws are seeded by
+    the model's config.  A step that diverges raises ValueError naming the
+    epoch and the query (tensor.train_step).
     """
     cfg = model.config
     k = cfg.k_negatives if k_negatives is None else k_negatives
-    seed = cfg.seed if seed is None else seed
     if k >= len(corpus):
         raise ValueError(f"need more than K={k} articles, corpus has {len(corpus)}")
     by_id = {a.id: a for a in corpus}
@@ -250,7 +247,7 @@ def train_ranker(
         else:
             pools[q.id] = [a.id for a in corpus if a.id not in q.relevant_ids]
     params = parameters(model)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     trace = []
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(queries))
@@ -423,10 +420,10 @@ class LawfulnessClassifier:
 
 def build_lawfulness_classifier(
     vocab, embed_dim: int, filters: int, attn_dim: int, seed: int,
-    width: int = 3, lr: float = 0.1, epochs: int = 10, emb_scale: float = 0.5,
+    width: int = 3, lr: float = 0.1, epochs: int = 10,
 ) -> LawfulnessClassifier:
     rng = np.random.default_rng(seed)
-    emb = random_embeddings(vocab, embed_dim, seed, scale=emb_scale, oov_policy="zero_vector")
+    emb = random_embeddings(vocab, embed_dim, seed, scale=0.5)
     enc = init_cnn_encoder(emb, filters, attn_dim, rng, width=width)
     w = Tensor(np.zeros(filters), requires_grad=True)
     b = Tensor(np.asarray(0.0), requires_grad=True)

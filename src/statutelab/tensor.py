@@ -90,30 +90,8 @@ class Tensor:
         self._id = next(_ids)
         self.op = op
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def item(self) -> float:
-        return float(self.data)
-
     def zero_grad(self):
         self.grad = None
-
-    def __repr__(self):
-        return f"Tensor(op={self.op}, shape={self.data.shape})"
-
-    # convenience operators for scalar-node arithmetic in tests
-    def __add__(self, other):
-        return add(self, other if isinstance(other, Tensor) else tensor(other))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    def __sub__(self, other):
-        return sub(self, other if isinstance(other, Tensor) else tensor(other))
 
 
 def tensor(data, requires_grad=False) -> Tensor:

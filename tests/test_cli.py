@@ -638,3 +638,15 @@ def test_selftest_gradcheck_prints_the_fused_op_cases(capsys):
     for case in ("conv_tanh", "additive_attention_softmax", "additive_attention_sparsemax",
                  "multihead_self_attention"):
         assert case in names
+
+
+def test_a_key_error_in_a_handler_exits_2(monkeypatch, capsys):
+    # every reader turns a missing key into a ValueError naming its file, so
+    # a KeyError that still escapes is a fault of the program
+    def fail(positives, total):
+        raise KeyError("gold")
+
+    monkeypatch.setattr("statutelab.evalkit.aggregate_human_eval", fail)
+    code, _, err = run(capsys, "eval", "human", "--positives", "1,3", "--total", "4")
+    assert code == 2
+    assert err == "runtime error: 'gold'\n"

@@ -1,0 +1,185 @@
+"""Each config command takes only the settings it reads: a flag it does not
+read exits 1 and writes nothing, every flag it takes changes the checkpoint
+it trains, and a config file may hold any RunConfig key for any of them."""
+
+import dataclasses
+import json
+
+import pytest
+
+from statutelab import cli
+from statutelab.cli import cli_dispatch
+from statutelab.config import RunConfig
+from statutelab.inject import InjectionConfig, dump_bioe, injection_config
+from statutelab.synth import bracket_grammar
+
+STATEMENTS = [
+    ("the party may keep the goods", True),
+    ("the party may not keep the goods", False),
+    ("a buyer shall pay the price", True),
+    ("a buyer shall not pay the price", False),
+]
+
+
+def _run(capsys, *argv):
+    code = cli_dispatch([str(a) for a in argv])
+    return code, capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("settings")
+    (d / "statements.jsonl").write_text(
+        "".join(json.dumps({"text": t, "lawful": ok}) + "\n" for t, ok in STATEMENTS)
+    )
+    dump_bioe(bracket_grammar(3, seed=4), d / "bracket.bioe.tsv")
+    (d / "corpus.jsonl").write_text(
+        "".join(json.dumps({"id": f"a{i}", "title": "", "text": f"tok{i} bg. tok{i + 1}"}) + "\n" for i in range(6))
+    )
+    (d / "queries.jsonl").write_text(
+        "".join(
+            json.dumps({"id": f"q{i}", "text": f"tok{i} bg", "relevant_ids": [f"a{i}"], "label": None}) + "\n"
+            for i in range(6)
+        )
+    )
+    (d / "lr.json").write_text(json.dumps({"lr": 0.2}))
+    return d
+
+
+# the required flags of each command, and its checkpoint
+COMMANDS = {
+    "classify": (["classify", "train", "--data", "statements.jsonl", "--seed", "1"], "classifier.slrk"),
+    "tre": (["inject", "tre-train", "--bioe", "bracket.bioe.tsv", "--seed", "1"], "model.slrk"),
+}
+
+# per command, one flag moved off its default for each config key it reads
+OFF_DEFAULT = {
+    "classify": {
+        "config": ["--config", "lr.json"],
+        "seed": ["--seed", "2"],
+        "preset": ["--preset", "paper"],
+        "embed_dim": ["--embed-dim", "8"],
+        "filters": ["--filters", "8"],
+        "attn_dim": ["--attn-dim", "8"],
+        "width": ["--width", "1"],
+        "lr": ["--lr", "0.2"],
+        "epochs": ["--epochs", "2"],
+    },
+    "tre": {
+        "config": ["--config", "lr.json"],
+        "seed": ["--seed", "2"],
+        "preset": ["--preset", "paper"],
+        "embed_dim": ["--embed-dim", "8"],
+        "n_layers": ["--n-layers", "3"],
+        "n_heads": ["--n-heads", "4"],
+        "lr": ["--lr", "0.2"],
+        "epochs": ["--epochs", "2"],
+        "positions": ["--positions", "2"],
+        "portions": ["--portions", "0.25,0.75"],
+    },
+}
+
+FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
+
+
+def _argv(inputs, command, *extra):
+    """The command's argv with `extra` appended and input file names made
+    paths in `inputs`."""
+    argv, _ = COMMANDS[command]
+    return [
+        inputs / a if isinstance(a, str) and a.endswith((".jsonl", ".tsv", ".json")) else a
+        for a in [*argv, *extra]
+    ]
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_every_config_flag_is_covered(inputs, command):
+    args = cli._build_parser().parse_args([str(a) for a in _argv(inputs, command, "--out", "x")])
+    assert {k for k in vars(args) if k in FIELDS or k == "config"} == set(OFF_DEFAULT[command])
+
+
+@pytest.fixture(scope="module")
+def default_checkpoints(inputs, tmp_path_factory):
+    out = tmp_path_factory.mktemp("defaults")
+    blobs = {}
+    for command, (_, name) in COMMANDS.items():
+        code = cli_dispatch([str(a) for a in _argv(inputs, command, "--out", out / command)])
+        assert code == 0
+        blobs[command] = (out / command / name).read_bytes()
+    return blobs
+
+
+@pytest.mark.parametrize(
+    "command, key", [(c, k) for c in sorted(OFF_DEFAULT) for k in OFF_DEFAULT[c]]
+)
+def test_every_flag_changes_the_checkpoint(inputs, default_checkpoints, tmp_path, capsys, command, key):
+    code, err = _run(capsys, *_argv(inputs, command, *OFF_DEFAULT[command][key], "--out", tmp_path))
+    assert code == 0, err
+    assert (tmp_path / COMMANDS[command][1]).read_bytes() != default_checkpoints[command]
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("classify", ["--K", "2"]),
+        ("classify", ["--alpha", "0.3"]),
+        ("classify", ["--n-layers", "9"]),
+        ("classify", ["--k1", "3"]),
+        ("classify", ["--dropout", "0.5"]),
+        ("classify", ["--model-kind", "paraformer_lite"]),
+        ("classify", ["--positions", "1"]),
+        ("tre", ["--K", "2"]),
+        ("tre", ["--alpha", "0.3"]),
+        ("tre", ["--filters", "8"]),
+        ("tre", ["--width", "1"]),
+        ("tre", ["--dropout", "0.5"]),
+        ("tre", ["--model-kind", "paraformer_lite"]),
+    ],
+)
+def test_a_flag_the_command_does_not_read_exits_1_writing_nothing(inputs, tmp_path, capsys, command, flag):
+    out = tmp_path / "out"
+    code, err = _run(capsys, *_argv(inputs, command, *flag, "--out", out))
+    assert code == 1
+    assert f"unrecognized arguments: {' '.join(flag)}" in err
+    assert not out.exists()
+
+
+# a value for every RunConfig key that all five config commands accept
+EVERY_KEY = {
+    "seed": 3, "preset": "desk", "model": "attentive_cnn", "k1": 1.2, "b": 0.75,
+    "n_train": 5, "n_predict": 5, "alpha": 0.5, "step": 0.5, "eval_k": 1, "K": 1,
+    "lr": 0.1, "epochs": 1, "positions": [1, 2], "portions": [0.5, 0.5],
+    "embed_dim": 4, "filters": 4, "attn_dim": 3, "dropout": 0.0, "width": 1,
+    "n_layers": 2, "n_heads": 2,
+}
+
+
+def test_a_config_file_with_every_key_loads_for_each_config_command(inputs, tmp_path, capsys):
+    assert set(EVERY_KEY) == FIELDS
+    cfg = tmp_path / "every.json"
+    cfg.write_text(json.dumps(EVERY_KEY))
+    rank = ["--corpus", inputs / "corpus.jsonl", "--queries", inputs / "queries.jsonl"]
+    model = ["--model", tmp_path / "rank-train" / "model.slrk"]
+    for name, argv in (
+        ("rank-train", ["rank", "train", *rank]),
+        ("rank-run", ["rank", "run", *model, *rank]),
+        ("rank-grid-alpha", ["rank", "grid-alpha", *model, *rank]),
+        ("classify-train", ["classify", "train", "--data", inputs / "statements.jsonl"]),
+        ("inject-tre-train", ["inject", "tre-train", "--bioe", inputs / "bracket.bioe.tsv"]),
+    ):
+        # --seed stays required on the command line of the training commands
+        code, err = _run(capsys, *argv, "--config", cfg, "--seed", "3", "--out", tmp_path / name)
+        assert code == 0, (name, err)
+        assert json.loads((tmp_path / name / "config.json").read_text()) == EVERY_KEY, name
+
+
+@pytest.mark.parametrize("n_layers", [1, 2, 3, 4, 5])
+def test_needle_defaults_match_the_last_three_layers_rule(n_layers):
+    positions = list(range(max(1, n_layers - 2), n_layers + 1))
+    n = len(positions)
+    portions = [1.0 / n] * n
+    portions[-1] = 1.0 - sum(portions[:-1])
+    assert injection_config(n_layers) == InjectionConfig(positions, portions)
+    assert injection_config(n_layers, [1]) == InjectionConfig([1], [1.0])
+    assert injection_config(n_layers, [1], [1.0]) == InjectionConfig([1], [1.0])
+    injection_config(n_layers).validate(n_layers)
