@@ -68,7 +68,7 @@ def _out_dir(args) -> Path:
 def _manifest(args, out: Path, cfg: RunConfig | None, inputs: list) -> None:
     record = {
         "command": args.command + " " + args.subcommand,
-        "seed": getattr(args, "seed", None),
+        "seed": cfg.seed if cfg is not None else getattr(args, "seed", None),
         "config": dataclasses.asdict(cfg) if cfg is not None else None,
         "inputs": {str(p): _sha256(p) for p in inputs},
     }
@@ -79,10 +79,14 @@ def _manifest(args, out: Path, cfg: RunConfig | None, inputs: list) -> None:
 
 def _resolve_config(args) -> RunConfig:
     """The --config file (or the defaults) under the command's config flags;
-    a flag left unset keeps the file's value."""
+    a flag left unset keeps the file's value.  A command with a --seed flag
+    needs a seed from the flag or the file."""
     cfg = load_config(args.config) if args.config else RunConfig()
     flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig) if hasattr(args, f.name)}
-    return merge_overrides(cfg, flags)
+    cfg = merge_overrides(cfg, flags)
+    if "seed" in flags and cfg.seed is None:
+        raise CliError("--seed is required, on the command line or as the config file's seed")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -240,15 +244,10 @@ def _missing(ids: set, side: str) -> str:
 
 def _rank_inputs(args):
     """Config, model, chunked corpus, queries, index, and the input files to
-    digest.  BM25 scores with the checkpoint's k1 and b, so the config
-    records those, and a --k1 or --b that differs is an error.  An index
-    must hold exactly the chunked corpus's article ids."""
+    digest.  BM25 scores with the checkpoint's k1 and b, which the config
+    records.  An index must hold exactly the chunked corpus's article ids."""
     cfg = _resolve_config(args)
     model = rankers.load_model(args.model_path)
-    for key in ("k1", "b"):
-        given, stored = getattr(args, key), getattr(model.config, key)
-        if given is not None and given != stored:
-            raise CliError(f"--{key} {given} differs from the checkpoint's {key} {stored}, which BM25 scoring uses")
     cfg = dataclasses.replace(cfg, k1=model.config.k1, b=model.config.b)
     articles = corpus_mod.chunk_corpus(corpus_mod.load_corpus(args.corpus))
     queries = corpus_mod.load_queries(args.queries)
@@ -547,18 +546,19 @@ _CONFIG_FLAGS = {
     "positions": {"type": int_list},
     "portions": {"type": float_list},
 }
-# one set for all three rank subcommands, so a flag list fits each of them
-_RANK_KEYS = tuple(k for k in _CONFIG_FLAGS if k not in ("positions", "portions"))
+_RANK_TRAIN_KEYS = tuple(k for k in _CONFIG_FLAGS if k not in ("alpha", "step", "positions", "portions"))
+_RANK_RUN_KEYS = ("n_predict", "alpha", "step", "eval_k")
+_GRID_ALPHA_KEYS = ("n_predict", "step", "eval_k")
 _CLASSIFY_KEYS = ("seed", "preset", "embed_dim", "filters", "attn_dim", "width", "lr", "epochs")
 _TRE_KEYS = ("seed", "preset", "embed_dim", "n_layers", "n_heads", "lr", "epochs", "positions", "portions")
 
 
-def _add_config_flags(p, keys, seed_required=False):
+def _add_config_flags(p, keys):
     p.add_argument("--config", help="JSON config file")
     for key in keys:
         opts = dict(_CONFIG_FLAGS[key])
         flag = opts.pop("flag", "--" + key.replace("_", "-"))
-        p.add_argument(flag, dest=key, required=seed_required and key == "seed", **opts)
+        p.add_argument(flag, dest=key, **opts)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -605,27 +605,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--out", required=True)
-    _add_config_flags(p, _RANK_KEYS, seed_required=True)
+    _add_config_flags(p, _RANK_TRAIN_KEYS)
     p = sub(rank_p, "run", _cmd_rank_run)
     p.add_argument("--model", dest="model_path", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--index")
     p.add_argument("--out", required=True)
-    _add_config_flags(p, _RANK_KEYS)
+    _add_config_flags(p, _RANK_RUN_KEYS)
     p = sub(rank_p, "grid-alpha", _cmd_rank_grid_alpha)
     p.add_argument("--model", dest="model_path", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--index")
     p.add_argument("--out")
-    _add_config_flags(p, _RANK_KEYS)
+    _add_config_flags(p, _GRID_ALPHA_KEYS)
 
     classify_p = top.add_parser("classify").add_subparsers(dest="subcommand", required=True)
     p = sub(classify_p, "train", _cmd_classify_train)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    _add_config_flags(p, _CLASSIFY_KEYS, seed_required=True)
+    _add_config_flags(p, _CLASSIFY_KEYS)
     p = sub(classify_p, "run", _cmd_classify_run)
     p.add_argument("--model", dest="model_path", required=True)
     p.add_argument("--data", required=True)
@@ -647,7 +647,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub(inject_p, "tre-train", _cmd_inject_tre_train)
     p.add_argument("--bioe", required=True)
     p.add_argument("--out", required=True)
-    _add_config_flags(p, _TRE_KEYS, seed_required=True)
+    _add_config_flags(p, _TRE_KEYS)
     p = sub(inject_p, "tag-stats", _cmd_inject_tag_stats)
     p.add_argument("--bioe", required=True)
     p = sub(inject_p, "attn-report", _cmd_inject_attn_report)

@@ -7,7 +7,9 @@ Unknown keys are rejected by name before any work starts.  The "paper" and
 from __future__ import annotations
 
 import json
+import types
 from dataclasses import dataclass, fields, asdict
+from typing import get_args, get_origin, get_type_hints
 
 from .corpus import open_text
 from .encoders import PRESETS
@@ -64,7 +66,21 @@ class RunConfig:
             raise ValueError("K must be >= 0")
 
 
-_FIELDS = {f.name for f in fields(RunConfig)}
+# each key's annotation as written, and as the type it names
+_FIELDS = {f.name: f.type for f in fields(RunConfig)}
+_HINTS = get_type_hints(RunConfig)
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value has the annotated type: an int is a float, a
+    bool is neither."""
+    if isinstance(hint, types.UnionType):
+        return any(_fits(value, h) for h in get_args(hint))
+    if get_origin(hint) is list:
+        return isinstance(value, list) and all(_fits(v, get_args(hint)[0]) for v in value)
+    if hint in (int, float):
+        return isinstance(value, (int, hint)) and not isinstance(value, bool)
+    return isinstance(value, hint)
 
 
 def load_config(path) -> RunConfig:
@@ -76,8 +92,11 @@ def load_config(path) -> RunConfig:
         obj = json.loads(text)
         if not isinstance(obj, dict):
             raise ValueError(f"expected a JSON object, got a {type(obj).__name__}")
+        for key, value in obj.items():
+            if key in _FIELDS and value is not None and not _fits(value, _HINTS[key]):
+                raise ValueError(f"config key {key!r} must be {_FIELDS[key]}, got {json.dumps(value)}")
         return merge_overrides(RunConfig(), obj)
-    except (ValueError, TypeError) as exc:  # a wrongly typed value fails validate
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 

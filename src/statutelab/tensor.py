@@ -199,7 +199,9 @@ def tanh(a: Tensor) -> Tensor:
 def softplus(a: Tensor) -> Tensor:
     """ln(1 + e^x) computed without overflow; gradient is the sigmoid."""
     y = np.maximum(a.data, 0.0) + np.log1p(np.exp(-np.abs(a.data)))
-    sig = 1.0 / (1.0 + np.exp(-a.data))
+    # below about -709 e^-x is inf and the sigmoid its limit 0
+    with np.errstate(over="ignore"):
+        sig = 1.0 / (1.0 + np.exp(-a.data))
     return _out(y, (a,), (lambda g: g * sig,), "softplus")
 
 

@@ -66,9 +66,11 @@ def test_hydra_pretrain_that_diverges_exits_1_naming_epoch_and_sample(tmp_path, 
 def test_classify_train_that_diverges_exits_1_naming_epoch_and_sample(tmp_path, capsys):
     data = write_jsonl(tmp_path / "statements.jsonl", STATEMENTS)
     out = tmp_path / "clf"
-    code, err, seen = run_quietly(capsys, "classify", "train", "--data", data, "--seed", "3", "--lr", "1e8", "--out", out)
+    # the softplus loss and its gradient stay finite at any logit, so only a
+    # step that overflows the logits themselves diverges
+    code, err, seen = run_quietly(capsys, "classify", "train", "--data", data, "--seed", "3", "--lr", "1e100", "--out", out)
     assert code == 1
-    assert err == "error: training failed in epoch 1 at sample 3: overflow encountered in exp\n"
+    assert err == "error: training failed in epoch 1 at sample 2: overflow encountered in matmul\n"
     assert not seen and not out.exists()
 
 
@@ -146,28 +148,9 @@ def _train(tmp_path, capsys, *extra):
 def test_rank_manifest_records_the_checkpoint_bm25_parameters(tmp_path, capsys, sub):
     corpus, queries, model = _train(tmp_path, capsys, "--k1", "2.0", "--b", "0.5")
     out = tmp_path / "ranked"
+    alpha = ["--alpha", "0.5"] if sub == "run" else []
     code, _, err = run(capsys, "rank", sub, "--model", model, "--corpus", corpus, "--queries", queries,
-                       "--n-predict", "20", "--alpha", "0.5", "--out", out)
+                       "--n-predict", "20", *alpha, "--out", out)
     assert code == 0, err
     config = json.loads((out / "manifest.json").read_text())["config"]
     assert (config["k1"], config["b"]) == (2.0, 0.5)
-
-
-@pytest.mark.parametrize("sub", ["run", "grid-alpha"])
-@pytest.mark.parametrize("flag, value, message", [
-    ("--k1", "5.0", "--k1 5.0 differs from the checkpoint's k1 1.2"),
-    ("--b", "0.1", "--b 0.1 differs from the checkpoint's b 0.75"),
-])
-def test_rank_bm25_flag_that_differs_from_the_checkpoint_exits_1(tmp_path, capsys, sub, flag, value, message):
-    corpus, queries, model = _train(tmp_path, capsys)
-    out = tmp_path / "ranked"
-    code, _, err = run(capsys, "rank", sub, "--model", model, "--corpus", corpus, "--queries", queries,
-                       "--n-predict", "20", flag, value, "--out", out)
-    assert code == 1
-    assert message in err
-    assert not out.exists()
-    # the checkpoint's own value is accepted
-    same = "1.2" if flag == "--k1" else "0.75"
-    code, _, err = run(capsys, "rank", sub, "--model", model, "--corpus", corpus, "--queries", queries,
-                       "--n-predict", "20", "--alpha", "0.5", flag, same, "--out", out)
-    assert code == 0, err

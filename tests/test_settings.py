@@ -46,13 +46,26 @@ def inputs(tmp_path_factory):
     return d
 
 
-# the required flags of each command, and its checkpoint
-COMMANDS = {
-    "classify": (["classify", "train", "--data", "statements.jsonl", "--seed", "1"], "classifier.slrk"),
-    "tre": (["inject", "tre-train", "--bioe", "bracket.bioe.tsv", "--seed", "1"], "model.slrk"),
+RANK = ["--corpus", "corpus.jsonl", "--queries", "queries.jsonl"]
+
+# the required flags of each config command; argparse rejects a flag before
+# rank run or grid-alpha opens the model, so its file need not exist
+ARGV = {
+    "classify": ["classify", "train", "--data", "statements.jsonl", "--seed", "1"],
+    "tre": ["inject", "tre-train", "--bioe", "bracket.bioe.tsv", "--seed", "1"],
+    "rank": ["rank", "train", *RANK, "--seed", "1"],
+    # rank train reads --n-layers and --n-heads only for paraformer_lite; at
+    # the default lr 0.05 its three-layer stack diverges on this corpus
+    "paraformer": ["rank", "train", *RANK, "--seed", "1", "--model-kind", "paraformer_lite", "--lr", "0.02"],
+    "run": ["rank", "run", "--model", "model.slrk", *RANK],
+    "grid-alpha": ["rank", "grid-alpha", "--model", "model.slrk", *RANK],
 }
 
-# per command, one flag moved off its default for each config key it reads
+# the checkpoint each training command writes
+CHECKPOINTS = {"classify": "classifier.slrk", "tre": "model.slrk", "rank": "model.slrk", "paraformer": "model.slrk"}
+
+# per training command, one flag moved off its default for each config key
+# it reads
 OFF_DEFAULT = {
     "classify": {
         "config": ["--config", "lr.json"],
@@ -77,6 +90,39 @@ OFF_DEFAULT = {
         "positions": ["--positions", "2"],
         "portions": ["--portions", "0.25,0.75"],
     },
+    "rank": {
+        "config": ["--config", "lr.json"],
+        "seed": ["--seed", "2"],
+        "preset": ["--preset", "paper"],
+        "model": ["--model-kind", "paraformer_lite"],
+        "k1": ["--k1", "2.0"],
+        "b": ["--b", "0.5"],
+        "n_train": ["--n-train", "2"],
+        "n_predict": ["--n-predict", "5"],
+        "eval_k": ["--eval-k", "2"],
+        "K": ["--K", "1"],
+        "lr": ["--lr", "0.2"],
+        "epochs": ["--epochs", "2"],
+        "embed_dim": ["--embed-dim", "8"],
+        "filters": ["--filters", "8"],
+        "attn_dim": ["--attn-dim", "8"],
+        "dropout": ["--dropout", "0.5"],
+        "width": ["--width", "1"],
+    },
+    "paraformer": {
+        "n_layers": ["--n-layers", "3"],
+        "n_heads": ["--n-heads", "4"],
+    },
+}
+
+# the config keys each parser takes: a training command's are those
+# OFF_DEFAULT moves, and rank run and grid-alpha take only prediction settings
+KEYS = {
+    "classify": set(OFF_DEFAULT["classify"]),
+    "tre": set(OFF_DEFAULT["tre"]),
+    "rank": set(OFF_DEFAULT["rank"]) | set(OFF_DEFAULT["paraformer"]),
+    "run": {"config", "n_predict", "alpha", "step", "eval_k"},
+    "grid-alpha": {"config", "n_predict", "step", "eval_k"},
 }
 
 FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
@@ -85,24 +131,23 @@ FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 def _argv(inputs, command, *extra):
     """The command's argv with `extra` appended and input file names made
     paths in `inputs`."""
-    argv, _ = COMMANDS[command]
     return [
         inputs / a if isinstance(a, str) and a.endswith((".jsonl", ".tsv", ".json")) else a
-        for a in [*argv, *extra]
+        for a in [*ARGV[command], *extra]
     ]
 
 
-@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("command", sorted(KEYS))
 def test_every_config_flag_is_covered(inputs, command):
     args = cli._build_parser().parse_args([str(a) for a in _argv(inputs, command, "--out", "x")])
-    assert {k for k in vars(args) if k in FIELDS or k == "config"} == set(OFF_DEFAULT[command])
+    assert {k for k in vars(args) if k in FIELDS or k == "config"} == KEYS[command]
 
 
 @pytest.fixture(scope="module")
 def default_checkpoints(inputs, tmp_path_factory):
     out = tmp_path_factory.mktemp("defaults")
     blobs = {}
-    for command, (_, name) in COMMANDS.items():
+    for command, name in CHECKPOINTS.items():
         code = cli_dispatch([str(a) for a in _argv(inputs, command, "--out", out / command)])
         assert code == 0
         blobs[command] = (out / command / name).read_bytes()
@@ -115,7 +160,7 @@ def default_checkpoints(inputs, tmp_path_factory):
 def test_every_flag_changes_the_checkpoint(inputs, default_checkpoints, tmp_path, capsys, command, key):
     code, err = _run(capsys, *_argv(inputs, command, *OFF_DEFAULT[command][key], "--out", tmp_path))
     assert code == 0, err
-    assert (tmp_path / COMMANDS[command][1]).read_bytes() != default_checkpoints[command]
+    assert (tmp_path / CHECKPOINTS[command]).read_bytes() != default_checkpoints[command]
 
 
 @pytest.mark.parametrize(
@@ -134,6 +179,17 @@ def test_every_flag_changes_the_checkpoint(inputs, default_checkpoints, tmp_path
         ("tre", ["--width", "1"]),
         ("tre", ["--dropout", "0.5"]),
         ("tre", ["--model-kind", "paraformer_lite"]),
+        ("run", ["--lr", "9"]),
+        ("run", ["--seed", "5"]),
+        ("run", ["--k1", "5.0"]),
+        ("run", ["--b", "0.1"]),
+        ("run", ["--model-kind", "paraformer_lite"]),
+        ("grid-alpha", ["--alpha", "0.2"]),
+        ("grid-alpha", ["--k1", "5.0"]),
+        ("grid-alpha", ["--b", "0.1"]),
+        ("grid-alpha", ["--epochs", "99"]),
+        ("rank", ["--alpha", "0.3"]),
+        ("rank", ["--step", "0.5"]),
     ],
 )
 def test_a_flag_the_command_does_not_read_exits_1_writing_nothing(inputs, tmp_path, capsys, command, flag):
@@ -141,6 +197,42 @@ def test_a_flag_the_command_does_not_read_exits_1_writing_nothing(inputs, tmp_pa
     code, err = _run(capsys, *_argv(inputs, command, *flag, "--out", out))
     assert code == 1
     assert f"unrecognized arguments: {' '.join(flag)}" in err
+    assert not out.exists()
+
+
+def _without_seed(argv):
+    i = argv.index("--seed")
+    return argv[:i] + argv[i + 2:]
+
+
+@pytest.mark.parametrize("command", ["classify", "tre", "rank"])
+def test_a_training_command_without_a_seed_exits_1_writing_nothing(inputs, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    code, err = _run(capsys, *_without_seed(_argv(inputs, command, "--out", out)))
+    assert code == 1
+    assert err == "error: --seed is required, on the command line or as the config file's seed\n"
+    assert not out.exists()
+
+
+def test_the_seed_of_a_config_file_trains_as_the_seed_flag_does(inputs, tmp_path, capsys):
+    (tmp_path / "seed.json").write_text(json.dumps({"seed": 3}))
+    unseeded = _without_seed(_argv(inputs, "rank"))
+    for name, seed in (("flag", ["--seed", "3"]), ("file", ["--config", tmp_path / "seed.json"])):
+        code, err = _run(capsys, *unseeded, *seed, "--out", tmp_path / name)
+        assert code == 0, err
+        assert json.loads((tmp_path / name / "manifest.json").read_text())["seed"] == 3
+    assert (tmp_path / "file" / "model.slrk").read_bytes() == (tmp_path / "flag" / "model.slrk").read_bytes()
+
+
+@pytest.mark.parametrize("key, value", [("lr", "x"), ("epochs", 1.5), ("seed", True), ("positions", "2")])
+def test_a_config_value_of_the_wrong_type_exits_1_naming_file_and_key(inputs, tmp_path, capsys, key, value):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({key: value}))
+    out = tmp_path / "out"
+    code, err = _run(capsys, *_argv(inputs, "tre", "--config", bad, "--out", out))
+    assert code == 1
+    assert err.startswith(f"error: {bad}: config key {key!r} must be ")
+    assert err.endswith(f", got {json.dumps(value)}\n")
     assert not out.exists()
 
 
@@ -167,8 +259,7 @@ def test_a_config_file_with_every_key_loads_for_each_config_command(inputs, tmp_
         ("classify-train", ["classify", "train", "--data", inputs / "statements.jsonl"]),
         ("inject-tre-train", ["inject", "tre-train", "--bioe", inputs / "bracket.bioe.tsv"]),
     ):
-        # --seed stays required on the command line of the training commands
-        code, err = _run(capsys, *argv, "--config", cfg, "--seed", "3", "--out", tmp_path / name)
+        code, err = _run(capsys, *argv, "--config", cfg, "--out", tmp_path / name)
         assert code == 0, (name, err)
         assert json.loads((tmp_path / name / "config.json").read_text()) == EVERY_KEY, name
 

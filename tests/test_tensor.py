@@ -320,3 +320,17 @@ def test_gradcheck_suite_checks_gather_rows_with_repeated_rows():
     from statutelab.selftest import gradcheck_suite
 
     assert gradcheck_suite(instances=4, seed=3)["gather_rows"] < 1e-6
+
+
+def test_softplus_step_on_a_very_negative_logit_does_not_raise():
+    x = Tensor(np.array(-800.0), requires_grad=True)
+    loss = T.train_step([x], 0.1, lambda: T.softplus(x), "softplus")
+    assert float(loss.data) == 0.0
+    assert float(x.data) == -800.0  # the gradient, sigmoid(-800), is 0
+
+
+def test_softplus_gradient_is_bit_equal_to_the_sigmoid_where_it_is_finite():
+    a = np.linspace(-700.0, 700.0, 14001)
+    x = Tensor(a.copy(), requires_grad=True)
+    backward(T.tsum(T.softplus(x)))
+    assert x.grad.tobytes() == (1.0 / (1.0 + np.exp(-a))).tobytes()
