@@ -10,10 +10,11 @@ seed to seed.  Each side runs its own ``perfbench/`` and ``src/``.
         --seconds 30 --baseline HEAD~1 --out BENCH_rerank.json \\
         --claim scaled_op_p50_ms --claim-frac 0.2
 
-The baseline is a ``git worktree`` of ``--baseline`` under ``--work`` (a new
-temporary directory by default), removed at the end.  The change is this
-checkout, working tree as it stands.  The record is rewritten after every
-pair, so a run that is cut short keeps what it measured.  The record holds the commits and the git tree id of each side's
+The baseline is a ``git clone`` of this repository under ``--work`` (a new
+temporary directory by default), checked out at ``--baseline`` and removed
+at the end.  The change is this checkout, working tree as it stands.  The
+record is rewritten after every pair, so a run that is cut short keeps what
+it measured.  The record holds the commits and the git tree id of each side's
 ``src/``, the machine, the seeds, every run's metrics with the median and
 quartiles per metric, the count of pairs in which the change is better, and
 every run's ``outputs`` digests.
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -158,19 +160,20 @@ def main(argv=None) -> int:
     p.add_argument("--seeds", required=True, help='a range "101-110" or a list "3,5,8"')
     p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--baseline", default="HEAD", help="git ref of the baseline side")
-    p.add_argument("--work", type=Path, help="scratch directory for the baseline worktree")
+    p.add_argument("--work", type=Path, help="scratch directory for the baseline checkout")
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--claim", help="the metric a gain is claimed on")
     p.add_argument("--claim-frac", type=float, default=0.0, help="the claimed gain as a fraction, 0.2 = 20 %%")
     args = p.parse_args(argv)
 
     seeds = parse_seeds(args.seeds)
-    worktree = (args.work or Path(tempfile.mkdtemp(prefix="bench_record-"))) / "baseline"
-    git("worktree", "add", "--detach", str(worktree), args.baseline)
+    baseline_dir = (args.work or Path(tempfile.mkdtemp(prefix="bench_record-"))) / "baseline"
+    git("clone", "--quiet", "--no-checkout", str(ROOT), str(baseline_dir))
+    git("checkout", "--quiet", "--detach", git("rev-parse", "--verify", args.baseline + "^{commit}"), cwd=baseline_dir)
     try:
-        parent_commit = git("rev-parse", "HEAD", cwd=worktree)
-        parent_tree, change_tree = src_tree(worktree), src_tree(ROOT)
-        dirs = {"parent": worktree, "change": ROOT}
+        parent_commit = git("rev-parse", "HEAD", cwd=baseline_dir)
+        parent_tree, change_tree = src_tree(baseline_dir), src_tree(ROOT)
+        dirs = {"parent": baseline_dir, "change": ROOT}
         first, results = {}, {}
         for i, seed in enumerate(seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -182,7 +185,7 @@ def main(argv=None) -> int:
             summary = {side: {k: round(v, 4) for k, v in pair[side]["metrics"].items()} for side in order}
             print(f"seed {seed}: {json.dumps(summary)}", file=sys.stderr, flush=True)
     finally:
-        git("worktree", "remove", "--force", str(worktree))
+        shutil.rmtree(baseline_dir)
     return 0
 
 

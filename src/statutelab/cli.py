@@ -77,11 +77,13 @@ def _manifest(args, out: Path, cfg: RunConfig | None, inputs: list) -> None:
         _write_json(out / "config.json", dataclasses.asdict(cfg))
 
 
-def _resolve_config(args) -> RunConfig:
-    """The --config file (or the defaults) under the command's config flags;
-    a flag left unset keeps the file's value.  A command with a --seed flag
-    needs a seed from the flag or the file."""
-    cfg = load_config(args.config) if args.config else RunConfig()
+def _resolve_config(args, base: RunConfig | None = None) -> RunConfig:
+    """The --config file over `base` (the defaults when None), under the
+    command's config flags; a flag left unset keeps the file's value, a key
+    the file leaves out keeps the base's.  A command with a --seed flag needs
+    a seed from the flag or the file."""
+    base = base or RunConfig()
+    cfg = load_config(args.config, base) if args.config else base
     flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig) if hasattr(args, f.name)}
     cfg = merge_overrides(cfg, flags)
     if "seed" in flags and cfg.seed is None:
@@ -245,10 +247,12 @@ def _missing(ids: set, side: str) -> str:
 def _rank_inputs(args):
     """Config, model, chunked corpus, queries, index, and the input files to
     digest.  BM25 scores with the checkpoint's k1 and b, which the config
-    records.  An index must hold exactly the chunked corpus's article ids."""
-    cfg = _resolve_config(args)
+    records.  n_predict and eval_k come from the flag, else the --config
+    file, else the checkpoint.  An index must hold exactly the chunked
+    corpus's article ids."""
     model = rankers.load_model(args.model_path)
-    cfg = dataclasses.replace(cfg, k1=model.config.k1, b=model.config.b)
+    stored = RunConfig(n_predict=model.config.n_predict, eval_k=model.config.eval_k)
+    cfg = dataclasses.replace(_resolve_config(args, stored), k1=model.config.k1, b=model.config.b)
     articles = corpus_mod.chunk_corpus(corpus_mod.load_corpus(args.corpus))
     queries = corpus_mod.load_queries(args.queries)
     idx = lexical.load_index(args.index) if args.index else lexical.build_index(articles)

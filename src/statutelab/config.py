@@ -83,9 +83,10 @@ def _fits(value, hint) -> bool:
     return isinstance(value, hint)
 
 
-def load_config(path) -> RunConfig:
-    """Read a JSON config object whose keys override the defaults, as
-    command-line flags do; any fault raises ValueError naming the file."""
+def load_config(path, base: RunConfig | None = None) -> RunConfig:
+    """Read a JSON config object whose keys override `base` (the defaults
+    when None), as command-line flags do; any fault raises ValueError naming
+    the file."""
     with open_text(path) as fh:
         text = fh.read()
     try:
@@ -95,7 +96,7 @@ def load_config(path) -> RunConfig:
         for key, value in obj.items():
             if key in _FIELDS and value is not None and not _fits(value, _HINTS[key]):
                 raise ValueError(f"config key {key!r} must be {_FIELDS[key]}, got {json.dumps(value)}")
-        return merge_overrides(RunConfig(), obj)
+        return merge_overrides(base or RunConfig(), obj)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

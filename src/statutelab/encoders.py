@@ -5,7 +5,9 @@ with a learned-query additive attention.  The transformer-style encoder
 stacks multi-head self-attention layers (scaled dot-product, residual, no
 layer norm at this scale) and average-pools the final states.  Paragraphs
 are pooled from sentence vectors with general attention a_i = q^T tanh(A r_i
-+ b), weighted by softmax or sparsemax.
++ b), weighted by softmax or sparsemax.  Outside training,
+``encode_statements`` encodes many sentences at once, values only, in
+stacks of the same length.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .tensor import Tensor
 
 __all__ = [
     "OOV_POLICIES",
+    "STACK_CAP",
     "EmbeddingTable",
     "GeneralAttentionParams",
     "SelfAttentionLayer",
@@ -38,6 +41,7 @@ __all__ = [
     "self_attention_states",
     "encode_sentence_cnn",
     "encode_sentence_avg",
+    "encode_statements",
     "encode_paragraph",
 ]
 
@@ -50,6 +54,10 @@ PRESETS = {
 
 
 OOV_POLICIES = ("zero_vector", "skip")
+
+# the most same-length token lists encode_statements runs as one stack; it
+# bounds the working memory whatever the number of lists
+STACK_CAP = 16
 
 
 @dataclass
@@ -66,22 +74,28 @@ class EmbeddingTable:
         """The vocabulary in row order."""
         return [w for w, _ in sorted(self.vocab.items(), key=lambda kv: kv[1])]
 
-    def embed(self, tokens: list[str]) -> Tensor:
-        """Token rows as an [M, d] tensor; OOV handling per policy."""
+    def lookup(self, tokens: list[str]) -> tuple[list[int], np.ndarray | None]:
+        """The table rows to read for the tokens, OOV handling per policy, and
+        the [M, d] mask to multiply them by, or None when nothing is masked."""
         if not tokens:
             raise ValueError("cannot embed an empty token sequence")
         if self.oov_policy == "skip":
             idx = [i for i in map(self.vocab.get, tokens) if i is not None]
             if not idx:
                 raise ValueError("all tokens out of vocabulary under skip policy")
-            return T.gather_rows(self.matrix, idx)
+            return idx, None
         ids = list(map(self.vocab.get, tokens))
         if None not in ids:
-            return T.gather_rows(self.matrix, ids)
+            return ids, None
         # out-of-vocabulary tokens read row 0, masked to zero
-        x = T.gather_rows(self.matrix, [0 if i is None else i for i in ids])
         mask = np.array([[0.0] if i is None else [1.0] for i in ids])
-        return T.mul(x, Tensor(np.repeat(mask, self.dim, axis=1)))
+        return [0 if i is None else i for i in ids], np.repeat(mask, self.dim, axis=1)
+
+    def embed(self, tokens: list[str]) -> Tensor:
+        """Token rows as an [M, d] tensor; OOV handling per policy."""
+        ids, mask = self.lookup(tokens)
+        x = T.gather_rows(self.matrix, ids)
+        return x if mask is None else T.mul(x, Tensor(mask))
 
 
 def load_embeddings(path) -> EmbeddingTable:
@@ -249,6 +263,11 @@ def encode_sentence_cnn(
     return T.additive_attention(feats, enc.attn.A, enc.attn.b, enc.u, "softmax")[0]
 
 
+def _check_length(enc: SelfAttentionEncoder, m: int) -> None:
+    if enc.positions is not None and m > enc.positions.data.shape[0]:
+        raise ValueError(f"sequence length {m} exceeds positional table")
+
+
 def self_attention_states(
     tokens: list[str], enc: SelfAttentionEncoder
 ) -> tuple[list[Tensor], list[list[np.ndarray]]]:
@@ -258,8 +277,7 @@ def self_attention_states(
     x = enc.embeddings.embed(tokens)
     m = x.data.shape[0]
     if enc.positions is not None:
-        if m > enc.positions.data.shape[0]:
-            raise ValueError(f"sequence length {m} exceeds positional table")
+        _check_length(enc, m)
         x = T.add(x, T.gather_rows(enc.positions, range(m)))
     states, weights = [x], []
     for layer in enc.layers:
@@ -277,6 +295,47 @@ def encode_sentence_avg(
 ) -> Tensor:
     """embed (+ learned positions) -> stacked self-attention -> average pool."""
     return SelfAttentionEncoder(embeddings, positions, layers).encode(tokens)
+
+
+def _encode_stack(x: np.ndarray, enc: SentenceEncoderCNN | SelfAttentionEncoder) -> np.ndarray:
+    """The vectors of a stack x [S, M, d] of embedded sentences."""
+    if isinstance(enc, SentenceEncoderCNN):
+        feats = T.conv_tanh_values(x, enc.filters.data)
+        return T.additive_attention_values(feats, enc.attn.A.data, enc.attn.b.data, enc.u.data)[0]
+    if enc.positions is not None:
+        x = x + enc.positions.data[: x.shape[1]]
+    for layer in enc.layers:
+        x = T.multihead_self_attention_values(x, layer)
+    return x.mean(axis=-2)
+
+
+def encode_statements(token_lists: list[list[str]], enc: SentenceEncoderCNN | SelfAttentionEncoder) -> np.ndarray:
+    """The [S, d_out] vectors of S token lists, values only and without
+    dropout: row i has the bits of encode_sentence_cnn(token_lists[i], enc),
+    or of enc.encode for a self-attention encoder.  Lists that embed to the
+    same number of rows are encoded together, at most STACK_CAP at a time.
+    Raises the errors of the per-sentence path for the first list at fault."""
+    table = enc.embeddings
+    looked = []
+    for tokens in token_lists:
+        ids, mask = table.lookup(tokens)
+        if isinstance(enc, SelfAttentionEncoder):
+            _check_length(enc, len(ids))
+        looked.append((ids, mask))
+    d_out = enc.filters.data.shape[2] if isinstance(enc, SentenceEncoderCNN) else table.dim
+    out = np.empty((len(looked), d_out))
+    by_length: dict[int, list[int]] = {}
+    for i, (ids, _) in enumerate(looked):
+        by_length.setdefault(len(ids), []).append(i)
+    for members in by_length.values():
+        for start in range(0, len(members), STACK_CAP):
+            rows = members[start : start + STACK_CAP]
+            x = table.matrix.data[[looked[i][0] for i in rows]]
+            for j, i in enumerate(rows):
+                if looked[i][1] is not None:
+                    x[j] *= looked[i][1]
+            out[rows] = _encode_stack(x, enc)
+    return out
 
 
 def encode_paragraph(

@@ -25,6 +25,7 @@ from .encoders import (
     SentenceEncoderCNN,
     encode_paragraph,
     encode_sentence_cnn,
+    encode_statements,
     init_attention_params,
     init_cnn_encoder,
     init_self_attention_layer,
@@ -92,7 +93,7 @@ class RankerModel:
         return self.encoder.embeddings
 
 
-@dataclass
+@dataclass(slots=True)
 class ScoredCandidate:
     article_id: str
     s_lexical: float
@@ -176,26 +177,45 @@ def _pool(model: RankerModel, reps: list[Tensor], qv: Tensor | None = None) -> T
     return encode_paragraph(pq, reps, model.para_attn)[0]
 
 
-def _article_encoding(model: RankerModel, article: Article, train=False, rng=None):
-    """What scoring needs of an article, whatever the query: r_a when the
-    paragraph query is learned, else the statement vectors.  Statements
-    without tokens are left out; None when no statement has tokens.  Outside
-    training only the values are kept."""
-    statements = article.statements if article.statements else [article.text]
-    reps = [_encode_sentence(model, t, train=train, rng=rng) for t in map(tokenize, statements) if t]
+def _statement_tokens(article: Article) -> list[list[str]]:
+    """The token lists of the article's statements (its text when it has
+    none), statements without tokens left out."""
+    return [t for t in map(tokenize, article.statements or [article.text]) if t]
+
+
+def _article_encoding(model: RankerModel, reps: list[Tensor], train=False):
+    """What scoring needs of an article, whatever the query, from its
+    statement vectors: r_a when the paragraph query is learned, else the
+    vectors; None when no statement has tokens.  Outside training only the
+    values are kept."""
     if not reps or model.para_query is None:
         return reps or None
     r_a = _pool(model, reps)
     return r_a if train else Tensor(r_a.data)
 
 
+def _encode_articles(model: RankerModel, articles: list[Article], encoded: dict) -> None:
+    """Put the values-only encoding of each article not yet in `encoded`
+    there, the statements of all of them encoded in one encode_statements
+    call."""
+    todo = {a.id: _statement_tokens(a) for a in articles if a.id not in encoded}
+    vecs = iter(encode_statements([t for ts in todo.values() for t in ts], model.encoder))
+    for article_id, ts in todo.items():
+        encoded[article_id] = _article_encoding(model, [Tensor(next(vecs)) for _ in ts])
+
+
 def _score(model: RankerModel, qv: Tensor | None, article: Article, encoded: dict, train=False, rng=None) -> Tensor:
-    """s_s = q . r_a, the article encoded once per `encoded` dict; 0.0 when
-    the query or every statement of the article has no tokens."""
+    """s_s = q . r_a, the article encoded once per `encoded` dict (through
+    the tape in training, else values only); 0.0 when the query or every
+    statement of the article has no tokens."""
     if qv is None:
         return Tensor(0.0)
     if article.id not in encoded:
-        encoded[article.id] = _article_encoding(model, article, train=train, rng=rng)
+        if train:
+            reps = [_encode_sentence(model, t, train=True, rng=rng) for t in _statement_tokens(article)]
+            encoded[article.id] = _article_encoding(model, reps, train=True)
+        else:
+            _encode_articles(model, [article], encoded)
     enc = encoded[article.id]
     if enc is None:
         return Tensor(0.0)
@@ -305,7 +325,8 @@ def score_candidates(
 ) -> list[CandidateScores]:
     """Retrieve each query's top-N lexically and score the candidates
     semantically, in one pass: each query is encoded once and each distinct
-    candidate article once, and the encodings live only for this call."""
+    candidate article once, a query's new candidates in one stacked encode,
+    and the encodings live only for this call."""
     n_predict = model.config.n_predict if n_predict is None else n_predict
     by_id = {a.id: a for a in corpus}
     encoded = {}
@@ -315,6 +336,8 @@ def score_candidates(
         hits = top_n(index, q_tokens, n_predict, k1=model.config.k1, b=model.config.b)
         ids = [doc_id for doc_id, _ in hits]
         qv = _encode_sentence(model, q_tokens)
+        if qv is not None:
+            _encode_articles(model, [by_id[doc_id] for doc_id in ids], encoded)
         sem = [float(_score(model, qv, by_id[doc_id], encoded).data) for doc_id in ids]
         out.append(CandidateScores(ids, _minmax([s for _, s in hits]), sem))
     return out

@@ -5,8 +5,11 @@ sparsemax (exact simplex projection), same-length 1-D convolution, average
 pooling, the negative-sampling cross-entropy, element-wise matrix MSE and
 a differentiable soft argmax.  The encoders run on three fused ops, each one
 tape node with a hand-written VJP: ``conv_tanh``, ``additive_attention`` and
-``multihead_self_attention``.  All math is double precision and single
-threaded, so repeated runs are bit-identical.
+``multihead_self_attention``.  Their forward values are computed once, over
+any leading batch axes; the ``*_values`` functions give the values of a
+stack of same-length inputs without building a tape, each entry with the
+bits of its own tape op.  All math is double precision and single threaded,
+so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -46,8 +49,11 @@ __all__ = [
     "sparsemax_values",
     "conv1d",
     "conv_tanh",
+    "conv_tanh_values",
     "additive_attention",
+    "additive_attention_values",
     "multihead_self_attention",
+    "multihead_self_attention_values",
     "avg_pool",
     "ce_negsample",
     "mse_matrix",
@@ -349,17 +355,18 @@ def gather_rows(table: Tensor, indices: Sequence[int]) -> Tensor:
 # nonlinear kernels
 
 
-def _softmax1d(x: np.ndarray) -> np.ndarray:
-    z = x - x.max()
-    e = np.exp(z)
-    return e / e.sum()
+def _softmax(x: np.ndarray) -> np.ndarray:
+    """Stable softmax over the last axis (max subtracted before
+    exponentiation)."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax(a: Tensor) -> Tensor:
     """Stable softmax of a vector (max subtracted before exponentiation)."""
     if a.data.ndim != 1:
         raise ValueError("softmax expects a vector")
-    s = _softmax1d(a.data)
+    s = _softmax(a.data)
     return _out(s, (a,), (lambda g: s * (g - np.dot(g, s)),), "softmax")
 
 
@@ -367,9 +374,7 @@ def softmax_rows(a: Tensor) -> Tensor:
     """Row-wise stable softmax of a matrix."""
     if a.data.ndim != 2:
         raise ValueError("softmax_rows expects a matrix")
-    z = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=1, keepdims=True)
+    s = _softmax(a.data)
     return _out(
         s,
         (a,),
@@ -416,22 +421,27 @@ def sparsemax(a: Tensor) -> Tensor:
     return _out(p, (a,), (lambda g: _sparsemax_grad(p, g),), "sparsemax")
 
 
-def _conv_same(x: Tensor, filters: Tensor):
-    """Check shapes, then convolve: the zero-padded input and the output."""
+def _check_conv(x: Tensor, filters: Tensor) -> None:
     if x.data.ndim != 2 or filters.data.ndim != 3:
         raise ValueError("conv1d expects x [M,d] and filters [w,d,F]")
-    w, d, nf = filters.data.shape
+    w, d, _ = filters.data.shape
     if w % 2 == 0:
         raise ValueError("conv1d filter width must be odd")
     if x.data.shape[1] != d:
         raise ValueError(f"conv1d: input depth {x.data.shape[1]} != filter depth {d}")
-    m = x.data.shape[0]
+
+
+def _conv_same(x: np.ndarray, filt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Convolve the last two axes of x [..., M, d] with filters [w, d, F]:
+    the zero-padded input and the output [..., M, F]."""
+    w, d, nf = filt.shape
+    m = x.shape[-2]
     pad = (w - 1) // 2
-    xp = np.zeros((m + w - 1, d))
-    xp[pad : pad + m] = x.data
-    out = np.zeros((m, nf))
+    xp = np.zeros(x.shape[:-2] + (m + w - 1, d))
+    xp[..., pad : pad + m, :] = x
+    out = np.zeros(x.shape[:-2] + (m, nf))
     for j in range(w):
-        out += xp[j : j + m] @ filters.data[j]
+        out += np.matmul(xp[..., j : j + m, :], filt[j])
     return xp, out
 
 
@@ -458,7 +468,8 @@ def conv1d(x: Tensor, filters: Tensor) -> Tensor:
     x is [M, d], filters is [w, d, F] with odd width w; the input is
     zero-padded by (w-1)/2 rows on each side and no bias is applied.
     """
-    xp, out = _conv_same(x, filters)
+    _check_conv(x, filters)
+    xp, out = _conv_same(x.data, filters.data)
     return _out(
         out,
         (x, filters),
@@ -469,7 +480,8 @@ def conv1d(x: Tensor, filters: Tensor) -> Tensor:
 
 def conv_tanh(x: Tensor, filters: Tensor) -> Tensor:
     """tanh(conv1d(x, filters)) as one node, with the values of the two ops."""
-    xp, out = _conv_same(x, filters)
+    _check_conv(x, filters)
+    xp, out = _conv_same(x.data, filters.data)
     y = np.tanh(out)
 
     def vjp(g):
@@ -478,6 +490,22 @@ def conv_tanh(x: Tensor, filters: Tensor) -> Tensor:
         return gx, _conv_grad_f(gc, xp, filters.data)
 
     return _out(y, (x, filters), vjp, "conv_tanh")
+
+
+def conv_tanh_values(x: np.ndarray, filters: np.ndarray) -> np.ndarray:
+    """The values of conv_tanh for a stack x [..., M, d] of inputs; filters
+    is [w, d, F] with odd w."""
+    return np.tanh(_conv_same(x, filters)[1])
+
+
+def _additive_forward(r: np.ndarray, at: np.ndarray, b: np.ndarray, q: np.ndarray, weight_fn: str):
+    """Additive attention over the rows (second-last axis) of r [..., n, d_r]
+    with at = A^T: the pooled rows, the weights and tanh(r at + b).
+    sparsemax weights take a single matrix."""
+    h = np.tanh(np.matmul(r, at) + b)
+    scores = np.matmul(h, q)
+    w = _softmax(scores) if weight_fn == "softmax" else sparsemax_values(scores)
+    return np.matmul(w[..., None, :], r)[..., 0, :], w, h
 
 
 def additive_attention(
@@ -499,9 +527,7 @@ def additive_attention(
     if b.data.shape != A.data.shape[:1] or q.data.shape != A.data.shape[:1]:
         raise ValueError(f"additive_attention: b and q must have shape {A.data.shape[:1]}")
     at = A.data.T.copy()
-    h = np.tanh(r @ at + b.data)
-    scores = h @ q.data
-    w = _softmax1d(scores) if weight_fn == "softmax" else sparsemax_values(scores)
+    pooled, w, h = _additive_forward(r, at, b.data, q.data, weight_fn)
 
     def vjp(g):
         gw = r @ g
@@ -509,7 +535,33 @@ def additive_attention(
         gh = np.outer(gs, q.data) * (1.0 - h * h)
         return np.outer(w, g), gh @ at.T, (r.T @ gh).T, gh.sum(axis=0), h.T @ gs
 
-    return _out(w @ r, (rows, rows, A, b, q), vjp, "additive_attention"), w
+    return _out(pooled, (rows, rows, A, b, q), vjp, "additive_attention"), w
+
+
+def additive_attention_values(
+    rows: np.ndarray, A: np.ndarray, b: np.ndarray, q: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The values of additive_attention with softmax weights for a stack
+    rows [..., n, d_r] of matrices: the pooled rows [..., d_r] and the
+    weights [..., n]."""
+    return _additive_forward(rows, A.T.copy(), b, q, "softmax")[:2]
+
+
+def _self_attention_forward(xd: np.ndarray, layer):
+    """Multi-head self-attention over the last two axes of xd [..., M, d]:
+    the output, the head outputs concatenated and, per head, (columns, Q_h,
+    K_h^T, V_h, attention)."""
+    dh = layer.w_q.data.shape[0] // layer.n_heads
+    c = 1.0 / math.sqrt(dh)
+    q, k, v = np.matmul(xd, layer.w_q.data), np.matmul(xd, layer.w_k.data), np.matmul(xd, layer.w_v.data)
+    heads = []
+    for h in range(layer.n_heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        qh, vh = q[..., cols].copy(), v[..., cols].copy()
+        kt = k[..., cols].swapaxes(-1, -2).copy()
+        heads.append((cols, qh, kt, vh, _softmax(np.matmul(qh, kt) * c)))
+    z = np.concatenate([np.matmul(a, vh) for _, _, _, vh, a in heads], axis=-1)
+    return np.matmul(z, layer.w_o.data) + xd, z, heads
 
 
 def multihead_self_attention(x: Tensor, layer) -> tuple[Tensor, list[np.ndarray]]:
@@ -529,24 +581,12 @@ def multihead_self_attention(x: Tensor, layer) -> tuple[Tensor, list[np.ndarray]
     d = wq.data.shape[0]
     if xd.ndim != 2 or xd.shape[1] != d:
         raise ValueError(f"multihead_self_attention: input shape {xd.shape} does not match width {d}")
-    dh = d // layer.n_heads
-    c = 1.0 / math.sqrt(dh)
-    q = xd @ wq.data
-    k = xd @ wk.data
-    v = xd @ wv.data
-    heads = []  # (slice, q_h, k_h^T, v_h, attention) per head
-    for h in range(layer.n_heads):
-        cols = slice(h * dh, (h + 1) * dh)
-        qh, vh = q[:, cols].copy(), v[:, cols].copy()
-        kt = k[:, cols].copy().T.copy()
-        sc = (qh @ kt) * c
-        e = np.exp(sc - sc.max(axis=1, keepdims=True))
-        heads.append((cols, qh, kt, vh, e / e.sum(axis=1, keepdims=True)))
-    z = np.concatenate([a @ vh for _, _, _, vh, a in heads], axis=1)
+    c = 1.0 / math.sqrt(d // layer.n_heads)
+    out, z, heads = _self_attention_forward(xd, layer)
 
     def vjp(g):
         gz = g @ wo.data.T
-        gq, gk, gv = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
+        gq, gk, gv = np.zeros_like(xd), np.zeros_like(xd), np.zeros_like(xd)
         for cols, qh, kt, vh, a in heads:
             go = gz[:, cols]
             ga = go @ vh.T
@@ -561,8 +601,13 @@ def multihead_self_attention(x: Tensor, layer) -> tuple[Tensor, list[np.ndarray]
         return (*gx, xd.T @ gq, xd.T @ gk, xd.T @ gv, z.T @ g)
 
     parents = (x, x, x, x, wq, wk, wv, wo)
-    out = _out(z @ wo.data + xd, parents, vjp, "multihead_self_attention")
-    return out, [a for *_, a in heads]
+    return _out(out, parents, vjp, "multihead_self_attention"), [a for *_, a in heads]
+
+
+def multihead_self_attention_values(x: np.ndarray, layer) -> np.ndarray:
+    """The output values of multihead_self_attention for a stack x [..., M, d]
+    of inputs."""
+    return _self_attention_forward(x, layer)[0]
 
 
 def avg_pool(z: Tensor) -> Tensor:
@@ -628,7 +673,7 @@ def softargmax(x: Tensor, beta: float = 1.0) -> Tensor:
         raise ValueError("softargmax requires beta >= 1")
     if x.data.ndim != 1:
         raise ValueError("softargmax expects a vector")
-    s = _softmax1d(beta * x.data)
+    s = _softmax(beta * x.data)
     idx = np.arange(x.data.size, dtype=np.float64)
     out = float(np.dot(s, idx))
     return _out(

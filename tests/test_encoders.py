@@ -7,10 +7,13 @@ from statutelab import tensor as T
 from statutelab.tensor import Tensor, grad_check
 from statutelab.encoders import (
     PRESETS,
+    STACK_CAP,
+    SelfAttentionEncoder,
     attend,
     encode_paragraph,
     encode_sentence_avg,
     encode_sentence_cnn,
+    encode_statements,
     init_attention_params,
     init_cnn_encoder,
     init_self_attention_layer,
@@ -285,3 +288,100 @@ def test_encoder_gradients_match_finite_differences():
             layer.w_q = old
 
     assert grad_check(g, Tensor(layer.w_q.data.copy())) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# encode_statements: same-length stacks, values only, the per-sentence bits
+
+WORDS = [f"w{i}" for i in range(10)]
+MAX_LEN = 9
+
+
+def _statement_lists(seed, oov=False):
+    """Token lists of every length 1..MAX_LEN in shuffled order, more than
+    STACK_CAP of length 4, and with `oov` some out-of-vocabulary tokens."""
+    rng = np.random.default_rng(seed)
+    pool = WORDS + ["oov1", "oov2"] if oov else WORDS
+    lengths = [m for m in range(1, MAX_LEN + 1) for _ in range(3)] + [4] * (2 * STACK_CAP + 3)
+    lists = [[str(t) for t in rng.choice(pool, size=m)] for m in lengths]
+    if oov:  # at least one kept token per list, so skip never runs out
+        lists = [t if set(t) & set(WORDS) else t + ["w0"] for t in lists]
+    return [lists[i] for i in rng.permutation(len(lists))]
+
+
+def _cnn_encoder(width, policy, seed=0):
+    rng = np.random.default_rng(seed)
+    emb = _embeddings(WORDS, d=6, seed=seed, policy=policy)
+    return init_cnn_encoder(emb, 7, 5, rng, width=width)
+
+
+def _sa_encoder(heads, policy, positions=True, seed=0):
+    rng = np.random.default_rng(seed)
+    emb = _embeddings(WORDS, d=8, seed=seed, policy=policy)
+    layers = [init_self_attention_layer(8, heads, rng) for _ in range(2)]
+    pos = Tensor(rng.normal(0.0, 0.1, size=(MAX_LEN + 1, 8))) if positions else None
+    return SelfAttentionEncoder(emb, pos, layers)
+
+
+def _one_by_one(lists, enc):
+    if isinstance(enc, SelfAttentionEncoder):
+        return [enc.encode(t).data for t in lists]
+    return [encode_sentence_cnn(t, enc).data for t in lists]
+
+
+def _assert_per_sentence_bits(lists, enc):
+    got = encode_statements(lists, enc)
+    want = _one_by_one(lists, enc)
+    assert got.shape == (len(lists), want[0].shape[0])
+    for row, ref in zip(got, want):
+        assert np.array_equal(row, ref) and row.tobytes() == ref.tobytes()
+
+
+ENCODERS = {
+    **{f"cnn-width{w}-{p}": (lambda w=w, p=p: _cnn_encoder(w, p)) for w in (1, 3) for p in ("zero_vector", "skip")},
+    **{f"sa-{h}heads-{p}": (lambda h=h, p=p: _sa_encoder(h, p)) for h in (1, 2, 4) for p in ("zero_vector", "skip")},
+    "sa-no-positions": lambda: _sa_encoder(2, "zero_vector", positions=False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENCODERS))
+@pytest.mark.parametrize("oov", [False, True])
+def test_encode_statements_has_the_per_sentence_bits(name, oov):
+    enc = ENCODERS[name]()
+    lists = _statement_lists(sorted(ENCODERS).index(name), oov)
+    _assert_per_sentence_bits(lists, enc)
+    _assert_per_sentence_bits(lists[:1], enc)
+    _assert_per_sentence_bits([["w3"] * 4] * (STACK_CAP + 1), enc)
+
+
+def test_encode_statements_groups_by_length_after_the_oov_policy():
+    lists = [["w1", "oov1", "w2"], ["w1", "w2"], ["oov1", "w3"]]
+    for policy in ("zero_vector", "skip"):
+        enc = _cnn_encoder(3, policy)
+        _assert_per_sentence_bits(lists, enc)
+    assert encode_statements([], _cnn_encoder(3, "skip")).shape == (0, 7)
+    assert encode_statements([], _sa_encoder(2, "skip")).shape == (0, 8)
+
+
+def _error(fn):
+    with pytest.raises(ValueError) as info:
+        fn()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("make", [lambda: _cnn_encoder(3, "skip"), lambda: _sa_encoder(2, "skip")])
+def test_encode_statements_raises_the_per_sentence_errors(make):
+    enc = make()
+    for bad in ([], ["oov1", "oov2"]):
+        lists = [["w1", "w2"], bad, ["w3"]]
+        msg = _error(lambda: encode_statements(lists, enc))
+        assert msg == _error(lambda: _one_by_one(lists, enc))
+    assert _error(lambda: encode_statements([[]], enc)) == "cannot embed an empty token sequence"
+    assert _error(lambda: encode_statements([["oov1"]], enc)) == "all tokens out of vocabulary under skip policy"
+
+
+def test_encode_statements_rejects_a_list_longer_than_the_positional_table():
+    enc = _sa_encoder(2, "zero_vector")
+    lists = [["w1"] * 3, ["w2"] * (MAX_LEN + 2)]
+    msg = _error(lambda: encode_statements(lists, enc))
+    assert msg == _error(lambda: _one_by_one(lists, enc)) == f"sequence length {MAX_LEN + 2} exceeds positional table"

@@ -1,5 +1,8 @@
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ import pytest
 from statutelab import rankers
 from statutelab.cli import cli_dispatch
 from statutelab.corpus import Article, Query, chunk_corpus, load_corpus
+from statutelab.encoders import encode_paragraph, encode_sentence_cnn
 from statutelab.evalkit import RetrievalJudgment, macro_f2
 from statutelab.lexical import build_index, tokenize, top_n
 from statutelab.rankers import (
@@ -89,8 +93,6 @@ def test_semantic_score_identical_inputs_nonnegative():
 def test_semantic_score_matches_manual_forward_pass():
     articles, queries = tiny_world()
     model = small_model(articles, queries)
-    from statutelab.encoders import encode_paragraph, encode_sentence_cnn
-
     qv = encode_sentence_cnn(tokenize("gift writing"), model.encoder)
     reps = [encode_sentence_cnn(tokenize(articles[0].text), model.encoder)]
     ra, _ = encode_paragraph(model.para_query, reps, model.para_attn)
@@ -377,6 +379,39 @@ def scoring_models(articles, queries):
     }
 
 
+def _statute_world(seed, n_articles, n_queries):
+    """The benchmark's statute world: 1-5 statements of 8-24 tokens per
+    article, each query one statement of its gold article, thinned."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # its dataclasses look their module up
+    spec.loader.exec_module(mod)
+    world, queries = mod.statute_world(seed, n_articles, n_queries)
+    return chunk_corpus([Article(i, "", t) for i, t in zip(world.ids, world.texts)]), queries
+
+
+@pytest.mark.parametrize("kind", ["learned", "derived", "paraformer_lite"])
+def test_stacked_candidate_scores_have_the_per_statement_bits(kind):
+    articles, queries = _statute_world(5, 150, 8)
+    model = scoring_models(articles, queries)[kind]
+    enc = model.encoder
+    by_id = {a.id: a for a in articles}
+
+    def encode(tokens):
+        return encode_sentence_cnn(tokens, enc) if kind != "paraformer_lite" else enc.encode(tokens)
+
+    scored = score_candidates(model, build_index(articles), articles, queries, n_predict=30)
+    for q, c in zip(queries, scored):
+        qv = encode(tokenize(q.text))
+        want = []
+        for doc_id in c.ids:
+            reps = [encode(t) for t in map(tokenize, by_id[doc_id].statements) if t]
+            r_a, _ = encode_paragraph(model.para_query if kind == "learned" else qv, reps, model.para_attn)
+            want.append(float(np.dot(qv.data, r_a.data)))
+        assert len(want) == 30 and np.array(c.sem).tobytes() == np.array(want).tobytes()
+
+
 @pytest.mark.parametrize("kind", ["learned", "derived", "paraformer_lite"])
 def test_rank_semantic_scores_are_exactly_semantic_score(kind):
     articles, queries = statement_world()
@@ -464,12 +499,18 @@ def test_score_candidates_encodes_each_query_and_article_once(monkeypatch):
     idx = build_index(articles)
     seen = []
     real = rankers.encode_sentence_cnn
+    real_statements = rankers.encode_statements
 
     def counting(tokens, enc, **kw):
         seen.append(tuple(tokens))
         return real(tokens, enc, **kw)
 
+    def counting_statements(token_lists, enc):
+        seen.extend(tuple(t) for t in token_lists)
+        return real_statements(token_lists, enc)
+
     monkeypatch.setattr(rankers, "encode_sentence_cnn", counting)
+    monkeypatch.setattr(rankers, "encode_statements", counting_statements)
     score_candidates(model, idx, articles, queries, n_predict=5)
     statements = [tuple(t) for a in articles for t in map(tokenize, a.statements or [a.text]) if t]
     assert sorted(seen) == sorted([tuple(tokenize(q.text)) for q in queries] + statements)

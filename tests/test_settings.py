@@ -264,6 +264,30 @@ def test_a_config_file_with_every_key_loads_for_each_config_command(inputs, tmp_
         assert json.loads((tmp_path / name / "config.json").read_text()) == EVERY_KEY, name
 
 
+def test_rank_run_and_grid_alpha_take_n_predict_and_eval_k_from_the_checkpoint(inputs, tmp_path, capsys):
+    code, err = _run(capsys, *_argv(inputs, "rank", "--n-predict", "2", "--eval-k", "2", "--out", tmp_path / "train"))
+    assert code == 0, err
+    (tmp_path / "n4.json").write_text(json.dumps({"n_predict": 4}))
+    model = ["--model", tmp_path / "train" / "model.slrk", *_argv(inputs, "run")[4:]]
+    # the flag wins over the config file, the file over the checkpoint
+    for name, extra, n in (
+        ("stored", [], 2),
+        ("flag", ["--n-predict", "3"], 3),
+        ("file", ["--config", tmp_path / "n4.json"], 4),
+        ("flag-and-file", ["--config", tmp_path / "n4.json", "--n-predict", "3"], 3),
+    ):
+        code, err = _run(capsys, "rank", "run", *model, "--alpha", "0.5", *extra, "--out", tmp_path / name)
+        assert code == 0, (name, err)
+        rows = [json.loads(line) for line in (tmp_path / name / "run.jsonl").read_text().splitlines()]
+        assert rows and all(len(row["ranked"]) == n for row in rows), name
+        cfg = json.loads((tmp_path / name / "config.json").read_text())
+        assert (cfg["n_predict"], cfg["eval_k"]) == (n, 2), name
+        code, err = _run(capsys, "rank", "grid-alpha", *model, *extra, "--out", tmp_path / f"grid-{name}")
+        assert code == 0, (name, err)
+        cfg = json.loads((tmp_path / f"grid-{name}" / "config.json").read_text())
+        assert (cfg["n_predict"], cfg["eval_k"]) == (n, 2), name
+
+
 @pytest.mark.parametrize("n_layers", [1, 2, 3, 4, 5])
 def test_needle_defaults_match_the_last_three_layers_rule(n_layers):
     positions = list(range(max(1, n_layers - 2), n_layers + 1))
