@@ -244,15 +244,30 @@ def _missing(ids: set, side: str) -> str:
     return f"{len(ids)} ids missing from the {side}{first}"
 
 
+def _checkpoint_keys(model) -> dict:
+    """The RunConfig keys a ranker checkpoint fixes, with its values."""
+    c, enc = model.config, model.encoder
+    keys = {
+        "model": model.kind, "seed": c.seed, "k1": c.k1, "b": c.b, "n_train": c.n_train,
+        "K": c.k_negatives, "lr": c.lr, "epochs": c.epochs, "embed_dim": model.embeddings.dim,
+    }
+    if model.kind == "attentive_cnn":
+        width, _, filters = enc.filters.data.shape
+        keys.update(filters=filters, attn_dim=enc.attn.A.data.shape[0], dropout=enc.dropout, width=width)
+    else:
+        keys.update(n_layers=len(enc.layers), n_heads=enc.layers[0].n_heads if enc.layers else 1)
+    return keys
+
+
 def _rank_inputs(args):
     """Config, model, chunked corpus, queries, index, and the input files to
-    digest.  BM25 scores with the checkpoint's k1 and b, which the config
-    records.  n_predict and eval_k come from the flag, else the --config
-    file, else the checkpoint.  An index must hold exactly the chunked
-    corpus's article ids."""
+    digest.  The config records the checkpoint's values of the keys it
+    fixes (BM25 scores with its k1 and b); n_predict and eval_k come from
+    the flag, else the --config file, else the checkpoint.  An index must
+    hold exactly the chunked corpus's article ids."""
     model = rankers.load_model(args.model_path)
     stored = RunConfig(n_predict=model.config.n_predict, eval_k=model.config.eval_k)
-    cfg = dataclasses.replace(_resolve_config(args, stored), k1=model.config.k1, b=model.config.b)
+    cfg = dataclasses.replace(_resolve_config(args, stored), **_checkpoint_keys(model))
     articles = corpus_mod.chunk_corpus(corpus_mod.load_corpus(args.corpus))
     queries = corpus_mod.load_queries(args.queries)
     idx = lexical.load_index(args.index) if args.index else lexical.build_index(articles)

@@ -156,25 +156,16 @@ def parameters(model: RankerModel) -> list[Tensor]:
 
 
 def _encode_sentence(model: RankerModel, tokens: list[str], train=False, rng=None) -> Tensor | None:
-    """The encoded token sequence; None when it has no tokens.  Outside
-    training only the values are kept, so the graph goes at once."""
+    """The encoded token sequence; None when it has no tokens.  `train`
+    turns on the CNN's dropout."""
     if not tokens:
         return None
     enc = model.encoder
     # a CNN goes through this module's encode_sentence_cnn name, which tests
     # patch to count encodes
     if isinstance(enc, SentenceEncoderCNN):
-        v = encode_sentence_cnn(tokens, enc, train=train, rng=rng)
-    else:
-        v = enc.encode(tokens)
-    return v if train else Tensor(v.data)
-
-
-def _pool(model: RankerModel, reps: list[Tensor], qv: Tensor | None = None) -> Tensor:
-    """r_a: statement vectors pooled under the learned paragraph query, or
-    under the encoded query when the model has none."""
-    pq = model.para_query if model.para_query is not None else qv
-    return encode_paragraph(pq, reps, model.para_attn)[0]
+        return encode_sentence_cnn(tokens, enc, train=train, rng=rng)
+    return enc.encode(tokens)
 
 
 def _statement_tokens(article: Article) -> list[list[str]]:
@@ -183,49 +174,55 @@ def _statement_tokens(article: Article) -> list[list[str]]:
     return [t for t in map(tokenize, article.statements or [article.text]) if t]
 
 
-def _article_encoding(model: RankerModel, reps: list[Tensor], train=False):
-    """What scoring needs of an article, whatever the query, from its
-    statement vectors: r_a when the paragraph query is learned, else the
-    vectors; None when no statement has tokens.  Outside training only the
-    values are kept."""
-    if not reps or model.para_query is None:
-        return reps or None
-    r_a = _pool(model, reps)
-    return r_a if train else Tensor(r_a.data)
-
-
-def _encode_articles(model: RankerModel, articles: list[Article], encoded: dict) -> None:
-    """Put the values-only encoding of each article not yet in `encoded`
-    there, the statements of all of them encoded in one encode_statements
-    call."""
-    todo = {a.id: _statement_tokens(a) for a in articles if a.id not in encoded}
-    vecs = iter(encode_statements([t for ts in todo.values() for t in ts], model.encoder))
-    for article_id, ts in todo.items():
-        encoded[article_id] = _article_encoding(model, [Tensor(next(vecs)) for _ in ts])
-
-
-def _score(model: RankerModel, qv: Tensor | None, article: Article, encoded: dict, train=False, rng=None) -> Tensor:
-    """s_s = q . r_a, the article encoded once per `encoded` dict (through
-    the tape in training, else values only); 0.0 when the query or every
-    statement of the article has no tokens."""
+def _train_score(model: RankerModel, qv: Tensor | None, article: Article, rng) -> Tensor:
+    """s_s = q . r_a on the tape, each statement encoded with dropout; 0.0
+    when the query or every statement of the article has no tokens."""
     if qv is None:
         return Tensor(0.0)
-    if article.id not in encoded:
-        if train:
-            reps = [_encode_sentence(model, t, train=True, rng=rng) for t in _statement_tokens(article)]
-            encoded[article.id] = _article_encoding(model, reps, train=True)
-        else:
-            _encode_articles(model, [article], encoded)
-    enc = encoded[article.id]
-    if enc is None:
+    reps = [_encode_sentence(model, t, train=True, rng=rng) for t in _statement_tokens(article)]
+    if not reps:
         return Tensor(0.0)
-    return T.dot(qv, enc if model.para_query is not None else _pool(model, enc, qv))
+    pq = model.para_query if model.para_query is not None else qv
+    return T.dot(qv, encode_paragraph(pq, reps, model.para_attn)[0])
+
+
+def _paragraph(model: RankerModel, rows: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """r_a and the statement weights of the rows [S, d] under the query q."""
+    attn = model.para_attn
+    return T.additive_attention_values(rows, attn.A.data, attn.b.data, q, attn.weight_fn)
+
+
+def _encode_articles(model: RankerModel, articles: list[Article], encoded: dict) -> dict:
+    """Put what scoring needs of each article not yet in `encoded` there, the
+    statements of all of them encoded in one encode_statements call: r_a when
+    the paragraph query is learned, else the statement rows; None when no
+    statement has tokens.  Returns `encoded`."""
+    todo = {a.id: _statement_tokens(a) for a in articles if a.id not in encoded}
+    vecs = encode_statements([t for ts in todo.values() for t in ts], model.encoder)
+    start = 0
+    for article_id, ts in todo.items():
+        rows, start = vecs[start : start + len(ts)], start + len(ts)
+        if ts and model.para_query is not None:
+            rows = _paragraph(model, rows, model.para_query.data)[0]
+        encoded[article_id] = rows if ts else None
+    return encoded
+
+
+def _semantic(model: RankerModel, qv: np.ndarray, enc: np.ndarray | None) -> float:
+    """s_s = q . r_a from an article's _encode_articles entry."""
+    if enc is None:
+        return 0.0
+    return float(np.dot(qv, enc if model.para_query is not None else _paragraph(model, enc, qv)[0]))
 
 
 def semantic_score(model: RankerModel, query_text: str, article: Article) -> float:
     """Dot product of the encoded query and the pooled article vector; 0.0
-    when the query or every statement of the article has no tokens."""
-    return float(_score(model, _encode_sentence(model, tokenize(query_text)), article, {}).data)
+    when the query or every statement of the article has no tokens.  The
+    article is encoded only when the query has tokens."""
+    qv = _encode_sentence(model, tokenize(query_text))
+    if qv is None:
+        return 0.0
+    return _semantic(model, qv.data, _encode_articles(model, [article], {})[article.id])
 
 
 def require_relevant(queries: list[Query], article_ids) -> None:
@@ -283,7 +280,7 @@ def train_ranker(
             def loss_fn():
                 # one query node for the positive and every negative
                 qv = _encode_sentence(model, tokenize(q.text), train=True, rng=rng)
-                ys = [_score(model, qv, by_id[d], {}, train=True, rng=rng) for d in [pos_id, *neg_ids]]
+                ys = [_train_score(model, qv, by_id[d], rng) for d in [pos_id, *neg_ids]]
                 return T.ce_negsample(ys[0], ys[1:])
 
             loss = T.train_step(params, cfg.lr, loss_fn, f"epoch {epoch} at query {q.id!r}")
@@ -338,7 +335,7 @@ def score_candidates(
         qv = _encode_sentence(model, q_tokens)
         if qv is not None:
             _encode_articles(model, [by_id[doc_id] for doc_id in ids], encoded)
-        sem = [float(_score(model, qv, by_id[doc_id], encoded).data) for doc_id in ids]
+        sem = [0.0 if qv is None else _semantic(model, qv.data, encoded[doc_id]) for doc_id in ids]
         out.append(CandidateScores(ids, _minmax([s for _, s in hits]), sem))
     return out
 

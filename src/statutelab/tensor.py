@@ -539,12 +539,12 @@ def additive_attention(
 
 
 def additive_attention_values(
-    rows: np.ndarray, A: np.ndarray, b: np.ndarray, q: np.ndarray
+    rows: np.ndarray, A: np.ndarray, b: np.ndarray, q: np.ndarray, weight_fn: str = "softmax"
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The values of additive_attention with softmax weights for a stack
-    rows [..., n, d_r] of matrices: the pooled rows [..., d_r] and the
-    weights [..., n]."""
-    return _additive_forward(rows, A.T.copy(), b, q, "softmax")[:2]
+    """The values of additive_attention for a stack rows [..., n, d_r] of
+    matrices (a single matrix under sparsemax): the pooled rows [..., d_r]
+    and the weights [..., n]."""
+    return _additive_forward(rows, A.T.copy(), b, q, weight_fn)[:2]
 
 
 def _self_attention_forward(xd: np.ndarray, layer):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from statutelab import rankers
+from statutelab import rankers, tensor
 from statutelab.cli import cli_dispatch
 from statutelab.corpus import Article, Query, chunk_corpus, load_corpus
 from statutelab.encoders import encode_paragraph, encode_sentence_cnn
@@ -514,6 +514,36 @@ def test_score_candidates_encodes_each_query_and_article_once(monkeypatch):
     score_candidates(model, idx, articles, queries, n_predict=5)
     statements = [tuple(t) for a in articles for t in map(tokenize, a.statements or [a.text]) if t]
     assert sorted(seen) == sorted([tuple(tokenize(q.text)) for q in queries] + statements)
+
+
+@pytest.mark.parametrize("kind", ["learned", "derived", "paraformer_lite"])
+def test_scoring_builds_tensors_for_the_query_encode_only(kind):
+    articles, queries = _statute_world(5, 60, 1)
+    model = scoring_models(articles, queries)[kind]
+    idx = build_index(articles)
+
+    def built(n_predict):
+        start = next(tensor._ids)
+        (scored,) = score_candidates(model, idx, articles, queries, n_predict=n_predict)
+        assert len(scored.ids) == n_predict
+        return next(tensor._ids) - start
+
+    assert built(5) == built(len(articles))
+
+
+@pytest.mark.parametrize("kind", ["learned", "derived", "paraformer_lite"])
+def test_a_query_without_tokens_scores_0_encoding_no_article(kind):
+    articles, queries = statement_world()
+    model = scoring_models(articles, queries)[kind]
+    model.embeddings.oov_policy = "skip"
+    # every statement is out of vocabulary, so any encode of it raises
+    oov = Article("z", "", "zzz qqq. yyy", ["zzz qqq", "yyy"])
+    with pytest.raises(ValueError, match="out of vocabulary"):
+        semantic_score(model, "gift writing", oov)
+    assert semantic_score(model, " ?! ", oov) == 0.0
+    world = articles + [oov]
+    (scored,) = score_candidates(model, build_index(world), world, [Query("qe", " ?! ", set())], n_predict=6)
+    assert "z" in scored.ids and scored.sem == [0.0] * 6
 
 
 def test_texts_without_tokens_get_defined_scores():

@@ -288,6 +288,47 @@ def test_rank_run_and_grid_alpha_take_n_predict_and_eval_k_from_the_checkpoint(i
         assert (cfg["n_predict"], cfg["eval_k"]) == (n, 2), name
 
 
+# per model kind: rank train flags, and the config keys the checkpoint then fixes
+TRAINED = {
+    "rank": (
+        ["--epochs", "2", "--lr", "0.1", "--K", "1", "--n-train", "3", "--k1", "2.0", "--b", "0.5",
+         "--embed-dim", "8", "--filters", "6", "--attn-dim", "5", "--width", "1", "--dropout", "0.25"],
+        {"model": "attentive_cnn", "seed": 1, "epochs": 2, "lr": 0.1, "K": 1, "n_train": 3, "k1": 2.0,
+         "b": 0.5, "embed_dim": 8, "filters": 6, "attn_dim": 5, "width": 1, "dropout": 0.25},
+    ),
+    "paraformer": (
+        ["--epochs", "2", "--embed-dim", "8", "--n-layers", "1", "--n-heads", "4"],
+        {"model": "paraformer_lite", "seed": 1, "epochs": 2, "lr": 0.02, "K": 2, "n_train": 50, "k1": 1.2,
+         "b": 0.75, "embed_dim": 8, "n_layers": 1, "n_heads": 4},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(TRAINED))
+def test_rank_run_and_grid_alpha_record_the_keys_the_checkpoint_fixes(inputs, tmp_path, capsys, command):
+    flags, fixed = TRAINED[command]
+    code, err = _run(capsys, *_argv(inputs, command, *flags, "--out", tmp_path / "train"))
+    assert code == 0, err
+    # a config file that says otherwise for every fixed key loses to the checkpoint
+    other = {
+        "model": "paraformer_lite" if fixed["model"] == "attentive_cnn" else "attentive_cnn", "seed": 9,
+        "epochs": 7, "lr": 0.5, "K": 3, "n_train": 9, "k1": 1.0, "b": 0.1, "embed_dim": 16,
+        "filters": 16, "attn_dim": 16, "width": 3, "dropout": 0.0, "n_layers": 3, "n_heads": 2,
+    }
+    (tmp_path / "other.json").write_text(json.dumps(other))
+    model = ["--model", tmp_path / "train" / "model.slrk", *_argv(inputs, "run")[4:]]
+    model += ["--config", tmp_path / "other.json"]
+    for name, argv in (("run", ["rank", "run", *model, "--alpha", "0.5"]), ("grid", ["rank", "grid-alpha", *model])):
+        code, err = _run(capsys, *argv, "--out", tmp_path / name)
+        assert code == 0, (name, err)
+        cfg = json.loads((tmp_path / name / "config.json").read_text())
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert manifest["config"] == cfg and manifest["seed"] == 1, name
+        assert {k: cfg[k] for k in fixed} == fixed, name
+        # the keys the checkpoint does not fix keep the file's values
+        assert {k: cfg[k] for k in other if k not in fixed} == {k: v for k, v in other.items() if k not in fixed}
+
+
 @pytest.mark.parametrize("n_layers", [1, 2, 3, 4, 5])
 def test_needle_defaults_match_the_last_three_layers_rule(n_layers):
     positions = list(range(max(1, n_layers - 2), n_layers + 1))
