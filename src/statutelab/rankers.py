@@ -186,10 +186,25 @@ def _train_score(model: RankerModel, qv: Tensor | None, article: Article, rng) -
     return T.dot(qv, encode_paragraph(pq, reps, model.para_attn)[0])
 
 
-def _paragraph(model: RankerModel, rows: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """r_a and the statement weights of the rows [S, d] under the query q."""
+def _pool_paragraphs(
+    model: RankerModel, blocks: list[np.ndarray | None], q: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray] | None]:
+    """r_a and the statement weights of each row block [S, d] under the
+    query q, None for a None block.  Blocks with the same S are stacked to
+    [n, S, d] and pooled in one additive_attention_values call, which keeps
+    each block's bits."""
     attn = model.para_attn
-    return T.additive_attention_values(rows, attn.A.data, attn.b.data, q, attn.weight_fn)
+    by_count: dict[int, list[int]] = {}
+    for i, rows in enumerate(blocks):
+        if rows is not None:
+            by_count.setdefault(len(rows), []).append(i)
+    out = [None] * len(blocks)
+    for members in by_count.values():
+        stack = np.stack([blocks[i] for i in members])
+        pooled, w = T.additive_attention_values(stack, attn.A.data, attn.b.data, q, attn.weight_fn)
+        for j, i in enumerate(members):
+            out[i] = (pooled[j], w[j])
+    return out
 
 
 def _encode_articles(model: RankerModel, articles: list[Article], encoded: dict) -> dict:
@@ -199,20 +214,23 @@ def _encode_articles(model: RankerModel, articles: list[Article], encoded: dict)
     statement has tokens.  Returns `encoded`."""
     todo = {a.id: _statement_tokens(a) for a in articles if a.id not in encoded}
     vecs = encode_statements([t for ts in todo.values() for t in ts], model.encoder)
-    start = 0
-    for article_id, ts in todo.items():
-        rows, start = vecs[start : start + len(ts)], start + len(ts)
-        if ts and model.para_query is not None:
-            rows = _paragraph(model, rows, model.para_query.data)[0]
-        encoded[article_id] = rows if ts else None
+    blocks, start = [], 0
+    for ts in todo.values():
+        blocks.append(vecs[start : start + len(ts)] if ts else None)
+        start += len(ts)
+    if model.para_query is not None:
+        pooled = _pool_paragraphs(model, blocks, model.para_query.data)
+        blocks = [None if p is None else p[0] for p in pooled]
+    encoded.update(zip(todo, blocks))
     return encoded
 
 
-def _semantic(model: RankerModel, qv: np.ndarray, enc: np.ndarray | None) -> float:
-    """s_s = q . r_a from an article's _encode_articles entry."""
-    if enc is None:
-        return 0.0
-    return float(np.dot(qv, enc if model.para_query is not None else _paragraph(model, enc, qv)[0]))
+def _semantic(model: RankerModel, qv: np.ndarray, encs: list[np.ndarray | None]) -> list[float]:
+    """s_s = q . r_a for each article's _encode_articles entry, a derived
+    query's candidates pooled together."""
+    if model.para_query is None:
+        encs = [None if p is None else p[0] for p in _pool_paragraphs(model, encs, qv)]
+    return [0.0 if r is None else float(np.dot(qv, r)) for r in encs]
 
 
 def semantic_score(model: RankerModel, query_text: str, article: Article) -> float:
@@ -222,7 +240,7 @@ def semantic_score(model: RankerModel, query_text: str, article: Article) -> flo
     qv = _encode_sentence(model, tokenize(query_text))
     if qv is None:
         return 0.0
-    return _semantic(model, qv.data, _encode_articles(model, [article], {})[article.id])
+    return _semantic(model, qv.data, [_encode_articles(model, [article], {})[article.id]])[0]
 
 
 def require_relevant(queries: list[Query], article_ids) -> None:
@@ -333,9 +351,11 @@ def score_candidates(
         hits = top_n(index, q_tokens, n_predict, k1=model.config.k1, b=model.config.b)
         ids = [doc_id for doc_id, _ in hits]
         qv = _encode_sentence(model, q_tokens)
-        if qv is not None:
+        if qv is None:
+            sem = [0.0] * len(ids)
+        else:
             _encode_articles(model, [by_id[doc_id] for doc_id in ids], encoded)
-        sem = [0.0 if qv is None else _semantic(model, qv.data, encoded[doc_id]) for doc_id in ids]
+            sem = _semantic(model, qv.data, [encoded[doc_id] for doc_id in ids])
         out.append(CandidateScores(ids, _minmax([s for _, s in hits]), sem))
     return out
 

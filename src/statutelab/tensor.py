@@ -384,23 +384,25 @@ def softmax_rows(a: Tensor) -> Tensor:
 
 
 def sparsemax_values(x: np.ndarray) -> np.ndarray:
-    """Euclidean projection of x onto the probability simplex (sort + threshold).
+    """Euclidean projection onto the probability simplex (sort + threshold)
+    of x, or of each vector along the last axis of a stack x.
 
     Support size k is the largest k with 1 + k*z_(k) > sum_{j<=k} z_(j);
     tau = (sum_{j<=k} z_(j) - 1) / k.  The max of x is subtracted first, which
-    makes the computation invariant to a constant shift of the input.
-    Non-finite input raises ValueError.
+    makes the computation invariant to a constant shift of the input.  A row
+    of a stack gets the bits of its own projection.  Non-finite input raises
+    ValueError.
     """
     z = np.asarray(x, dtype=np.float64)
     if not np.isfinite(z).all():
         raise ValueError("sparsemax input holds non-finite values")
-    z = z - z.max()
-    srt = np.sort(z)[::-1]
-    cums = np.cumsum(srt)
-    ks = np.arange(1, z.size + 1)
-    support = ks[1.0 + ks * srt > cums]
-    k = int(support[-1])
-    tau = (cums[k - 1] - 1.0) / k
+    z = z - z.max(axis=-1, keepdims=True)
+    srt = np.sort(z, axis=-1)[..., ::-1]
+    cums = np.cumsum(srt, axis=-1)
+    ks = np.arange(1, z.shape[-1] + 1)
+    # the last k that meets the rule (k = 1 always does), not the count of them
+    k = (ks * (1.0 + ks * srt > cums)).max(axis=-1, keepdims=True)
+    tau = (cums[ks == k].reshape(k.shape) - 1.0) / k
     return np.maximum(z - tau, 0.0)
 
 
@@ -500,8 +502,7 @@ def conv_tanh_values(x: np.ndarray, filters: np.ndarray) -> np.ndarray:
 
 def _additive_forward(r: np.ndarray, at: np.ndarray, b: np.ndarray, q: np.ndarray, weight_fn: str):
     """Additive attention over the rows (second-last axis) of r [..., n, d_r]
-    with at = A^T: the pooled rows, the weights and tanh(r at + b).
-    sparsemax weights take a single matrix."""
+    with at = A^T: the pooled rows, the weights and tanh(r at + b)."""
     h = np.tanh(np.matmul(r, at) + b)
     scores = np.matmul(h, q)
     w = _softmax(scores) if weight_fn == "softmax" else sparsemax_values(scores)
@@ -542,8 +543,7 @@ def additive_attention_values(
     rows: np.ndarray, A: np.ndarray, b: np.ndarray, q: np.ndarray, weight_fn: str = "softmax"
 ) -> tuple[np.ndarray, np.ndarray]:
     """The values of additive_attention for a stack rows [..., n, d_r] of
-    matrices (a single matrix under sparsemax): the pooled rows [..., d_r]
-    and the weights [..., n]."""
+    matrices: the pooled rows [..., d_r] and the weights [..., n]."""
     return _additive_forward(rows, A.T.copy(), b, q, weight_fn)[:2]
 
 

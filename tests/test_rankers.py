@@ -10,7 +10,7 @@ import pytest
 from statutelab import rankers, tensor
 from statutelab.cli import cli_dispatch
 from statutelab.corpus import Article, Query, chunk_corpus, load_corpus
-from statutelab.encoders import encode_paragraph, encode_sentence_cnn
+from statutelab.encoders import encode_paragraph, encode_sentence_cnn, encode_statements
 from statutelab.evalkit import RetrievalJudgment, macro_f2
 from statutelab.lexical import build_index, tokenize, top_n
 from statutelab.rankers import (
@@ -544,6 +544,47 @@ def test_a_query_without_tokens_scores_0_encoding_no_article(kind):
     world = articles + [oov]
     (scored,) = score_candidates(model, build_index(world), world, [Query("qe", " ?! ", set())], n_predict=6)
     assert "z" in scored.ids and scored.sem == [0.0] * 6
+
+
+@pytest.mark.parametrize("kind", ["learned", "derived", "paraformer_lite"])
+def test_pooled_paragraphs_have_the_bits_of_encode_paragraph(kind):
+    articles, queries = statement_world()
+    blank = Article("z", "", "?! ...", ["?!", "..."])
+    world = articles + [blank, Article("a6", "", "lease deed. gift act", ["lease deed", "gift act"])]
+    model = scoring_models(world, queries)[kind]
+    enc = model.encoder
+
+    def encode(tokens):
+        return encode_sentence_cnn(tokens, enc) if kind != "paraformer_lite" else enc.encode(tokens)
+
+    qv = encode(tokenize("gift writing deed"))
+    q = model.para_query if kind == "learned" else qv
+    token_lists = [rankers._statement_tokens(a) for a in world]
+    # two articles of one statement, four of two, one of none
+    assert sorted(map(len, token_lists)) == [0, 1, 1, 2, 2, 2, 2]
+    blocks = [encode_statements(ts, enc) if ts else None for ts in token_lists]
+    pooled = rankers._pool_paragraphs(model, blocks, q.data)
+    for ts, got in zip(token_lists, pooled):
+        if not ts:
+            assert got is None
+            continue
+        r_a, weights = encode_paragraph(q, [encode(t) for t in ts], model.para_attn)
+        assert got[0].tobytes() == r_a.data.tobytes()
+        assert got[1].tobytes() == np.array(weights).tobytes()
+    encoded = rankers._encode_articles(model, world, {})
+    sem = rankers._semantic(model, qv.data, [encoded[a.id] for a in world])
+    assert encoded["z"] is None and sem[world.index(blank)] == 0.0
+
+
+@pytest.mark.parametrize("kind", ["learned", "derived", "paraformer_lite"])
+def test_score_candidates_rejects_a_non_finite_statement_vector(kind):
+    articles, queries = statement_world()
+    model = scoring_models(articles, queries)[kind]
+    # "law" is in a1's first statement and in no query
+    model.embeddings.matrix.data[model.embeddings.vocab["law"]] = np.nan
+    idx = build_index(articles)
+    with pytest.raises(ValueError, match="sparsemax input holds non-finite values"):
+        score_candidates(model, idx, articles, [Query("q", "gift writing", {"a1"})], n_predict=5)
 
 
 def test_texts_without_tokens_get_defined_scores():

@@ -91,6 +91,40 @@ def test_sparsemax_rejects_non_finite_input(bad):
         T.sparsemax_values(np.array([0.5, bad, 0.1]))
 
 
+@pytest.mark.parametrize("m", range(1, 9))
+@pytest.mark.parametrize("scale", [1e-3, 1e-1, 1.0, 1e1, 1e3])
+def test_stacked_sparsemax_has_the_bits_of_each_row(m, scale):
+    rng = np.random.default_rng(m)
+    x = rng.normal(0.0, scale, size=(60, m))
+    x[:20] = np.round(x[:20] / scale) * scale  # rounded rows: ties
+    x[20:30] = x[20:30, :1]  # rows of equal values
+    x[30:45] = rng.integers(-12, 1, size=(15, m)) / 10.0  # ties where the support rule is near 0
+    want = np.stack([T.sparsemax_values(row) for row in x])
+    assert T.sparsemax_values(x).tobytes() == want.tobytes()
+    stack = x.reshape(3, 20, m)
+    assert T.sparsemax_values(stack).tobytes() == want.reshape(3, 20, m).tobytes()
+
+
+def test_stacked_sparsemax_takes_the_largest_k_that_meets_the_rule():
+    # rounding makes the rule fail at k = 5 and hold again at k = 6, so
+    # counting the k that meet it would give a support of 5
+    row = np.array([-0.9, -0.9, -0.8, -0.7, -0.9, -0.2])
+    z = np.sort(row - row.max())[::-1]
+    ks = np.arange(1, 7)
+    assert (1.0 + ks * z > np.cumsum(z)).tolist() == [True, True, True, True, False, True]
+    want = np.maximum(row - row.max() - (np.cumsum(z)[5] - 1.0) / 6, 0.0)
+    assert T.sparsemax_values(row).tobytes() == want.tobytes()
+    stack = np.stack([row[::-1], row])
+    assert T.sparsemax_values(stack)[1].tobytes() == want.tobytes()
+
+
+def test_stacked_sparsemax_rejects_a_non_finite_row():
+    x = np.zeros((4, 3))
+    x[2] = [0.5, np.nan, 0.1]
+    with pytest.raises(ValueError, match="sparsemax input holds non-finite values"):
+        T.sparsemax_values(x)
+
+
 def test_conv1d_shapes_and_degenerate_width():
     x = Tensor(np.arange(6.0).reshape(3, 2))
     w1 = Tensor(np.ones((1, 2, 4)))
