@@ -7,13 +7,14 @@ layer norm at this scale) and average-pools the final states.  Paragraphs
 are pooled from sentence vectors with general attention a_i = q^T tanh(A r_i
 + b), weighted by softmax or sparsemax.  Outside training,
 ``encode_statements`` encodes many sentences at once, values only, in
-stacks of the same length.
+stacks of the same length that ``embedded_stacks`` yields.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -41,6 +42,8 @@ __all__ = [
     "self_attention_states",
     "encode_sentence_cnn",
     "encode_sentence_avg",
+    "embedded_stacks",
+    "self_attention_stack_states",
     "encode_statements",
     "encode_paragraph",
 ]
@@ -55,7 +58,7 @@ PRESETS = {
 
 OOV_POLICIES = ("zero_vector", "skip")
 
-# the most same-length token lists encode_statements runs as one stack; it
+# the most same-length token lists embedded_stacks yields as one stack; it
 # bounds the working memory whatever the number of lists
 STACK_CAP = 16
 
@@ -297,24 +300,14 @@ def encode_sentence_avg(
     return SelfAttentionEncoder(embeddings, positions, layers).encode(tokens)
 
 
-def _encode_stack(x: np.ndarray, enc: SentenceEncoderCNN | SelfAttentionEncoder) -> np.ndarray:
-    """The vectors of a stack x [S, M, d] of embedded sentences."""
-    if isinstance(enc, SentenceEncoderCNN):
-        feats = T.conv_tanh_values(x, enc.filters.data)
-        return T.additive_attention_values(feats, enc.attn.A.data, enc.attn.b.data, enc.u.data)[0]
-    if enc.positions is not None:
-        x = x + enc.positions.data[: x.shape[1]]
-    for layer in enc.layers:
-        x = T.multihead_self_attention_values(x, layer)
-    return x.mean(axis=-2)
-
-
-def encode_statements(token_lists: list[list[str]], enc: SentenceEncoderCNN | SelfAttentionEncoder) -> np.ndarray:
-    """The [S, d_out] vectors of S token lists, values only and without
-    dropout: row i has the bits of encode_sentence_cnn(token_lists[i], enc),
-    or of enc.encode for a self-attention encoder.  Lists that embed to the
-    same number of rows are encoded together, at most STACK_CAP at a time.
-    Raises the errors of the per-sentence path for the first list at fault."""
+def embedded_stacks(
+    token_lists: list[list[str]], enc: SentenceEncoderCNN | SelfAttentionEncoder
+) -> Iterator[tuple[list[int], np.ndarray]]:
+    """The token lists embedded in stacks, values only: yields (members, x),
+    the indices of at most STACK_CAP lists that embed to the same number of
+    rows M after the OOV policy, and their [n, M, d] embedded rows.  Every
+    list is looked up before the first stack, so the errors of the
+    per-sentence path raise for the first list at fault."""
     table = enc.embeddings
     looked = []
     for tokens in token_lists:
@@ -322,8 +315,6 @@ def encode_statements(token_lists: list[list[str]], enc: SentenceEncoderCNN | Se
         if isinstance(enc, SelfAttentionEncoder):
             _check_length(enc, len(ids))
         looked.append((ids, mask))
-    d_out = enc.filters.data.shape[2] if isinstance(enc, SentenceEncoderCNN) else table.dim
-    out = np.empty((len(looked), d_out))
     by_length: dict[int, list[int]] = {}
     for i, (ids, _) in enumerate(looked):
         by_length.setdefault(len(ids), []).append(i)
@@ -334,7 +325,33 @@ def encode_statements(token_lists: list[list[str]], enc: SentenceEncoderCNN | Se
             for j, i in enumerate(rows):
                 if looked[i][1] is not None:
                     x[j] *= looked[i][1]
-            out[rows] = _encode_stack(x, enc)
+            yield rows, x
+
+
+def self_attention_stack_states(x: np.ndarray, enc: SelfAttentionEncoder) -> list[np.ndarray]:
+    """The values of self_attention_states for a stack x [n, M, d] of
+    embedded inputs: the input plus positions, then each layer's output."""
+    if enc.positions is not None:
+        x = x + enc.positions.data[: x.shape[1]]
+    states = [x]
+    for layer in enc.layers:
+        states.append(T.multihead_self_attention_values(states[-1], layer))
+    return states
+
+
+def encode_statements(token_lists: list[list[str]], enc: SentenceEncoderCNN | SelfAttentionEncoder) -> np.ndarray:
+    """The [S, d_out] vectors of S token lists, values only and without
+    dropout: row i has the bits of encode_sentence_cnn(token_lists[i], enc),
+    or of enc.encode for a self-attention encoder.  Runs embedded_stacks.
+    Raises the errors of the per-sentence path for the first list at fault."""
+    cnn = isinstance(enc, SentenceEncoderCNN)
+    out = np.empty((len(token_lists), enc.filters.data.shape[2] if cnn else enc.embeddings.dim))
+    for rows, x in embedded_stacks(token_lists, enc):
+        if cnn:
+            feats = T.conv_tanh_values(x, enc.filters.data)
+            out[rows] = T.additive_attention_values(feats, enc.attn.A.data, enc.attn.b.data, enc.u.data)[0]
+        else:
+            out[rows] = self_attention_stack_states(x, enc)[-1].mean(axis=-2)
     return out
 
 

@@ -23,8 +23,10 @@ from .tensor import Tensor
 from .encoders import (
     SelfAttentionEncoder,
     SelfAttentionLayer,
+    embedded_stacks,
     init_self_attention_layer,
     random_embeddings,
+    self_attention_stack_states,
     self_attention_states,
 )
 from .corpus import json_list, open_text, read_jsonl
@@ -52,6 +54,7 @@ __all__ = [
     "tre_forward",
     "tre_needle_loss",
     "tre_train",
+    "tre_logits",
     "tre_evaluate",
     "tag_stats",
     "spans_from_tags",
@@ -449,16 +452,6 @@ def tre_train(
     return TreTrainResult(model, needles, trace, step_losses, metrics)
 
 
-def _predict_tags(model: SelfAttentionEncoder, needles: list[Needle], config: InjectionConfig, tokens):
-    states = tre_forward(model, tokens)
-    assignment = _needle_assignment(config)
-    out = []
-    for level, (pos, _) in enumerate(assignment):
-        logits = states[pos - 1].data @ needles[level].w.data + needles[level].b.data
-        out.append([TAGSET[i] for i in logits.argmax(axis=1)])
-    return out
-
-
 def spans_from_tags(tags: list[str]) -> set[tuple[str, int, int]]:
     """(type, start, end) segments; a B-x opens and the next E-x closes."""
     spans = set()
@@ -474,6 +467,25 @@ def spans_from_tags(tags: list[str]) -> set[tuple[str, int, int]]:
     return spans
 
 
+def tre_logits(
+    model: SelfAttentionEncoder, needles: list[Needle], config: InjectionConfig, data: list[BioeSample]
+) -> list[np.ndarray]:
+    """Each sample's needle logits, a [levels, M, tags] array, values only.
+    The samples run in the stacks of encoders.embedded_stacks and each level
+    takes one product per stack; entry i has the bits of the tape path's
+    tre_forward(model, data[i].tokens)[pos - 1].data @ w + b per level."""
+    assignment = _needle_assignment(config)
+    out: list = [None] * len(data)
+    for members, x in embedded_stacks([s.tokens for s in data], model):
+        states = self_attention_stack_states(x, model)
+        logits = np.stack(
+            [np.matmul(states[pos], n.w.data) + n.b.data for n, (pos, _) in zip(needles, assignment)], axis=1
+        )
+        for j, i in enumerate(members):
+            out[i] = logits[j]
+    return out
+
+
 def tre_evaluate(
     model: SelfAttentionEncoder, needles: list[Needle], config: InjectionConfig, data: list[BioeSample]
 ) -> dict:
@@ -481,8 +493,8 @@ def tre_evaluate(
     per_level = [{"match": 0, "pred": 0, "gold": 0} for _ in range(_LEVELS)]
     correct = 0
     total = 0
-    for sample in data:
-        preds = _predict_tags(model, needles, config, sample.tokens)
+    for sample, logits in zip(data, tre_logits(model, needles, config, data)):
+        preds = [[TAGSET[t] for t in level] for level in logits.argmax(axis=-1)]
         for level in range(_LEVELS):
             gold_spans = spans_from_tags(sample.tags[level])
             pred_spans = spans_from_tags(preds[level])

@@ -547,21 +547,30 @@ def additive_attention_values(
     return _additive_forward(rows, A.T.copy(), b, q, weight_fn)[:2]
 
 
+def _merge_heads(s: np.ndarray) -> np.ndarray:
+    """A [..., h, M, dh] stack of head outputs as one C-ordered [..., M, h*dh]
+    array, head h in its columns: the layout the per-head column writes had,
+    which the products that read it keep their bits on."""
+    return np.ascontiguousarray(s.swapaxes(-3, -2)).reshape(s.shape[:-3] + (s.shape[-2], -1))
+
+
 def _self_attention_forward(xd: np.ndarray, layer):
-    """Multi-head self-attention over the last two axes of xd [..., M, d]:
-    the output, the head outputs concatenated and, per head, (columns, Q_h,
-    K_h^T, V_h, attention)."""
-    dh = layer.w_q.data.shape[0] // layer.n_heads
+    """Multi-head self-attention over the last two axes of xd [..., M, d],
+    all heads at once: the output, the head outputs concatenated and the
+    [..., h, M, dh] stacks Q_h and V_h, [..., h, dh, M] K_h^T and
+    [..., h, M, M] attention.  Each head's slab is contiguous, as the
+    per-head copies were, so every product keeps their bits."""
+    h = layer.n_heads
+    dh = layer.w_q.data.shape[0] // h
     c = 1.0 / math.sqrt(dh)
     q, k, v = np.matmul(xd, layer.w_q.data), np.matmul(xd, layer.w_k.data), np.matmul(xd, layer.w_v.data)
-    heads = []
-    for h in range(layer.n_heads):
-        cols = slice(h * dh, (h + 1) * dh)
-        qh, vh = q[..., cols].copy(), v[..., cols].copy()
-        kt = k[..., cols].swapaxes(-1, -2).copy()
-        heads.append((cols, qh, kt, vh, _softmax(np.matmul(qh, kt) * c)))
-    z = np.concatenate([np.matmul(a, vh) for _, _, _, vh, a in heads], axis=-1)
-    return np.matmul(z, layer.w_o.data) + xd, z, heads
+    split = xd.shape[:-1] + (h, dh)  # [..., M, h, dh]
+    qh = np.ascontiguousarray(q.reshape(split).swapaxes(-3, -2))
+    vh = np.ascontiguousarray(v.reshape(split).swapaxes(-3, -2))
+    kt = np.ascontiguousarray(k.reshape(split).swapaxes(-3, -2).swapaxes(-1, -2))
+    a = _softmax(np.matmul(qh, kt) * c)
+    z = _merge_heads(np.matmul(a, vh))
+    return np.matmul(z, layer.w_o.data) + xd, z, (qh, kt, vh, a)
 
 
 def multihead_self_attention(x: Tensor, layer) -> tuple[Tensor, list[np.ndarray]]:
@@ -582,18 +591,17 @@ def multihead_self_attention(x: Tensor, layer) -> tuple[Tensor, list[np.ndarray]
     if xd.ndim != 2 or xd.shape[1] != d:
         raise ValueError(f"multihead_self_attention: input shape {xd.shape} does not match width {d}")
     c = 1.0 / math.sqrt(d // layer.n_heads)
-    out, z, heads = _self_attention_forward(xd, layer)
+    out, z, (qh, kt, vh, a) = _self_attention_forward(xd, layer)
 
     def vjp(g):
         gz = g @ wo.data.T
-        gq, gk, gv = np.zeros_like(xd), np.zeros_like(xd), np.zeros_like(xd)
-        for cols, qh, kt, vh, a in heads:
-            go = gz[:, cols]
-            ga = go @ vh.T
-            gs = a * (ga - (ga * a).sum(axis=1, keepdims=True)) * c
-            gq[:, cols] = gs @ kt.T
-            gk[:, cols] = (qh.T @ gs).T
-            gv[:, cols] = a.T @ go
+        # go[h] views the head's columns of gz, strided as the slice gz[:, cols]
+        go = gz.reshape(xd.shape[0], layer.n_heads, -1).swapaxes(0, 1)
+        ga = go @ vh.swapaxes(-1, -2)
+        gs = a * (ga - (ga * a).sum(axis=-1, keepdims=True)) * c
+        gq = _merge_heads(gs @ kt.swapaxes(-1, -2))
+        gk = _merge_heads((qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2))
+        gv = _merge_heads(a.swapaxes(-1, -2) @ go)
         if x.requires_grad:
             gx = (g, gv @ wv.data.T, gk @ wk.data.T, gq @ wq.data.T)
         else:
@@ -601,7 +609,7 @@ def multihead_self_attention(x: Tensor, layer) -> tuple[Tensor, list[np.ndarray]
         return (*gx, xd.T @ gq, xd.T @ gk, xd.T @ gv, z.T @ g)
 
     parents = (x, x, x, x, wq, wk, wv, wo)
-    return _out(out, parents, vjp, "multihead_self_attention"), [a for *_, a in heads]
+    return _out(out, parents, vjp, "multihead_self_attention"), list(a)
 
 
 def multihead_self_attention_values(x: np.ndarray, layer) -> np.ndarray:

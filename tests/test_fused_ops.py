@@ -162,6 +162,37 @@ def test_multihead_self_attention_matches_the_composition(heads, m):
     assert all(same_bits(a, b) for a, b in zip(fused[2], composed[2]))
 
 
+@pytest.mark.parametrize("heads", [2, 8])
+def test_batched_heads_match_the_composition_at_the_tre_sizes(heads):
+    """d 16 with 2 heads (the TRE stacks) or 8 heads of width 2, M 1..24:
+    the forward bits of the composition, its gradients within GRAD_TOL, and
+    a stack of inputs with the bits of each single input."""
+    for m in range(1, 25):
+        rng = np.random.default_rng(100 * heads + m)
+        weights = [t.data for t in init_self_attention_layer(16, heads, rng).tensors()]
+        x0, probe = rng.normal(size=(m, 16)), rng.normal(size=(m, 16))
+
+        def run():
+            leaf = Tensor(x0.copy(), requires_grad=True)
+            ws = [Tensor(w.copy(), requires_grad=True) for w in weights]
+            out, attn = T.multihead_self_attention(leaf, encoders.SelfAttentionLayer(*ws, heads, 16))
+            backward(T.tsum(T.mul(out, Tensor(probe))))
+            return out.data, attn, [leaf.grad] + [w.grad for w in ws]
+
+        fused, composed = fused_and_composed(run)
+        assert same_bits(fused[0], composed[0])
+        assert len(fused[1]) == heads and all(a.shape == (m, m) for a in fused[1])
+        assert all(same_bits(a, b) for a, b in zip(fused[1], composed[1]))
+        for g_fused, g_composed in zip(fused[2], composed[2]):
+            assert max_diff(g_fused, g_composed) <= GRAD_TOL
+        layer = encoders.SelfAttentionLayer(*(Tensor(w) for w in weights), heads, 16)
+        stack = rng.normal(size=(5, m, 16))
+        got = T.multihead_self_attention_values(stack, layer)
+        assert got.shape == stack.shape
+        for row, x in zip(got, stack):
+            assert same_bits(row, T.multihead_self_attention(Tensor(x), layer)[0].data)
+
+
 @pytest.mark.parametrize("weight_fn", ["softmax", "sparsemax"])
 @pytest.mark.parametrize("n", [1, 4])
 def test_additive_attention_rows_read_elsewhere_keep_the_composition_bits(weight_fn, n):

@@ -4,13 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from statutelab import inject
 from statutelab import tensor as T
 from statutelab.tensor import Tensor, grad_check
-from statutelab.encoders import init_self_attention_layer, self_attention
+from statutelab.encoders import STACK_CAP, init_self_attention_layer, self_attention
 from statutelab.inject import (
     TAGSET,
     BioeSample,
     InjectionConfig,
+    Needle,
     SdoiMatrix,
     attention_weights_report,
     build_tre_model,
@@ -32,6 +34,7 @@ from statutelab.inject import (
     tag_stats,
     tre_evaluate,
     tre_forward,
+    tre_logits,
     tre_needle_loss,
     tre_train,
     validate_bioe,
@@ -370,3 +373,91 @@ def test_tre_checkpoint_excludes_needles(tmp_path):
     blob = path.read_bytes()
     needle_bytes = result.needles[0].w.data.tobytes()
     assert needle_bytes not in blob
+
+
+# ---------------------------------------------------------------------------
+# tre_evaluate: same-row-count stacks, values only, the per-sample tape bits
+
+EVAL_WORDS = [f"w{i}" for i in range(12)]
+EVAL_MAX_LEN = 24  # the positional table's length
+
+
+def _eval_model(policy, seed=0):
+    model = build_tre_model(EVAL_WORDS, 16, 4, 2, seed=seed, max_len=EVAL_MAX_LEN)
+    model.embeddings.oov_policy = policy
+    return model
+
+
+def _eval_needles(seed):
+    rng = np.random.default_rng(seed)
+    return [Needle(Tensor(rng.normal(size=(16, len(TAGSET)))), Tensor(rng.normal(size=len(TAGSET)))) for _ in range(3)]
+
+
+def _eval_samples(seed, oov=False):
+    """Samples of every length 1..EVAL_MAX_LEN in shuffled order and more than
+    STACK_CAP of length 5, tagged at random; with `oov` some tokens are out of
+    vocabulary, and each sample keeps at least one known token."""
+    rng = np.random.default_rng(seed)
+    pool = EVAL_WORDS + ["oov1", "oov2", "oov3"] if oov else EVAL_WORDS
+    lengths = list(range(1, EVAL_MAX_LEN + 1)) * 2 + [5] * (2 * STACK_CAP + 3)
+    samples = []
+    for m in lengths:
+        tokens = [str(t) for t in rng.choice(pool, size=m)]
+        if not set(tokens) & set(EVAL_WORDS):
+            tokens[-1] = "w0"
+        tags = [[str(t) for t in rng.choice(TAGSET, size=m)] for _ in range(3)]
+        samples.append(BioeSample(tokens, tags))
+    return [samples[i] for i in rng.permutation(len(samples))]
+
+
+def _tape_logits(model, needles, config, sample):
+    """The per-sample tape path: tre_forward's states, then @ w + b per level."""
+    states = tre_forward(model, sample.tokens)
+    return [states[pos - 1].data @ n.w.data + n.b.data for n, (pos, _) in zip(needles, inject._needle_assignment(config))]
+
+
+@pytest.mark.parametrize("policy", ["zero_vector", "skip"])
+@pytest.mark.parametrize("oov", [False, True])
+@pytest.mark.parametrize("positions", [[2, 3, 4], [1, 3]])
+def test_stacked_tre_evaluate_has_the_per_sample_tape_bits(policy, oov, positions, monkeypatch):
+    model, needles = _eval_model(policy), _eval_needles(len(positions))
+    config = InjectionConfig(positions, [1.0 / len(positions)] * len(positions))
+    data = _eval_samples(3 if oov else 4, oov)
+    got = tre_logits(model, needles, config, data)
+    assert len(got) == len(data)
+    for logits, sample in zip(got, data):
+        want = _tape_logits(model, needles, config, sample)
+        assert logits.shape == (3, len(want[0]), len(TAGSET))
+        assert all(row.tobytes() == ref.tobytes() for row, ref in zip(logits, want))
+    if policy == "skip" and oov:  # rows were dropped, so some stacks mix token counts
+        assert any(len(s.tokens) != len(l[0]) for s, l in zip(data, got))
+    assert tre_logits(model, needles, config, []) == []
+    metrics = tre_evaluate(model, needles, config, data)
+    monkeypatch.setattr(
+        inject, "tre_logits", lambda m, n, c, d: [np.stack(_tape_logits(m, n, c, s)) for s in d]
+    )
+    assert tre_evaluate(model, needles, config, data) == metrics
+
+
+def _eval_error(fn):
+    with pytest.raises(ValueError) as info:
+        fn()
+    return str(info.value)
+
+
+def test_stacked_tre_evaluate_raises_the_tape_error_of_the_first_sample_at_fault():
+    model, needles = _eval_model("skip"), _eval_needles(0)
+    config = InjectionConfig([2, 3, 4], [1.0 / 3, 1.0 / 3, 1.0 / 3])
+    ok = _eval_samples(5)[:3]
+    empty = BioeSample([], [[], [], []])
+    all_oov = BioeSample(["oov1", "oov2"], [["O", "O"]] * 3)
+    too_long = BioeSample(["w1"] * (EVAL_MAX_LEN + 1), [["O"] * (EVAL_MAX_LEN + 1)] * 3)
+    cases = {
+        "cannot embed an empty token sequence": [empty, all_oov, too_long],
+        "all tokens out of vocabulary under skip policy": [all_oov, too_long, empty],
+        f"sequence length {EVAL_MAX_LEN + 1} exceeds positional table": [too_long, empty, all_oov],
+    }
+    for message, bad in cases.items():
+        data = ok[:1] + bad[:1] + ok[1:] + bad[1:]
+        got = _eval_error(lambda: tre_evaluate(model, needles, config, data))
+        assert got == _eval_error(lambda: [_tape_logits(model, needles, config, s) for s in data]) == message
