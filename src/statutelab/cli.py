@@ -245,7 +245,9 @@ def _missing(ids: set, side: str) -> str:
 
 
 def _checkpoint_keys(model) -> dict:
-    """The RunConfig keys a ranker checkpoint fixes, with its values."""
+    """The RunConfig keys a ranker checkpoint fixes, with its values; the
+    preset is the PRESETS entry whose sizes equal the checkpoint's, None
+    when none does."""
     c, enc = model.config, model.encoder
     keys = {
         "model": model.kind, "seed": c.seed, "k1": c.k1, "b": c.b, "n_train": c.n_train,
@@ -256,6 +258,9 @@ def _checkpoint_keys(model) -> dict:
         keys.update(filters=filters, attn_dim=enc.attn.A.data.shape[0], dropout=enc.dropout, width=width)
     else:
         keys.update(n_layers=len(enc.layers), n_heads=enc.layers[0].n_heads if enc.layers else 1)
+    # a paraformer_lite checkpoint has no filters, attn_dim or dropout to compare
+    fits = (name for name, sizes in PRESETS.items() if all(keys.get(k, v) == v for k, v in sizes.items()))
+    keys["preset"] = next(fits, None)
     return keys
 
 

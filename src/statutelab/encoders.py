@@ -1,9 +1,11 @@
 """Attention primitives and the two hierarchical encoders.
 
+Tokens embed as rows of a table, an out-of-vocabulary token as a zero row.
 The CNN sentence encoder embeds tokens, convolves, applies tanh and pools
 with a learned-query additive attention.  The transformer-style encoder
-stacks multi-head self-attention layers (scaled dot-product, residual, no
-layer norm at this scale) and average-pools the final states.  Paragraphs
+adds learned positions to the embedded tokens, stacks multi-head
+self-attention layers (scaled dot-product, residual, no layer norm at this
+scale) and average-pools the final states.  Paragraphs
 are pooled from sentence vectors with general attention a_i = q^T tanh(A r_i
 + b), weighted by softmax or sparsemax.  Outside training,
 ``encode_statements`` encodes many sentences at once, values only, in
@@ -23,7 +25,6 @@ from .corpus import open_text
 from .tensor import Tensor
 
 __all__ = [
-    "OOV_POLICIES",
     "STACK_CAP",
     "EmbeddingTable",
     "GeneralAttentionParams",
@@ -36,12 +37,9 @@ __all__ = [
     "init_attention_params",
     "init_self_attention_layer",
     "init_cnn_encoder",
-    "attend",
     "self_attention",
-    "self_attention_weights",
     "self_attention_states",
     "encode_sentence_cnn",
-    "encode_sentence_avg",
     "embedded_stacks",
     "self_attention_stack_states",
     "encode_statements",
@@ -55,9 +53,6 @@ PRESETS = {
     "desk": {"embed_dim": 64, "filters": 64, "attn_dim": 32, "dropout": 0.0},
 }
 
-
-OOV_POLICIES = ("zero_vector", "skip")
-
 # the most same-length token lists embedded_stacks yields as one stack; it
 # bounds the working memory whatever the number of lists
 STACK_CAP = 16
@@ -67,7 +62,6 @@ STACK_CAP = 16
 class EmbeddingTable:
     vocab: dict[str, int]
     matrix: Tensor  # [|V|, d]
-    oov_policy: str = "zero_vector"  # one of OOV_POLICIES
 
     @property
     def dim(self) -> int:
@@ -78,15 +72,10 @@ class EmbeddingTable:
         return [w for w, _ in sorted(self.vocab.items(), key=lambda kv: kv[1])]
 
     def lookup(self, tokens: list[str]) -> tuple[list[int], np.ndarray | None]:
-        """The table rows to read for the tokens, OOV handling per policy, and
-        the [M, d] mask to multiply them by, or None when nothing is masked."""
+        """The table rows to read for the tokens, one per token, and the
+        [M, d] mask to multiply them by, or None when nothing is masked."""
         if not tokens:
             raise ValueError("cannot embed an empty token sequence")
-        if self.oov_policy == "skip":
-            idx = [i for i in map(self.vocab.get, tokens) if i is not None]
-            if not idx:
-                raise ValueError("all tokens out of vocabulary under skip policy")
-            return idx, None
         ids = list(map(self.vocab.get, tokens))
         if None not in ids:
             return ids, None
@@ -95,7 +84,8 @@ class EmbeddingTable:
         return [0 if i is None else i for i in ids], np.repeat(mask, self.dim, axis=1)
 
     def embed(self, tokens: list[str]) -> Tensor:
-        """Token rows as an [M, d] tensor; OOV handling per policy."""
+        """Token rows as an [M, d] tensor; an out-of-vocabulary token is a
+        zero row."""
         ids, mask = self.lookup(tokens)
         x = T.gather_rows(self.matrix, ids)
         return x if mask is None else T.mul(x, Tensor(mask))
@@ -128,9 +118,7 @@ def load_embeddings(path) -> EmbeddingTable:
     return EmbeddingTable(vocab, Tensor(np.array(rows)))
 
 
-def random_embeddings(
-    words, d: int, seed: int, scale: float = 0.1, oov_policy: str = "zero_vector"
-) -> EmbeddingTable:
+def random_embeddings(words, d: int, seed: int, scale: float = 0.1) -> EmbeddingTable:
     """A trainable table of N(0, scale^2) rows, one per word."""
     rng = np.random.default_rng(seed)
     words = list(words)
@@ -138,7 +126,7 @@ def random_embeddings(
     vocab = {w: i for i, w in enumerate(words)}
     if len(vocab) != len(words):
         raise ValueError("duplicate words in vocabulary")
-    return EmbeddingTable(vocab, Tensor(mat, requires_grad=True), oov_policy)
+    return EmbeddingTable(vocab, Tensor(mat, requires_grad=True))
 
 
 @dataclass
@@ -178,7 +166,7 @@ class SentenceEncoderCNN:
 @dataclass
 class SelfAttentionEncoder:
     embeddings: EmbeddingTable
-    positions: Tensor | None  # learned positions, [max_len, d]; None adds none
+    positions: Tensor  # learned positions, [max_len, d]
     layers: list[SelfAttentionLayer]
 
     def tensors(self) -> list[Tensor]:
@@ -228,25 +216,9 @@ def init_cnn_encoder(
     return SentenceEncoderCNN(embeddings, f, attn, u, dropout)
 
 
-def attend(q: Tensor, keys, values, score_fn) -> Tensor:
-    """Softmax-weighted sum of values, scored against the query."""
-    if len(keys) != len(values):
-        raise ValueError(f"{len(keys)} keys but {len(values)} values")
-    if not keys:
-        raise ValueError("attend needs at least one key/value pair")
-    scores = T.stack([score_fn(q, k) for k in keys])
-    weights = T.softmax(scores)
-    return T.vecmat(weights, T.stack_rows(values))
-
-
 def self_attention(x: Tensor, layer: SelfAttentionLayer) -> Tensor:
     """One multi-head self-attention layer with a residual connection."""
     return T.multihead_self_attention(x, layer)[0]
-
-
-def self_attention_weights(x: Tensor, layer: SelfAttentionLayer) -> list[np.ndarray]:
-    """Row-stochastic attention matrices, one [M, M] array per head."""
-    return T.multihead_self_attention(x, layer)[1]
 
 
 def encode_sentence_cnn(
@@ -267,21 +239,20 @@ def encode_sentence_cnn(
 
 
 def _check_length(enc: SelfAttentionEncoder, m: int) -> None:
-    if enc.positions is not None and m > enc.positions.data.shape[0]:
+    if m > enc.positions.data.shape[0]:
         raise ValueError(f"sequence length {m} exceeds positional table")
 
 
 def self_attention_states(
     tokens: list[str], enc: SelfAttentionEncoder
 ) -> tuple[list[Tensor], list[list[np.ndarray]]]:
-    """embed (+ learned positions) -> each self-attention layer in turn.
+    """embed + learned positions -> each self-attention layer in turn.
     Returns the states, the embedded input first and then each layer's
     output, and each layer's row-stochastic attention matrices per head."""
     x = enc.embeddings.embed(tokens)
     m = x.data.shape[0]
-    if enc.positions is not None:
-        _check_length(enc, m)
-        x = T.add(x, T.gather_rows(enc.positions, range(m)))
+    _check_length(enc, m)
+    x = T.add(x, T.gather_rows(enc.positions, range(m)))
     states, weights = [x], []
     for layer in enc.layers:
         x, w = T.multihead_self_attention(x, layer)
@@ -290,34 +261,22 @@ def self_attention_states(
     return states, weights
 
 
-def encode_sentence_avg(
-    tokens: list[str],
-    embeddings: EmbeddingTable,
-    layers: list[SelfAttentionLayer],
-    positions: Tensor | None = None,
-) -> Tensor:
-    """embed (+ learned positions) -> stacked self-attention -> average pool."""
-    return SelfAttentionEncoder(embeddings, positions, layers).encode(tokens)
-
-
 def embedded_stacks(
     token_lists: list[list[str]], enc: SentenceEncoderCNN | SelfAttentionEncoder
 ) -> Iterator[tuple[list[int], np.ndarray]]:
     """The token lists embedded in stacks, values only: yields (members, x),
-    the indices of at most STACK_CAP lists that embed to the same number of
-    rows M after the OOV policy, and their [n, M, d] embedded rows.  Every
-    list is looked up before the first stack, so the errors of the
-    per-sentence path raise for the first list at fault."""
+    the indices of at most STACK_CAP lists of the same token count M, and
+    their [n, M, d] embedded rows.  Every list is looked up before the first
+    stack, so the errors of the per-sentence path raise for the first list
+    at fault."""
     table = enc.embeddings
     looked = []
-    for tokens in token_lists:
-        ids, mask = table.lookup(tokens)
-        if isinstance(enc, SelfAttentionEncoder):
-            _check_length(enc, len(ids))
-        looked.append((ids, mask))
     by_length: dict[int, list[int]] = {}
-    for i, (ids, _) in enumerate(looked):
-        by_length.setdefault(len(ids), []).append(i)
+    for i, tokens in enumerate(token_lists):
+        looked.append(table.lookup(tokens))
+        if isinstance(enc, SelfAttentionEncoder):
+            _check_length(enc, len(tokens))
+        by_length.setdefault(len(tokens), []).append(i)
     for members in by_length.values():
         for start in range(0, len(members), STACK_CAP):
             rows = members[start : start + STACK_CAP]
@@ -331,9 +290,7 @@ def embedded_stacks(
 def self_attention_stack_states(x: np.ndarray, enc: SelfAttentionEncoder) -> list[np.ndarray]:
     """The values of self_attention_states for a stack x [n, M, d] of
     embedded inputs: the input plus positions, then each layer's output."""
-    if enc.positions is not None:
-        x = x + enc.positions.data[: x.shape[1]]
-    states = [x]
+    states = [x + enc.positions.data[: x.shape[1]]]
     for layer in enc.layers:
         states.append(T.multihead_self_attention_values(states[-1], layer))
     return states

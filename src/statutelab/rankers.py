@@ -18,7 +18,6 @@ from . import tensor as T
 from .tensor import Tensor
 from .corpus import Article, Query
 from .encoders import (
-    OOV_POLICIES,
     EmbeddingTable,
     GeneralAttentionParams,
     SelfAttentionEncoder,
@@ -518,11 +517,15 @@ def classify(clf: LawfulnessClassifier, text: str) -> bool:
 # ---------------------------------------------------------------------------
 # checkpoints
 
+# every ranker and lawfulness checkpoint names the one out-of-vocabulary rule
+# of encoders.EmbeddingTable: an unknown token embeds as a zero row
+_OOV_POLICY = "zero_vector"
+
 
 def _bundle(model: RankerModel) -> tuple[str, dict, list[Tensor]]:
     meta = {
         "vocab": model.embeddings.words(),
-        "oov_policy": model.embeddings.oov_policy,
+        "oov_policy": _OOV_POLICY,
         "config": asdict(model.config),
     }
     if model.kind == "attentive_cnn":
@@ -543,11 +546,9 @@ def save_model(model: RankerModel, path) -> None:
     write_bundle(path, *_bundle(model))
 
 
-def _oov_policy(meta: dict) -> str:
-    policy = meta["oov_policy"]
-    if policy not in OOV_POLICIES:
-        raise ValueError(f"unknown oov_policy {policy!r}, expected one of {OOV_POLICIES}")
-    return policy
+def _check_oov_policy(meta: dict) -> None:
+    if meta["oov_policy"] != _OOV_POLICY:
+        raise ValueError(f"unknown oov_policy {meta['oov_policy']!r}, expected {_OOV_POLICY!r}")
 
 
 def _cnn_sizes(shapes) -> dict:
@@ -558,6 +559,7 @@ def _cnn_sizes(shapes) -> dict:
 
 def load_model(path) -> RankerModel:
     def build(kind, meta, shapes):
+        _check_oov_policy(meta)
         cfg = RankerConfig(**meta["config"])
         if kind == "attentive_cnn":
             model = build_attentive_cnn(
@@ -574,17 +576,15 @@ def load_model(path) -> RankerModel:
                 max_len=shapes[1][0],
                 config=cfg,
             )
-        model.embeddings.oov_policy = _oov_policy(meta)
         return model, parameters(model)
 
     return load_bundle(path, ("attentive_cnn", "paraformer_lite"), build)
 
 
 def save_classifier(clf: LawfulnessClassifier, path) -> None:
-    enc = clf.encoder
     meta = {
-        "vocab": enc.embeddings.words(),
-        "oov_policy": enc.embeddings.oov_policy,
+        "vocab": clf.encoder.embeddings.words(),
+        "oov_policy": _OOV_POLICY,
         "lr": clf.lr,
         "epochs": clf.epochs,
     }
@@ -593,10 +593,10 @@ def save_classifier(clf: LawfulnessClassifier, path) -> None:
 
 def load_classifier(path) -> LawfulnessClassifier:
     def build(kind, meta, shapes):
+        _check_oov_policy(meta)
         clf = build_lawfulness_classifier(
             meta["vocab"], **_cnn_sizes(shapes), seed=0, lr=meta["lr"], epochs=meta["epochs"]
         )
-        clf.encoder.embeddings.oov_policy = _oov_policy(meta)
         return clf, _clf_params(clf)
 
     return load_bundle(path, ("lawfulness",), build)

@@ -64,10 +64,6 @@ __all__ = [
     "diverging_raises",
     "train_step",
     "grad_check",
-    "save_tensor",
-    "load_tensor",
-    "tensor_to_bytes",
-    "tensor_from_bytes",
 ]
 
 _ids = itertools.count()
@@ -822,15 +818,3 @@ def grad_check(
     ga = analytic.reshape(-1)
     denom = np.maximum(1e-8, np.abs(ga) + np.abs(numeric))
     return float(np.max(np.abs(ga - numeric) / denom))
-
-
-# ---------------------------------------------------------------------------
-# serialization: the SLTN1 codec lives in ``store``, which imports this module
-
-
-def __getattr__(name):
-    if name in ("save_tensor", "load_tensor", "tensor_to_bytes", "tensor_from_bytes"):
-        from . import store
-
-        return getattr(store, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

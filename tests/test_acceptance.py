@@ -331,7 +331,7 @@ def test_criterion_08_metrics():
 
     def table(rows):
         vocab = {w: i for i, (w, _) in enumerate(rows)}
-        return EmbeddingTable(vocab, Tensor(np.array([v for _, v in rows], dtype=float)), "skip")
+        return EmbeddingTable(vocab, Tensor(np.array([v for _, v in rows], dtype=float)))
 
     tab = table([("lien", [1.0, 0.0]), ("tort", [3.0, 0.0]), ("north", [0.0, 1.0])])
     lvc_vals = (

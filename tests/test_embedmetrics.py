@@ -12,10 +12,10 @@ from statutelab.encoders import EmbeddingTable
 from statutelab.tensor import Tensor
 
 
-def table(rows, policy="skip"):
+def table(rows):
     vocab = {w: i for i, (w, _) in enumerate(rows)}
     mat = np.array([v for _, v in rows], dtype=float)
-    return EmbeddingTable(vocab, Tensor(mat), policy)
+    return EmbeddingTable(vocab, Tensor(mat))
 
 
 def test_lvc_values():

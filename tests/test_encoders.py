@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -9,9 +7,7 @@ from statutelab.encoders import (
     PRESETS,
     STACK_CAP,
     SelfAttentionEncoder,
-    attend,
     encode_paragraph,
-    encode_sentence_avg,
     encode_sentence_cnn,
     encode_statements,
     init_attention_params,
@@ -20,52 +16,7 @@ from statutelab.encoders import (
     load_embeddings,
     random_embeddings,
     self_attention,
-    self_attention_weights,
 )
-
-
-def dot_score(q, k):
-    return T.dot(q, k)
-
-
-def test_attend_single_pair_returns_value():
-    q = Tensor([1.0, 0.0])
-    out = attend(q, [Tensor([2.0, 2.0])], [Tensor([5.0, -3.0])], dot_score)
-    assert np.allclose(out.data, [5.0, -3.0])
-
-
-def test_attend_identical_keys_average_values():
-    q = Tensor([0.3, -0.7])
-    k = Tensor([1.0, 1.0])
-    values = [Tensor([0.0, 0.0]), Tensor([2.0, 4.0])]
-    out = attend(q, [k, k], values, dot_score)
-    assert np.allclose(out.data, [1.0, 2.0])
-
-
-def test_attend_dot_example():
-    # scores [1, 2] over scalar values [0], [10]
-    q = Tensor([1.0])
-    keys = [Tensor([1.0]), Tensor([2.0])]
-    values = [Tensor([0.0]), Tensor([10.0])]
-    out = attend(q, keys, values, dot_score)
-    expect = 10.0 / (1.0 + math.exp(-1.0))
-    assert abs(float(out.data[0]) - expect) < 1e-9
-
-
-def test_attend_length_mismatch():
-    with pytest.raises(ValueError):
-        attend(Tensor([1.0]), [Tensor([1.0])], [], dot_score)
-
-
-def test_attend_output_in_convex_hull():
-    rng = np.random.default_rng(0)
-    q = Tensor(rng.normal(size=3))
-    keys = [Tensor(rng.normal(size=3)) for _ in range(4)]
-    values = [Tensor(rng.normal(size=2)) for _ in range(4)]
-    out = attend(q, keys, values, dot_score).data
-    vals = np.stack([v.data for v in values])
-    assert (out >= vals.min(axis=0) - 1e-12).all()
-    assert (out <= vals.max(axis=0) + 1e-12).all()
 
 
 def _layer(d=4, heads=2, seed=0):
@@ -103,13 +54,13 @@ def test_self_attention_permutation_equivariant():
 def test_self_attention_weights_row_stochastic():
     layer = _layer(d=4, heads=2, seed=6)
     x = Tensor(np.random.default_rng(7).normal(size=(4, 4)))
-    for w in self_attention_weights(x, layer):
+    for w in T.multihead_self_attention(x, layer)[1]:
         assert w.shape == (4, 4)
         assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12)
 
 
-def _embeddings(words, d=4, seed=0, policy="zero_vector"):
-    return random_embeddings(words, d, seed, scale=0.5, oov_policy=policy)
+def _embeddings(words, d=4, seed=0):
+    return random_embeddings(words, d, seed, scale=0.5)
 
 
 def test_embed_empty_sequence_rejected():
@@ -119,11 +70,8 @@ def test_embed_empty_sequence_rejected():
 
 
 def test_embed_oov_policies():
-    emb = _embeddings(["a", "b"], policy="skip")
-    assert emb.embed(["a", "zzz", "b"]).data.shape == (2, 4)
-    with pytest.raises(ValueError):
-        emb.embed(["zzz"])
-    emb = _embeddings(["a", "b"], policy="zero_vector")
+    emb = _embeddings(["a", "b"])
+    assert np.array_equal(emb.embed(["zzz"]).data, np.zeros((1, 4)))
     out = emb.embed(["a", "zzz"]).data
     assert np.array_equal(out[1], np.zeros(4))
     assert not np.array_equal(out[0], np.zeros(4))
@@ -169,19 +117,12 @@ def test_encode_sentence_cnn_zero_filters():
     assert np.array_equal(out.data, np.zeros(5))
 
 
-def test_encode_sentence_cnn_all_oov_skip_policy():
-    enc = _cnn()
-    enc.embeddings.oov_policy = "skip"
-    with pytest.raises(ValueError):
-        encode_sentence_cnn(["zzz"], enc)
-
-
 def test_encode_sentence_avg_single_token():
     words = ["a", "b"]
     emb = _embeddings(words)
     layer = _layer()
     pos = Tensor(np.random.default_rng(3).normal(size=(8, 4)))
-    out = encode_sentence_avg(["b"], emb, [layer], pos)
+    out = SelfAttentionEncoder(emb, pos, [layer]).encode(["b"])
     x = emb.matrix.data[1] + pos.data[0]
     expect = self_attention(Tensor(x[None, :]), layer).data[0]
     assert np.allclose(out.data, expect, atol=1e-12)
@@ -193,7 +134,7 @@ def test_encode_sentence_avg_residual_only_path():
     layer.w_v.data[...] = 0.0
     layer.w_o.data[...] = 0.0
     pos = Tensor(np.random.default_rng(4).normal(size=(8, 4)))
-    out = encode_sentence_avg(["a", "c"], emb, [layer], pos)
+    out = SelfAttentionEncoder(emb, pos, [layer]).encode(["a", "c"])
     rows = np.stack([emb.matrix.data[0] + pos.data[0], emb.matrix.data[2] + pos.data[1]])
     assert np.allclose(out.data, rows.mean(axis=0), atol=1e-12)
 
@@ -201,8 +142,9 @@ def test_encode_sentence_avg_residual_only_path():
 def test_encode_sentence_avg_deterministic():
     emb = _embeddings(["a", "b", "c"])
     layers = [_layer(seed=8), _layer(seed=9)]
-    a = encode_sentence_avg(["a", "b", "c"], emb, layers).data
-    b = encode_sentence_avg(["a", "b", "c"], emb, layers).data
+    pos = Tensor(np.random.default_rng(10).normal(size=(8, 4)))
+    a = SelfAttentionEncoder(emb, pos, layers).encode(["a", "b", "c"]).data
+    b = SelfAttentionEncoder(emb, pos, layers).encode(["a", "b", "c"]).data
     assert np.array_equal(a, b)
 
 
@@ -277,13 +219,14 @@ def test_encoder_gradients_match_finite_differences():
 
     emb = _embeddings(["a", "b", "c"], seed=18)
     layer = _layer(seed=18)
+    pos = Tensor(rng.normal(size=(8, 4)))
     probe2 = Tensor(rng.normal(size=4))
 
     def g(t):
         old = layer.w_q
         layer.w_q = t
         try:
-            return T.dot(encode_sentence_avg(tokens, emb, [layer]), probe2)
+            return T.dot(SelfAttentionEncoder(emb, pos, [layer]).encode(tokens), probe2)
         finally:
             layer.w_q = old
 
@@ -304,22 +247,20 @@ def _statement_lists(seed, oov=False):
     pool = WORDS + ["oov1", "oov2"] if oov else WORDS
     lengths = [m for m in range(1, MAX_LEN + 1) for _ in range(3)] + [4] * (2 * STACK_CAP + 3)
     lists = [[str(t) for t in rng.choice(pool, size=m)] for m in lengths]
-    if oov:  # at least one kept token per list, so skip never runs out
-        lists = [t if set(t) & set(WORDS) else t + ["w0"] for t in lists]
     return [lists[i] for i in rng.permutation(len(lists))]
 
 
-def _cnn_encoder(width, policy, seed=0):
+def _cnn_encoder(width, seed=0):
     rng = np.random.default_rng(seed)
-    emb = _embeddings(WORDS, d=6, seed=seed, policy=policy)
+    emb = _embeddings(WORDS, d=6, seed=seed)
     return init_cnn_encoder(emb, 7, 5, rng, width=width)
 
 
-def _sa_encoder(heads, policy, positions=True, seed=0):
+def _sa_encoder(heads, seed=0):
     rng = np.random.default_rng(seed)
-    emb = _embeddings(WORDS, d=8, seed=seed, policy=policy)
+    emb = _embeddings(WORDS, d=8, seed=seed)
     layers = [init_self_attention_layer(8, heads, rng) for _ in range(2)]
-    pos = Tensor(rng.normal(0.0, 0.1, size=(MAX_LEN + 1, 8))) if positions else None
+    pos = Tensor(rng.normal(0.0, 0.1, size=(MAX_LEN + 1, 8)))
     return SelfAttentionEncoder(emb, pos, layers)
 
 
@@ -337,10 +278,10 @@ def _assert_per_sentence_bits(lists, enc):
         assert np.array_equal(row, ref) and row.tobytes() == ref.tobytes()
 
 
+# the names end in the OOV rule, zero_vector, that every encoder applies
 ENCODERS = {
-    **{f"cnn-width{w}-{p}": (lambda w=w, p=p: _cnn_encoder(w, p)) for w in (1, 3) for p in ("zero_vector", "skip")},
-    **{f"sa-{h}heads-{p}": (lambda h=h, p=p: _sa_encoder(h, p)) for h in (1, 2, 4) for p in ("zero_vector", "skip")},
-    "sa-no-positions": lambda: _sa_encoder(2, "zero_vector", positions=False),
+    **{f"cnn-width{w}-zero_vector": (lambda w=w: _cnn_encoder(w)) for w in (1, 3)},
+    **{f"sa-{h}heads-zero_vector": (lambda h=h: _sa_encoder(h)) for h in (1, 2, 4)},
 }
 
 
@@ -355,12 +296,12 @@ def test_encode_statements_has_the_per_sentence_bits(name, oov):
 
 
 def test_encode_statements_groups_by_length_after_the_oov_policy():
-    lists = [["w1", "oov1", "w2"], ["w1", "w2"], ["oov1", "w3"]]
-    for policy in ("zero_vector", "skip"):
-        enc = _cnn_encoder(3, policy)
+    # an out-of-vocabulary token keeps its row, so lists group by token count
+    lists = [["w1", "oov1", "w2"], ["w1", "w2"], ["oov1", "w3"], ["oov1", "oov2"]]
+    for enc in (_cnn_encoder(3), _sa_encoder(2)):
         _assert_per_sentence_bits(lists, enc)
-    assert encode_statements([], _cnn_encoder(3, "skip")).shape == (0, 7)
-    assert encode_statements([], _sa_encoder(2, "skip")).shape == (0, 8)
+    assert encode_statements([], _cnn_encoder(3)).shape == (0, 7)
+    assert encode_statements([], _sa_encoder(2)).shape == (0, 8)
 
 
 def _error(fn):
@@ -369,19 +310,17 @@ def _error(fn):
     return str(info.value)
 
 
-@pytest.mark.parametrize("make", [lambda: _cnn_encoder(3, "skip"), lambda: _sa_encoder(2, "skip")])
+@pytest.mark.parametrize("make", [lambda: _cnn_encoder(3), lambda: _sa_encoder(2)])
 def test_encode_statements_raises_the_per_sentence_errors(make):
     enc = make()
-    for bad in ([], ["oov1", "oov2"]):
-        lists = [["w1", "w2"], bad, ["w3"]]
-        msg = _error(lambda: encode_statements(lists, enc))
-        assert msg == _error(lambda: _one_by_one(lists, enc))
+    lists = [["w1", "w2"], [], ["w3"]]
+    msg = _error(lambda: encode_statements(lists, enc))
+    assert msg == _error(lambda: _one_by_one(lists, enc)) == "cannot embed an empty token sequence"
     assert _error(lambda: encode_statements([[]], enc)) == "cannot embed an empty token sequence"
-    assert _error(lambda: encode_statements([["oov1"]], enc)) == "all tokens out of vocabulary under skip policy"
 
 
 def test_encode_statements_rejects_a_list_longer_than_the_positional_table():
-    enc = _sa_encoder(2, "zero_vector")
+    enc = _sa_encoder(2)
     lists = [["w1"] * 3, ["w2"] * (MAX_LEN + 2)]
     msg = _error(lambda: encode_statements(lists, enc))
     assert msg == _error(lambda: _one_by_one(lists, enc)) == f"sequence length {MAX_LEN + 2} exceeds positional table"

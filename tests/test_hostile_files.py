@@ -119,8 +119,9 @@ def _edit_meta(meta):
         (_edit_meta, "bogus"),
         (lambda meta: {k: v for k, v in meta.items() if k != "vocab"}, "vocab"),
         (lambda meta: {**meta, "oov_policy": "weird"}, "oov_policy 'weird'"),
+        (lambda meta: {**meta, "oov_policy": "skip"}, "oov_policy 'skip'"),
     ],
-    ids=["list", "unknown-config-key", "no-vocab", "unknown-oov-policy"],
+    ids=["list", "unknown-config-key", "no-vocab", "unknown-oov-policy", "skip-oov-policy"],
 )
 def test_ranker_checkpoint_with_bad_metadata_exits_1(files, edit, message):
     kind, meta, tensors = read_bundle(files["ranker"][0])

@@ -382,10 +382,8 @@ EVAL_WORDS = [f"w{i}" for i in range(12)]
 EVAL_MAX_LEN = 24  # the positional table's length
 
 
-def _eval_model(policy, seed=0):
-    model = build_tre_model(EVAL_WORDS, 16, 4, 2, seed=seed, max_len=EVAL_MAX_LEN)
-    model.embeddings.oov_policy = policy
-    return model
+def _eval_model(seed=0):
+    return build_tre_model(EVAL_WORDS, 16, 4, 2, seed=seed, max_len=EVAL_MAX_LEN)
 
 
 def _eval_needles(seed):
@@ -396,15 +394,13 @@ def _eval_needles(seed):
 def _eval_samples(seed, oov=False):
     """Samples of every length 1..EVAL_MAX_LEN in shuffled order and more than
     STACK_CAP of length 5, tagged at random; with `oov` some tokens are out of
-    vocabulary, and each sample keeps at least one known token."""
+    vocabulary."""
     rng = np.random.default_rng(seed)
     pool = EVAL_WORDS + ["oov1", "oov2", "oov3"] if oov else EVAL_WORDS
     lengths = list(range(1, EVAL_MAX_LEN + 1)) * 2 + [5] * (2 * STACK_CAP + 3)
     samples = []
     for m in lengths:
         tokens = [str(t) for t in rng.choice(pool, size=m)]
-        if not set(tokens) & set(EVAL_WORDS):
-            tokens[-1] = "w0"
         tags = [[str(t) for t in rng.choice(TAGSET, size=m)] for _ in range(3)]
         samples.append(BioeSample(tokens, tags))
     return [samples[i] for i in rng.permutation(len(samples))]
@@ -416,21 +412,18 @@ def _tape_logits(model, needles, config, sample):
     return [states[pos - 1].data @ n.w.data + n.b.data for n, (pos, _) in zip(needles, inject._needle_assignment(config))]
 
 
-@pytest.mark.parametrize("policy", ["zero_vector", "skip"])
 @pytest.mark.parametrize("oov", [False, True])
 @pytest.mark.parametrize("positions", [[2, 3, 4], [1, 3]])
-def test_stacked_tre_evaluate_has_the_per_sample_tape_bits(policy, oov, positions, monkeypatch):
-    model, needles = _eval_model(policy), _eval_needles(len(positions))
+def test_stacked_tre_evaluate_has_the_per_sample_tape_bits(oov, positions, monkeypatch):
+    model, needles = _eval_model(), _eval_needles(len(positions))
     config = InjectionConfig(positions, [1.0 / len(positions)] * len(positions))
     data = _eval_samples(3 if oov else 4, oov)
     got = tre_logits(model, needles, config, data)
     assert len(got) == len(data)
     for logits, sample in zip(got, data):
         want = _tape_logits(model, needles, config, sample)
-        assert logits.shape == (3, len(want[0]), len(TAGSET))
+        assert logits.shape == (3, len(sample.tokens), len(TAGSET))
         assert all(row.tobytes() == ref.tobytes() for row, ref in zip(logits, want))
-    if policy == "skip" and oov:  # rows were dropped, so some stacks mix token counts
-        assert any(len(s.tokens) != len(l[0]) for s, l in zip(data, got))
     assert tre_logits(model, needles, config, []) == []
     metrics = tre_evaluate(model, needles, config, data)
     monkeypatch.setattr(
@@ -446,18 +439,36 @@ def _eval_error(fn):
 
 
 def test_stacked_tre_evaluate_raises_the_tape_error_of_the_first_sample_at_fault():
-    model, needles = _eval_model("skip"), _eval_needles(0)
+    model, needles = _eval_model(), _eval_needles(0)
     config = InjectionConfig([2, 3, 4], [1.0 / 3, 1.0 / 3, 1.0 / 3])
     ok = _eval_samples(5)[:3]
     empty = BioeSample([], [[], [], []])
-    all_oov = BioeSample(["oov1", "oov2"], [["O", "O"]] * 3)
     too_long = BioeSample(["w1"] * (EVAL_MAX_LEN + 1), [["O"] * (EVAL_MAX_LEN + 1)] * 3)
     cases = {
-        "cannot embed an empty token sequence": [empty, all_oov, too_long],
-        "all tokens out of vocabulary under skip policy": [all_oov, too_long, empty],
-        f"sequence length {EVAL_MAX_LEN + 1} exceeds positional table": [too_long, empty, all_oov],
+        "cannot embed an empty token sequence": [empty, too_long],
+        f"sequence length {EVAL_MAX_LEN + 1} exceeds positional table": [too_long, empty],
     }
     for message, bad in cases.items():
         data = ok[:1] + bad[:1] + ok[1:] + bad[1:]
         got = _eval_error(lambda: tre_evaluate(model, needles, config, data))
         assert got == _eval_error(lambda: [_tape_logits(model, needles, config, s) for s in data]) == message
+
+
+def test_tre_evaluate_counts_every_token_of_a_sample_with_an_unknown_word():
+    # a word dropped from a trained model's vocabulary embeds as a zero row,
+    # so each of its occurrences keeps a prediction at its own position
+    data = bracket_grammar(20, seed=3)
+    vocab = sorted({t for s in data for t in s.tokens})
+    model = build_tre_model(vocab, d=16, n_layers=2, n_heads=2, seed=3)
+    config = inject.injection_config(2)
+    result = tre_train(model, config, data, epochs=2, lr=0.1, seed=3)
+    del result.model.embeddings.vocab["eb0"]
+    assert sum(s.tokens.count("eb0") for s in data) == 8
+    correct = total = 0
+    for sample in data:
+        for logits, gold in zip(_tape_logits(result.model, result.needles, config, sample), sample.tags, strict=True):
+            assert len(logits) == len(gold) == len(sample.tokens)
+            correct += sum(TAGSET[int(np.argmax(row))] == tag for row, tag in zip(logits, gold))
+            total += len(gold)
+    assert total == 3 * sum(len(s.tokens) for s in data)
+    assert tre_evaluate(result.model, result.needles, config, data)["token_accuracy"] == correct / total

@@ -532,13 +532,17 @@ def test_scoring_builds_tensors_for_the_query_encode_only(kind):
 
 
 @pytest.mark.parametrize("kind", ["learned", "derived", "paraformer_lite"])
-def test_a_query_without_tokens_scores_0_encoding_no_article(kind):
+def test_a_query_without_tokens_scores_0_encoding_no_article(kind, monkeypatch):
     articles, queries = statement_world()
     model = scoring_models(articles, queries)[kind]
-    model.embeddings.oov_policy = "skip"
-    # every statement is out of vocabulary, so any encode of it raises
+
+    def no_article_encode(token_lists, enc):
+        raise AssertionError("an article was encoded")
+
+    # every article encode goes through encode_statements, which now raises
+    monkeypatch.setattr(rankers, "encode_statements", no_article_encode)
     oov = Article("z", "", "zzz qqq. yyy", ["zzz qqq", "yyy"])
-    with pytest.raises(ValueError, match="out of vocabulary"):
+    with pytest.raises(AssertionError, match="an article was encoded"):
         semantic_score(model, "gift writing", oov)
     assert semantic_score(model, " ?! ", oov) == 0.0
     world = articles + [oov]

@@ -261,7 +261,9 @@ def test_a_config_file_with_every_key_loads_for_each_config_command(inputs, tmp_
     ):
         code, err = _run(capsys, *argv, "--config", cfg, "--out", tmp_path / name)
         assert code == 0, (name, err)
-        assert json.loads((tmp_path / name / "config.json").read_text()) == EVERY_KEY, name
+        # the checkpoint's sizes are no preset's, so rank run and grid-alpha record none
+        want = {**EVERY_KEY, "preset": None} if name in ("rank-run", "rank-grid-alpha") else EVERY_KEY
+        assert json.loads((tmp_path / name / "config.json").read_text()) == want, name
 
 
 def test_rank_run_and_grid_alpha_take_n_predict_and_eval_k_from_the_checkpoint(inputs, tmp_path, capsys):
@@ -327,6 +329,31 @@ def test_rank_run_and_grid_alpha_record_the_keys_the_checkpoint_fixes(inputs, tm
         assert {k: cfg[k] for k in fixed} == fixed, name
         # the keys the checkpoint does not fix keep the file's values
         assert {k: cfg[k] for k in other if k not in fixed} == {k: v for k, v in other.items() if k not in fixed}
+
+
+# rank train flags, and per model kind the preset that rank run and
+# grid-alpha then record: the one whose sizes equal the checkpoint's, if any
+PRESET_CASES = {
+    "paper": (["--preset", "paper"], {"rank": "paper", "paraformer": "paper"}),
+    "desk": ([], {"rank": "desk", "paraformer": "desk"}),
+    "custom-embed-dim": (["--preset", "paper", "--embed-dim", "8"], {"rank": None, "paraformer": None}),
+    # dropout is a CNN size; a paraformer_lite checkpoint has none to compare
+    "desk-dropout": (["--dropout", "0.1"], {"rank": None, "paraformer": "desk"}),
+}
+
+
+@pytest.mark.parametrize("command", ["rank", "paraformer"])
+def test_rank_run_and_grid_alpha_record_the_preset_whose_sizes_the_checkpoint_has(inputs, tmp_path, capsys, command):
+    for name, (flags, presets) in PRESET_CASES.items():
+        code, err = _run(capsys, *_argv(inputs, command, *flags, "--epochs", "1", "--out", tmp_path / name))
+        assert code == 0, (name, err)
+        model = ["--model", tmp_path / name / "model.slrk", *_argv(inputs, "run")[4:], "--n-predict", "3"]
+        for out, argv in (("run", ["rank", "run", *model, "--alpha", "0.5"]), ("grid", ["rank", "grid-alpha", *model])):
+            code, err = _run(capsys, *argv, "--out", tmp_path / f"{name}-{out}")
+            assert code == 0, (name, out, err)
+            cfg = json.loads((tmp_path / f"{name}-{out}" / "config.json").read_text())
+            manifest = json.loads((tmp_path / f"{name}-{out}" / "manifest.json").read_text())
+            assert cfg["preset"] == manifest["config"]["preset"] == presets[command], (name, out)
 
 
 @pytest.mark.parametrize("n_layers", [1, 2, 3, 4, 5])

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 
 from statutelab import tensor as T
-from statutelab.encoders import SelfAttentionEncoder, encode_sentence_avg, self_attention_states
+from statutelab.encoders import SelfAttentionEncoder, self_attention_states
 from statutelab.inject import attention_weights_report, build_tre_model, tre_forward
 from statutelab.rankers import RankerModel, build_paraformer_lite, parameters
 
@@ -14,7 +14,7 @@ TOKENS = ["gift", "party", "act", "gift", "deed"]
 def test_encode_sentence_avg_pools_the_last_tre_state_bit_for_bit():
     tre = build_tre_model(VOCAB, 8, 3, 2, seed=4, max_len=8)
     states = tre_forward(tre, TOKENS)
-    pooled = encode_sentence_avg(TOKENS, tre.embeddings, tre.layers, tre.positions)
+    pooled = SelfAttentionEncoder(tre.embeddings, tre.positions, tre.layers).encode(TOKENS)
     assert len(states) == 3
     assert pooled.data.tobytes() == T.avg_pool(states[-1]).data.tobytes()
 

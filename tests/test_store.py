@@ -4,8 +4,16 @@ import struct
 import numpy as np
 import pytest
 
-from statutelab.store import bundle_bytes, bundle_from_bytes, read_bundle, write_bundle
-from statutelab.tensor import Tensor, load_tensor, tensor_from_bytes, tensor_to_bytes
+from statutelab.store import (
+    bundle_bytes,
+    bundle_from_bytes,
+    load_tensor,
+    read_bundle,
+    tensor_from_bytes,
+    tensor_to_bytes,
+    write_bundle,
+)
+from statutelab.tensor import Tensor
 
 
 def test_bundle_roundtrip(tmp_path):

@@ -10,12 +10,9 @@ from statutelab.tensor import (
     Tensor,
     backward,
     grad_check,
-    load_tensor,
-    save_tensor,
     tensor,
-    tensor_from_bytes,
-    tensor_to_bytes,
 )
+from statutelab.store import load_tensor, save_tensor, tensor_from_bytes, tensor_to_bytes
 from statutelab.selftest import simplex_projection_bisection
 
 vectors = st.lists(
