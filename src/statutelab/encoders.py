@@ -9,12 +9,15 @@ scale) and average-pools the final states.  Paragraphs
 are pooled from sentence vectors with general attention a_i = q^T tanh(A r_i
 + b), weighted by softmax or sparsemax.  Outside training,
 ``encode_statements`` encodes many sentences at once, values only, in
-stacks of the same length that ``embedded_stacks`` yields.
+stacks of the same length that ``embedded_stacks`` yields.  In training,
+``encode_on_tape`` encodes all the sentences of a step as one tape node.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -43,6 +46,7 @@ __all__ = [
     "embedded_stacks",
     "self_attention_stack_states",
     "encode_statements",
+    "encode_on_tape",
     "encode_paragraph",
 ]
 
@@ -221,20 +225,11 @@ def self_attention(x: Tensor, layer: SelfAttentionLayer) -> Tensor:
     return T.multihead_self_attention(x, layer)[0]
 
 
-def encode_sentence_cnn(
-    tokens: list[str],
-    enc: SentenceEncoderCNN,
-    train: bool = False,
-    rng: np.random.Generator | None = None,
-) -> Tensor:
-    """embed -> conv1d + tanh -> (dropout) -> learned-query additive
-    attention with softmax weights."""
+def encode_sentence_cnn(tokens: list[str], enc: SentenceEncoderCNN) -> Tensor:
+    """embed -> conv1d + tanh -> learned-query additive attention with
+    softmax weights, without dropout."""
     x = enc.embeddings.embed(tokens)
     feats = T.conv_tanh(x, enc.filters)
-    if train and enc.dropout > 0.0:
-        if rng is None:
-            raise ValueError("dropout requires an rng in training mode")
-        feats = T.dropout(feats, enc.dropout, rng)
     return T.additive_attention(feats, enc.attn.A, enc.attn.b, enc.u, "softmax")[0]
 
 
@@ -310,6 +305,122 @@ def encode_statements(token_lists: list[list[str]], enc: SentenceEncoderCNN | Se
         else:
             out[rows] = self_attention_stack_states(x, enc)[-1].mean(axis=-2)
     return out
+
+
+def encode_on_tape(
+    token_lists: list[list[str]], enc: SentenceEncoderCNN | SelfAttentionEncoder, rng: np.random.Generator
+) -> Tensor:
+    """The [S, d_out] encodings of S token lists as one tape node, for
+    training.  Row i has the values of encode_sentence_cnn(token_lists[i],
+    enc) with the CNN's dropout on its conv features, or of
+    enc.encode(token_lists[i]).  Every parameter gradient has the bits of a
+    tape that encodes the lists one by one, list 0 first.
+
+    The dropout masks are drawn from rng in list order before any kernel
+    runs, as those encodes drew them.  The VJP runs each list's VJP, last
+    list first, and adds the lists' contributions to each parameter in that
+    order, as backward adds them on the per-sentence tape; the table (and
+    the positions) get one RowGrad part with the bits of the per-gather
+    parts.  Raises the errors of the per-sentence path for the first list at
+    fault."""
+    table = enc.embeddings
+    cnn = isinstance(enc, SentenceEncoderCNN)
+    ids, xs, masks = [], [], []
+    for tokens in token_lists:
+        row_ids, mask = table.lookup(tokens)
+        if not cnn:
+            _check_length(enc, len(row_ids))
+        x = table.matrix.data[row_ids]
+        ids.extend(row_ids)
+        xs.append(x if mask is None else x * mask)
+        masks.append(mask)
+    ids = np.array(ids, dtype=np.intp)
+    member = np.repeat(np.arange(len(xs)), [len(x) for x in xs])
+    if cnn:
+        return _cnn_on_tape(enc, xs, masks, ids, member, rng)
+    return _self_attention_on_tape(enc, xs, masks, ids, member)
+
+
+def _in_order(parts) -> np.ndarray:
+    """The parts summed left to right, the first as it is: the order in
+    which backward adds a parent's contributions."""
+    return functools.reduce(operator.add, parts)
+
+
+def _table_grad(table: Tensor, masks, grads: list[np.ndarray], ids, member) -> T.RowGrad:
+    """The table's RowGrad from each list's gradient of its embedded rows,
+    in list order, out-of-vocabulary rows masked to zero."""
+    vals = [g if mask is None else g * mask for g, mask in zip(grads, masks)]
+    return T.member_row_grad(table.data.shape, ids, member, np.concatenate(vals))
+
+
+def _cnn_on_tape(enc: SentenceEncoderCNN, xs, masks, ids, member, rng) -> Tensor:
+    filt, at, b, u = enc.filters.data, enc.attn.A.data.T.copy(), enc.attn.b.data, enc.u.data
+    n_filters = filt.shape[2]
+    drops = [None] * len(xs)
+    if enc.dropout > 0.0:
+        drops = [T.dropout_mask((len(x), n_filters), enc.dropout, rng) for x in xs]
+    out = np.empty((len(xs), n_filters))
+    saved = []
+    for i, (x, drop) in enumerate(zip(xs, drops)):
+        xp, conv = T._conv_same(x, filt)
+        y = np.tanh(conv)
+        feats = y if drop is None else y * drop
+        out[i], w, h = T._additive_forward(feats, at, b, u, "softmax")
+        saved.append((xp, y, feats, w, h))
+
+    def vjp(g):
+        gxs, contribs = [], []
+        for i in reversed(range(len(xs))):
+            xp, y, feats, w, h = saved[i]
+            g_vecmat, g_matmul, g_a, g_b, g_u = T._additive_vjp(g[i], feats, at, u, w, h, "softmax")
+            g_feats = g_vecmat + g_matmul
+            gx, g_filt = T._conv_tanh_vjp(g_feats if drops[i] is None else g_feats * drops[i], y, xp, filt, True)
+            gxs.append(gx)
+            contribs.append((g_filt, g_a, g_b, g_u))
+        table_grad = _table_grad(enc.embeddings.matrix, masks, gxs[::-1], ids, member)
+        return (table_grad, *map(_in_order, zip(*contribs)))
+
+    parents = (enc.embeddings.matrix, enc.filters, enc.attn.A, enc.attn.b, enc.u)
+    return T._out(out, parents, vjp, "encode_on_tape")
+
+
+def _self_attention_on_tape(enc: SelfAttentionEncoder, xs, masks, ids, member) -> Tensor:
+    positions = enc.positions
+    weights = [[w.data for w in layer.tensors()] for layer in enc.layers]
+    out = np.empty((len(xs), enc.embeddings.dim))
+    saved = []  # per list, each layer's input, head outputs and stacks
+    for i, x in enumerate(xs):
+        x = x + positions.data[: len(x)]
+        saved.append([])
+        for layer in enc.layers:
+            y, z, cache = T._self_attention_forward(x, layer)
+            saved[i].append((x, z, cache))
+            x = y
+        out[i] = x.mean(axis=0)
+
+    def vjp(g):
+        gxs, contribs = [], []
+        for i in reversed(range(len(xs))):
+            m = len(xs[i])
+            gx = np.tile(g[i] / m, (m, 1))
+            per_layer = [()] * len(enc.layers)
+            for j in reversed(range(len(enc.layers))):
+                xd, z, cache = saved[i][j]
+                c = T._self_attention_vjp(gx, xd, z, cache, weights[j], enc.layers[j].n_heads, True)
+                # x's four uses in the order the layer's parents list them
+                gx = _in_order(c[:4])
+                per_layer[j] = c[4:]
+            gxs.append(gx)
+            contribs.append([w for layer in per_layer for w in layer])
+        gxs.reverse()
+        table_grad = _table_grad(enc.embeddings.matrix, masks, gxs, ids, member)
+        pos_ids = np.concatenate([np.arange(len(x)) for x in xs])
+        pos_grad = T.member_row_grad(positions.data.shape, pos_ids, member, np.concatenate(gxs))
+        return (table_grad, pos_grad, *map(_in_order, zip(*contribs)))
+
+    parents = (enc.embeddings.matrix, positions, *(w for layer in enc.layers for w in layer.tensors()))
+    return T._out(out, parents, vjp, "encode_on_tape")
 
 
 def encode_paragraph(

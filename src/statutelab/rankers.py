@@ -22,7 +22,7 @@ from .encoders import (
     GeneralAttentionParams,
     SelfAttentionEncoder,
     SentenceEncoderCNN,
-    encode_paragraph,
+    encode_on_tape,
     encode_sentence_cnn,
     encode_statements,
     init_attention_params,
@@ -154,16 +154,15 @@ def parameters(model: RankerModel) -> list[Tensor]:
     return params
 
 
-def _encode_sentence(model: RankerModel, tokens: list[str], train=False, rng=None) -> Tensor | None:
-    """The encoded token sequence; None when it has no tokens.  `train`
-    turns on the CNN's dropout."""
+def _encode_sentence(model: RankerModel, tokens: list[str]) -> Tensor | None:
+    """The encoded token sequence; None when it has no tokens."""
     if not tokens:
         return None
     enc = model.encoder
     # a CNN goes through this module's encode_sentence_cnn name, which tests
     # patch to count encodes
     if isinstance(enc, SentenceEncoderCNN):
-        return encode_sentence_cnn(tokens, enc, train=train, rng=rng)
+        return encode_sentence_cnn(tokens, enc)
     return enc.encode(tokens)
 
 
@@ -173,16 +172,27 @@ def _statement_tokens(article: Article) -> list[list[str]]:
     return [t for t in map(tokenize, article.statements or [article.text]) if t]
 
 
-def _train_score(model: RankerModel, qv: Tensor | None, article: Article, rng) -> Tensor:
-    """s_s = q . r_a on the tape, each statement encoded with dropout; 0.0
-    when the query or every statement of the article has no tokens."""
-    if qv is None:
-        return Tensor(0.0)
-    reps = [_encode_sentence(model, t, train=True, rng=rng) for t in _statement_tokens(article)]
-    if not reps:
-        return Tensor(0.0)
+def _train_scores(model: RankerModel, q_tokens: list[str], articles: list[Article], rng) -> list[Tensor]:
+    """s_s = q . r_a of each article on the tape, the query and every
+    statement encoded in one encode_on_tape node, with dropout; 0.0 when the
+    query or every statement of the article has no tokens.  No statement is
+    encoded when the query has no tokens."""
+    if not q_tokens:
+        return [Tensor(0.0) for _ in articles]
+    blocks = [_statement_tokens(a) for a in articles]
+    encoded = encode_on_tape([q_tokens] + [t for ts in blocks for t in ts], model.encoder, rng)
+    qv = T.take_rows(encoded, 0)
     pq = model.para_query if model.para_query is not None else qv
-    return T.dot(qv, encode_paragraph(pq, reps, model.para_attn)[0])
+    attn = model.para_attn
+    scores, start = [], 1
+    for ts in blocks:
+        if not ts:
+            scores.append(Tensor(0.0))
+            continue
+        rows = T.take_rows(encoded, slice(start, start + len(ts)))
+        start += len(ts)
+        scores.append(T.dot(qv, T.additive_attention(rows, attn.A, attn.b, pq, attn.weight_fn)[0]))
+    return scores
 
 
 def _pool_paragraphs(
@@ -295,9 +305,7 @@ def train_ranker(
             neg_ids = [pool[i] for i in rng.choice(len(pool), size=n_negs, replace=False)] if pool else []
 
             def loss_fn():
-                # one query node for the positive and every negative
-                qv = _encode_sentence(model, tokenize(q.text), train=True, rng=rng)
-                ys = [_train_score(model, qv, by_id[d], rng) for d in [pos_id, *neg_ids]]
+                ys = _train_scores(model, tokenize(q.text), [by_id[d] for d in [pos_id, *neg_ids]], rng)
                 return T.ce_negsample(ys[0], ys[1:])
 
             loss = T.train_step(params, cfg.lr, loss_fn, f"epoch {epoch} at query {q.id!r}")

@@ -19,6 +19,7 @@ from .encoders import (
     SelfAttentionEncoder,
     SelfAttentionLayer,
     SentenceEncoderCNN,
+    encode_on_tape,
     encode_paragraph,
     encode_sentence_cnn,
     init_attention_params,
@@ -151,6 +152,36 @@ def _multihead_check(rng) -> float:
     return _slot_check(rng, build, [x] + [getattr(layer, s) for s in slots])
 
 
+def _encode_on_tape_check(rng, self_attention: bool) -> float:
+    """The one encode node of a training step over three token lists of 1-4
+    tokens, out-of-vocabulary ones included: a CNN with dropout, its masks
+    drawn from a fixed seed, or a self-attention encoder."""
+    vocab = [f"w{i}" for i in range(6)]
+    d = 4
+    emb = random_embeddings(vocab, d, int(rng.integers(1 << 30)), scale=0.7)
+    words = vocab + ["oov"]
+    token_lists = [[words[int(j)] for j in rng.integers(0, 7, size=int(rng.integers(1, 5)))] for _ in range(3)]
+    if self_attention:
+        layer = init_self_attention_layer(d, 2, rng)
+        positions = Tensor(rng.normal(0.0, 0.3, size=(8, d)))
+        probe = Tensor(rng.normal(size=(3, d)))
+
+        def build(matrix, pos, *weights):
+            enc = SelfAttentionEncoder(EmbeddingTable(emb.vocab, matrix), pos, [SelfAttentionLayer(*weights, 2, d)])
+            return T.tsum(T.mul(encode_on_tape(token_lists, enc, None), probe))
+
+        return _slot_check(rng, build, [emb.matrix, positions] + layer.tensors())
+    enc = init_cnn_encoder(emb, filters=5, attn_dim=3, rng=rng, width=3, dropout=0.3)
+    probe = Tensor(rng.normal(size=(3, 5)))
+    mask_seed = int(rng.integers(1 << 30))
+
+    def build(matrix, filters, a, b, u):
+        cnn = SentenceEncoderCNN(EmbeddingTable(emb.vocab, matrix), filters, GeneralAttentionParams(a, b), u, 0.3)
+        return T.tsum(T.mul(encode_on_tape(token_lists, cnn, np.random.default_rng(mask_seed)), probe))
+
+    return _slot_check(rng, build, [emb.matrix, enc.filters, enc.attn.A, enc.attn.b, enc.u])
+
+
 def gradcheck_suite(instances: int = 100, seed: int = 20240501) -> dict[str, float]:
     """Max relative error per kernel over seeded random instances."""
     rng = np.random.default_rng(seed)
@@ -214,6 +245,9 @@ def gradcheck_suite(instances: int = 100, seed: int = 20240501) -> dict[str, flo
         record("additive_attention_softmax", _additive_check(rng, "softmax"))
         record("additive_attention_sparsemax", _additive_check(rng, "sparsemax"))
         record("multihead_self_attention", _multihead_check(rng))
+    # the training step's encode node, drawn after every case above
+    for i in range(instances):
+        record("encode_on_tape", _encode_on_tape_check(rng, self_attention=i % 2 == 1))
     return results
 
 

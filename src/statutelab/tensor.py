@@ -8,8 +8,11 @@ tape node with a hand-written VJP: ``conv_tanh``, ``additive_attention`` and
 ``multihead_self_attention``.  Their forward values are computed once, over
 any leading batch axes; the ``*_values`` functions give the values of a
 stack of same-length inputs without building a tape, each entry with the
-bits of its own tape op.  All math is double precision and single threaded,
-so repeated runs are bit-identical.
+bits of its own tape op.  Their VJPs are plain functions
+(``_conv_tanh_vjp``, ``_additive_vjp``, ``_self_attention_vjp``), which
+``encoders.encode_on_tape`` also runs, once per sentence of its node.  All
+math is double precision and single threaded, so repeated runs are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ __all__ = [
     "concat_cols",
     "slice_cols",
     "gather_rows",
+    "take_rows",
     "softmax",
     "softmax_rows",
     "sparsemax",
@@ -58,7 +62,7 @@ __all__ = [
     "ce_negsample",
     "mse_matrix",
     "softargmax",
-    "dropout",
+    "dropout_mask",
     "backward",
     "sgd_step",
     "diverging_raises",
@@ -269,19 +273,41 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     return _out(a.data[:, start:stop].copy(), (a,), (vjp,), "slice_cols")
 
 
-def _row_sums(idx: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct ids in `idx`, ascending, and for each the sum of its rows
-    of `vals` in order of occurrence, added onto 0.0 as np.add.at adds.
+def _scatter_sums(inv: np.ndarray, n: int, vals: np.ndarray) -> np.ndarray:
+    """[n, d] sums: row inv[i] of vals added onto row inv[i] of 0.0, in
+    order of i, as np.add.at adds.
 
     The scatter-add runs over the flattened arrays: np.add.at on 1-D data is
     several times faster than on rows, and visits each (row, column) pair in
     the same order."""
-    rows = np.unique(idx)
     d = vals.shape[1]
-    sums = np.zeros((rows.size, d))
-    flat = np.searchsorted(rows, idx)[:, None] * d + np.arange(d)
-    np.add.at(sums.reshape(-1), flat.reshape(-1), vals.reshape(-1))
-    return rows, sums
+    sums = np.zeros((n, d))
+    np.add.at(sums.reshape(-1), (inv[:, None] * d + np.arange(d)).reshape(-1), vals.reshape(-1))
+    return sums
+
+
+def _row_sums(idx: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ids in `idx`, ascending, and for each the sum of its rows
+    of `vals` in order of occurrence, added onto 0.0 as np.add.at adds."""
+    rows = np.unique(idx)
+    return rows, _scatter_sums(np.searchsorted(rows, idx), rows.size, vals)
+
+
+def member_row_grad(shape, idx: np.ndarray, member: np.ndarray, vals: np.ndarray) -> RowGrad:
+    """The gradient of a leaf table read by one gather per member, rows
+    idx[i] of it taking gradient vals[i] for member member[i] (members
+    numbered in creation order), as one RowGrad part with the bits of the
+    parts those gathers leave.
+
+    The first np.add.at sums each member's rows in the order they occur, as
+    each gather's _row_sums does; the second adds the members' sums onto 0.0
+    last member first, as backward concatenates the parts and totals adds
+    them."""
+    n_rows = shape[0]
+    # keys ascend by member, last first, then by row
+    keys, inv = np.unique((member.max() - member) * n_rows + idx, return_inverse=True)
+    sums = _scatter_sums(inv.reshape(-1), keys.size, vals)
+    return RowGrad(shape, (_row_sums(keys % n_rows, sums),))
 
 
 class RowGrad:
@@ -345,6 +371,18 @@ def gather_rows(table: Tensor, indices: Sequence[int]) -> Tensor:
             return RowGrad(table.data.shape, (_row_sums(idx, g),))
 
     return _out(table.data[idx], (table,), (vjp,), "gather_rows")
+
+
+def take_rows(a: Tensor, key: int | slice) -> Tensor:
+    """Row a[key] (an int key) or rows a[key] (a slice) of a matrix, as a
+    view; the gradient is zero outside them."""
+
+    def vjp(g):
+        out = np.zeros_like(a.data)
+        out[key] = g
+        return out
+
+    return _out(a.data[key], (a,), (vjp,), "take_rows")
 
 
 # ---------------------------------------------------------------------------
@@ -444,20 +482,33 @@ def _conv_same(x: np.ndarray, filt: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def _conv_grad_x(g: np.ndarray, xp: np.ndarray, filt: np.ndarray) -> np.ndarray:
+    """The input gradient of a same-length convolution at output gradient g
+    [M, F]: tap j's g @ filt[j].T, all taps in one np.matmul, added onto the
+    padded rows it read in tap order."""
     w, m = filt.shape[0], g.shape[0]
+    taps = np.matmul(g, filt.swapaxes(-1, -2))
     gp = np.zeros_like(xp)
     for j in range(w):
-        gp[j : j + m] += g @ filt[j].T
+        gp[j : j + m] += taps[j]
     pad = (w - 1) // 2
     return gp[pad : pad + m]
 
 
 def _conv_grad_f(g: np.ndarray, xp: np.ndarray, filt: np.ndarray) -> np.ndarray:
-    m = g.shape[0]
-    gf = np.zeros_like(filt)
-    for j in range(filt.shape[0]):
-        gf[j] = xp[j : j + m].T @ g
-    return gf
+    """The filter gradient at output gradient g [M, F]: tap j's
+    xp[j : j + M].T @ g, all taps in one np.matmul over a [w, d, M] view of
+    the padded input xp [M + w - 1, d] whose window j is xp[j : j + M].T."""
+    w, m, s = filt.shape[0], g.shape[0], xp.strides
+    windows = np.ndarray((w, xp.shape[1], m), xp.dtype, xp, 0, (s[0], s[1], s[0]))
+    return np.matmul(windows, g)
+
+
+def _conv_tanh_vjp(g: np.ndarray, y: np.ndarray, xp: np.ndarray, filt: np.ndarray, need_x: bool):
+    """VJP of conv_tanh at output y [M, F] and padded input xp: the gradients
+    of x (None unless need_x) and of the filters."""
+    gc = g * (1.0 - y * y)
+    gx = _conv_grad_x(gc, xp, filt) if need_x else None
+    return gx, _conv_grad_f(gc, xp, filt)
 
 
 def conv1d(x: Tensor, filters: Tensor) -> Tensor:
@@ -481,13 +532,7 @@ def conv_tanh(x: Tensor, filters: Tensor) -> Tensor:
     _check_conv(x, filters)
     xp, out = _conv_same(x.data, filters.data)
     y = np.tanh(out)
-
-    def vjp(g):
-        gc = g * (1.0 - y * y)
-        gx = _conv_grad_x(gc, xp, filters.data) if x.requires_grad else None
-        return gx, _conv_grad_f(gc, xp, filters.data)
-
-    return _out(y, (x, filters), vjp, "conv_tanh")
+    return _out(y, (x, filters), lambda g: _conv_tanh_vjp(g, y, xp, filters.data, x.requires_grad), "conv_tanh")
 
 
 def conv_tanh_values(x: np.ndarray, filters: np.ndarray) -> np.ndarray:
@@ -503,6 +548,17 @@ def _additive_forward(r: np.ndarray, at: np.ndarray, b: np.ndarray, q: np.ndarra
     scores = np.matmul(h, q)
     w = _softmax(scores) if weight_fn == "softmax" else sparsemax_values(scores)
     return np.matmul(w[..., None, :], r)[..., 0, :], w, h
+
+
+def _additive_vjp(g, r, at, q, w, h, weight_fn):
+    """VJP of additive attention over r [n, d_r] at output gradient g, given
+    its forward at, q, weights w and hidden h: the gradients of the rows (for
+    their vecmat use, then their matmul use), A, b and q."""
+    gw = r @ g
+    gs = w * (gw - np.dot(gw, w)) if weight_fn == "softmax" else _sparsemax_grad(w, gw)
+    # x[:, None] * y is np.outer(x, y) without its call overhead
+    gh = gs[:, None] * q * (1.0 - h * h)
+    return w[:, None] * g, gh @ at.T, (r.T @ gh).T, gh.sum(axis=0), h.T @ gs
 
 
 def additive_attention(
@@ -527,10 +583,7 @@ def additive_attention(
     pooled, w, h = _additive_forward(r, at, b.data, q.data, weight_fn)
 
     def vjp(g):
-        gw = r @ g
-        gs = w * (gw - np.dot(gw, w)) if weight_fn == "softmax" else _sparsemax_grad(w, gw)
-        gh = np.outer(gs, q.data) * (1.0 - h * h)
-        return np.outer(w, g), gh @ at.T, (r.T @ gh).T, gh.sum(axis=0), h.T @ gs
+        return _additive_vjp(g, r, at, q.data, w, h, weight_fn)
 
     return _out(pooled, (rows, rows, A, b, q), vjp, "additive_attention"), w
 
@@ -569,6 +622,27 @@ def _self_attention_forward(xd: np.ndarray, layer):
     return np.matmul(z, layer.w_o.data) + xd, z, (qh, kt, vh, a)
 
 
+def _self_attention_vjp(g, xd, z, cache, weights, n_heads: int, need_x: bool):
+    """VJP of one self-attention layer at output gradient g, given its input
+    xd, concatenated head outputs z, the forward stacks ``cache`` and the
+    weight arrays (w_q, w_k, w_v, w_o): the gradients of x for its four uses
+    (the residual, then V, K and Q; None unless need_x), then of the four
+    weights."""
+    qh, kt, vh, a = cache
+    wq, wk, wv, wo = weights
+    c = 1.0 / math.sqrt(wq.shape[0] // n_heads)
+    gz = g @ wo.T
+    # go[h] views the head's columns of gz, strided as the slice gz[:, cols]
+    go = gz.reshape(xd.shape[0], n_heads, -1).swapaxes(0, 1)
+    ga = go @ vh.swapaxes(-1, -2)
+    gs = a * (ga - (ga * a).sum(axis=-1, keepdims=True)) * c
+    gq = _merge_heads(gs @ kt.swapaxes(-1, -2))
+    gk = _merge_heads((qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2))
+    gv = _merge_heads(a.swapaxes(-1, -2) @ go)
+    gx = (g, gv @ wv.T, gk @ wk.T, gq @ wq.T) if need_x else (None,) * 4
+    return (*gx, xd.T @ gq, xd.T @ gk, xd.T @ gv, z.T @ g)
+
+
 def multihead_self_attention(x: Tensor, layer) -> tuple[Tensor, list[np.ndarray]]:
     """One multi-head self-attention layer as one node: the Q/K/V
     projections, per-head softmax(Q_h K_h^T / sqrt(d_h)) V_h, the head
@@ -582,30 +656,17 @@ def multihead_self_attention(x: Tensor, layer) -> tuple[Tensor, list[np.ndarray]
     sums in the order the separate ops add it.
     """
     xd = x.data
-    wq, wk, wv, wo = layer.w_q, layer.w_k, layer.w_v, layer.w_o
-    d = wq.data.shape[0]
+    weights = (layer.w_q, layer.w_k, layer.w_v, layer.w_o)
+    d = weights[0].data.shape[0]
     if xd.ndim != 2 or xd.shape[1] != d:
         raise ValueError(f"multihead_self_attention: input shape {xd.shape} does not match width {d}")
-    c = 1.0 / math.sqrt(d // layer.n_heads)
-    out, z, (qh, kt, vh, a) = _self_attention_forward(xd, layer)
+    out, z, cache = _self_attention_forward(xd, layer)
+    n_heads = layer.n_heads
 
     def vjp(g):
-        gz = g @ wo.data.T
-        # go[h] views the head's columns of gz, strided as the slice gz[:, cols]
-        go = gz.reshape(xd.shape[0], layer.n_heads, -1).swapaxes(0, 1)
-        ga = go @ vh.swapaxes(-1, -2)
-        gs = a * (ga - (ga * a).sum(axis=-1, keepdims=True)) * c
-        gq = _merge_heads(gs @ kt.swapaxes(-1, -2))
-        gk = _merge_heads((qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2))
-        gv = _merge_heads(a.swapaxes(-1, -2) @ go)
-        if x.requires_grad:
-            gx = (g, gv @ wv.data.T, gk @ wk.data.T, gq @ wq.data.T)
-        else:
-            gx = (None,) * 4
-        return (*gx, xd.T @ gq, xd.T @ gk, xd.T @ gv, z.T @ g)
+        return _self_attention_vjp(g, xd, z, cache, [w.data for w in weights], n_heads, x.requires_grad)
 
-    parents = (x, x, x, x, wq, wk, wv, wo)
-    return _out(out, parents, vjp, "multihead_self_attention"), list(a)
+    return _out(out, (x, x, x, x, *weights), vjp, "multihead_self_attention"), list(cache[3])
 
 
 def multihead_self_attention_values(x: np.ndarray, layer) -> np.ndarray:
@@ -688,14 +749,12 @@ def softargmax(x: Tensor, beta: float = 1.0) -> Tensor:
     )
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; rate 0 is the identity."""
-    if rate <= 0.0:
-        return x
-    if rate >= 1.0:
-        raise ValueError("dropout rate must be < 1")
-    mask = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
-    return _out(x.data * mask, (x,), (lambda g: g * mask,), "dropout")
+def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
+    """An inverted-dropout mask of the given shape, drawn from rng: 0 with
+    probability rate, else 1 / (1 - rate)."""
+    if not 0.0 < rate < 1.0:
+        raise ValueError(f"dropout rate must be in (0, 1), got {rate}")
+    return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
 # ---------------------------------------------------------------------------

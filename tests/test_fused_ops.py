@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import train_oracle
 from statutelab import encoders, inject, rankers
 from statutelab import tensor as T
 from statutelab.corpus import Article, Query, chunk_corpus
@@ -71,11 +72,13 @@ REFERENCE = {
 
 def fused_and_composed(run):
     """run() with the fused ops, then with the encoders routed through the
-    reference composition."""
+    reference composition and ranker training steps scored sentence by
+    sentence (train_oracle) instead of through their one encode node."""
     fused = run()
     with pytest.MonkeyPatch.context() as mp:
         for name, fn in REFERENCE.items():
             mp.setattr(T, name, fn)
+        mp.setattr(rankers, "_train_scores", train_oracle.train_scores)
         composed = run()
     return fused, composed
 

@@ -697,13 +697,13 @@ def test_train_step_encodes_the_query_once(kind, monkeypatch):
     model = scoring_models(articles, queries)[kind]
     model.config.epochs = 1
     seen = []
-    real = rankers.encode_sentence_cnn
+    real = rankers.encode_on_tape
 
-    def counting(tokens, enc, **kw):
-        seen.append(tuple(tokens))
-        return real(tokens, enc, **kw)
+    def counting(token_lists, enc, rng):
+        seen.extend(tuple(t) for t in token_lists)
+        return real(token_lists, enc, rng)
 
-    monkeypatch.setattr(rankers, "encode_sentence_cnn", counting)
+    monkeypatch.setattr(rankers, "encode_on_tape", counting)
     # K = 4 on five articles: the step draws every article
     train_ranker(model, articles, queries[:1], k_negatives=4)
     statements = [tuple(t) for a in articles for t in map(tokenize, a.statements or [a.text]) if t]

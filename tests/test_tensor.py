@@ -241,10 +241,11 @@ def test_grad_check_composite_and_negative_control():
 
 def test_dropout_identity_and_scaling():
     rng = np.random.default_rng(0)
-    x = Tensor(np.ones((50, 4)))
-    assert T.dropout(x, 0.0, rng) is x
-    out = T.dropout(x, 0.5, rng)
-    assert set(np.unique(out.data)) <= {0.0, 2.0}
+    mask = T.dropout_mask((50, 4), 0.5, rng)
+    assert mask.shape == (50, 4) and set(np.unique(mask)) == {0.0, 2.0}
+    for rate in (0.0, 1.0):
+        with pytest.raises(ValueError, match="dropout rate must be in"):
+            T.dropout_mask((2, 2), rate, rng)
 
 
 def test_serialization_roundtrip(tmp_path):
