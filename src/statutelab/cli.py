@@ -453,7 +453,7 @@ def _cmd_embed_leca(args) -> int:
 def _cmd_embed_project(args) -> int:
     emb = load_embeddings(args.embeddings)
     terms = _load_terms(args.terms)
-    count = embedmetrics.export_projection(emb, terms, {}, args.top_k, args.out)
+    count = embedmetrics.export_projection(emb, terms, args.top_k, args.out)
     print(f"wrote {count} rows to {args.out}")
     return 0
 
@@ -508,7 +508,7 @@ def _cmd_eval_human(args) -> int:
 
 
 def _cmd_selftest_gradcheck(args) -> int:
-    results = gradcheck_suite(instances=args.instances, seed=args.seed or 20240501)
+    results = gradcheck_suite(instances=args.instances, seed=args.seed)
     worst = 0.0
     for name in sorted(results):
         print(f"{name}: max rel err {results[name]:.3e}")
@@ -518,7 +518,7 @@ def _cmd_selftest_gradcheck(args) -> int:
 
 
 def _cmd_selftest_properties(args) -> int:
-    results = property_suite(seed=args.seed or 7)
+    results = property_suite(seed=args.seed)
     ok = True
     for name, passed, detail in results:
         print(f"{'PASS' if passed else 'FAIL'} {name} ({detail})")
@@ -710,9 +710,9 @@ def _build_parser() -> argparse.ArgumentParser:
     selftest_p = top.add_parser("selftest").add_subparsers(dest="subcommand", required=True)
     p = sub(selftest_p, "gradcheck", _cmd_selftest_gradcheck)
     p.add_argument("--instances", type=int, default=100)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=20240501)
     p = sub(selftest_p, "properties", _cmd_selftest_properties)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=7)
 
     return parser
 

@@ -100,7 +100,6 @@ def metric_report(
 def export_projection(
     table: EmbeddingTable,
     terms: set[str],
-    labels: dict[str, str],
     top_k: int,
     path,
 ) -> int:
@@ -108,13 +107,13 @@ def export_projection(
     ready for external t-SNE/PCA; returns the row count.
 
     Vocabulary order is taken as the frequency order (embedding files list
-    most frequent words first).  Words in `terms` default to the "legal"
-    label, everything else to "nonlegal", with `labels` overriding.
+    most frequent words first).  Words in `terms` get the "legal" label,
+    everything else "nonlegal".
     """
     words = sorted(table.vocab.items(), key=lambda kv: kv[1])[: max(0, top_k)]
     with open(path, "w", encoding="utf-8") as fh:
         for word, row in words:
-            label = labels.get(word, "legal" if word in terms else "nonlegal")
+            label = "legal" if word in terms else "nonlegal"
             vals = "\t".join(repr(float(v)) for v in table.matrix.data[row])
             fh.write(f"{word}\t{label}\t{vals}\n")
     return len(words)

@@ -10,7 +10,8 @@ are pooled from sentence vectors with general attention a_i = q^T tanh(A r_i
 + b), weighted by softmax or sparsemax.  Outside training,
 ``encode_statements`` encodes many sentences at once, values only, in
 stacks of the same length that ``embedded_stacks`` yields.  In training,
-``encode_on_tape`` encodes all the sentences of a step as one tape node.
+``encode_on_tape`` encodes all the sentences of a CNN's step as one tape
+node, and those of a self-attention encoder one by one.
 """
 
 from __future__ import annotations
@@ -310,51 +311,31 @@ def encode_statements(token_lists: list[list[str]], enc: SentenceEncoderCNN | Se
 def encode_on_tape(
     token_lists: list[list[str]], enc: SentenceEncoderCNN | SelfAttentionEncoder, rng: np.random.Generator
 ) -> Tensor:
-    """The [S, d_out] encodings of S token lists as one tape node, for
-    training.  Row i has the values of encode_sentence_cnn(token_lists[i],
-    enc) with the CNN's dropout on its conv features, or of
-    enc.encode(token_lists[i]).  Every parameter gradient has the bits of a
-    tape that encodes the lists one by one, list 0 first.
+    """The [S, d_out] encodings of S token lists on the tape, for training.
+    A self-attention encoder stacks enc.encode(token_lists[i]), the tape
+    that TRE training also runs.  A CNN encodes them as one node: row i has
+    the values of encode_sentence_cnn(token_lists[i], enc) with the CNN's
+    dropout on its conv features, and every parameter gradient has the bits
+    of a tape that encodes the lists one by one, list 0 first.
 
     The dropout masks are drawn from rng in list order before any kernel
     runs, as those encodes drew them.  The VJP runs each list's VJP, last
     list first, and adds the lists' contributions to each parameter in that
-    order, as backward adds them on the per-sentence tape; the table (and
-    the positions) get one RowGrad part with the bits of the per-gather
-    parts.  Raises the errors of the per-sentence path for the first list at
-    fault."""
+    order, as backward adds them on the per-sentence tape; the table gets
+    one RowGrad part with the bits of the per-gather parts.  Raises the
+    errors of the per-sentence path for the first list at fault."""
+    if isinstance(enc, SelfAttentionEncoder):
+        return T.stack_rows([enc.encode(tokens) for tokens in token_lists])
     table = enc.embeddings
-    cnn = isinstance(enc, SentenceEncoderCNN)
     ids, xs, masks = [], [], []
     for tokens in token_lists:
         row_ids, mask = table.lookup(tokens)
-        if not cnn:
-            _check_length(enc, len(row_ids))
         x = table.matrix.data[row_ids]
         ids.extend(row_ids)
         xs.append(x if mask is None else x * mask)
         masks.append(mask)
     ids = np.array(ids, dtype=np.intp)
     member = np.repeat(np.arange(len(xs)), [len(x) for x in xs])
-    if cnn:
-        return _cnn_on_tape(enc, xs, masks, ids, member, rng)
-    return _self_attention_on_tape(enc, xs, masks, ids, member)
-
-
-def _in_order(parts) -> np.ndarray:
-    """The parts summed left to right, the first as it is: the order in
-    which backward adds a parent's contributions."""
-    return functools.reduce(operator.add, parts)
-
-
-def _table_grad(table: Tensor, masks, grads: list[np.ndarray], ids, member) -> T.RowGrad:
-    """The table's RowGrad from each list's gradient of its embedded rows,
-    in list order, out-of-vocabulary rows masked to zero."""
-    vals = [g if mask is None else g * mask for g, mask in zip(grads, masks)]
-    return T.member_row_grad(table.data.shape, ids, member, np.concatenate(vals))
-
-
-def _cnn_on_tape(enc: SentenceEncoderCNN, xs, masks, ids, member, rng) -> Tensor:
     filt, at, b, u = enc.filters.data, enc.attn.A.data.T.copy(), enc.attn.b.data, enc.u.data
     n_filters = filt.shape[2]
     drops = [None] * len(xs)
@@ -376,51 +357,20 @@ def _cnn_on_tape(enc: SentenceEncoderCNN, xs, masks, ids, member, rng) -> Tensor
             g_vecmat, g_matmul, g_a, g_b, g_u = T._additive_vjp(g[i], feats, at, u, w, h, "softmax")
             g_feats = g_vecmat + g_matmul
             gx, g_filt = T._conv_tanh_vjp(g_feats if drops[i] is None else g_feats * drops[i], y, xp, filt, True)
-            gxs.append(gx)
+            # out-of-vocabulary rows take no gradient
+            gxs.append(gx if masks[i] is None else gx * masks[i])
             contribs.append((g_filt, g_a, g_b, g_u))
-        table_grad = _table_grad(enc.embeddings.matrix, masks, gxs[::-1], ids, member)
+        table_grad = T.member_row_grad(table.matrix.data.shape, ids, member, np.concatenate(gxs[::-1]))
         return (table_grad, *map(_in_order, zip(*contribs)))
 
-    parents = (enc.embeddings.matrix, enc.filters, enc.attn.A, enc.attn.b, enc.u)
+    parents = (table.matrix, enc.filters, enc.attn.A, enc.attn.b, enc.u)
     return T._out(out, parents, vjp, "encode_on_tape")
 
 
-def _self_attention_on_tape(enc: SelfAttentionEncoder, xs, masks, ids, member) -> Tensor:
-    positions = enc.positions
-    weights = [[w.data for w in layer.tensors()] for layer in enc.layers]
-    out = np.empty((len(xs), enc.embeddings.dim))
-    saved = []  # per list, each layer's input, head outputs and stacks
-    for i, x in enumerate(xs):
-        x = x + positions.data[: len(x)]
-        saved.append([])
-        for layer in enc.layers:
-            y, z, cache = T._self_attention_forward(x, layer)
-            saved[i].append((x, z, cache))
-            x = y
-        out[i] = x.mean(axis=0)
-
-    def vjp(g):
-        gxs, contribs = [], []
-        for i in reversed(range(len(xs))):
-            m = len(xs[i])
-            gx = np.tile(g[i] / m, (m, 1))
-            per_layer = [()] * len(enc.layers)
-            for j in reversed(range(len(enc.layers))):
-                xd, z, cache = saved[i][j]
-                c = T._self_attention_vjp(gx, xd, z, cache, weights[j], enc.layers[j].n_heads, True)
-                # x's four uses in the order the layer's parents list them
-                gx = _in_order(c[:4])
-                per_layer[j] = c[4:]
-            gxs.append(gx)
-            contribs.append([w for layer in per_layer for w in layer])
-        gxs.reverse()
-        table_grad = _table_grad(enc.embeddings.matrix, masks, gxs, ids, member)
-        pos_ids = np.concatenate([np.arange(len(x)) for x in xs])
-        pos_grad = T.member_row_grad(positions.data.shape, pos_ids, member, np.concatenate(gxs))
-        return (table_grad, pos_grad, *map(_in_order, zip(*contribs)))
-
-    parents = (enc.embeddings.matrix, positions, *(w for layer in enc.layers for w in layer.tensors()))
-    return T._out(out, parents, vjp, "encode_on_tape")
+def _in_order(parts) -> np.ndarray:
+    """The parts summed left to right, the first as it is: the order in
+    which backward adds a parent's contributions."""
+    return functools.reduce(operator.add, parts)
 
 
 def encode_paragraph(

@@ -265,31 +265,34 @@ def train_ranker(
     model: RankerModel,
     corpus: list[Article],
     queries: list[Query],
-    k_negatives: int | None = None,
     index: InvertedIndex | None = None,
 ) -> tuple[RankerModel, list[float]]:
     """Negative-sampling training; returns the model and per-epoch mean loss.
 
-    Negatives are drawn uniformly without replacement from the non-relevant
-    articles.  With an index, the pool is first narrowed to each query's
-    top n_train lexical candidates (the training-phase cut, which may
-    differ from the prediction-phase n_predict).  The draws are seeded by
-    the model's config.  A step that diverges raises ValueError naming the
-    epoch and the query (tensor.train_step).
+    Each step draws model.config.k_negatives negatives uniformly without
+    replacement from the non-relevant articles.  With an index, the pool is
+    first narrowed to each query's top n_train lexical candidates (the
+    training-phase cut, which may differ from the prediction-phase
+    n_predict).  The draws are seeded by the model's config.  A step that
+    diverges raises ValueError naming the epoch and the query
+    (tensor.train_step).
     """
     cfg = model.config
-    k = cfg.k_negatives if k_negatives is None else k_negatives
+    k = cfg.k_negatives
     if k >= len(corpus):
         raise ValueError(f"need more than K={k} articles, corpus has {len(corpus)}")
     by_id = {a.id: a for a in corpus}
     require_relevant(queries, by_id.keys())
-    pools = {}
+    # per query: its tokens, its relevant ids in the corpus and its negative pool
+    prepared = []
     for q in queries:
+        q_tokens = tokenize(q.text)
         if index is not None:
-            cands = top_n(index, tokenize(q.text), cfg.n_train, k1=cfg.k1, b=cfg.b)
-            pools[q.id] = [d for d, _ in cands if d not in q.relevant_ids]
+            cands = top_n(index, q_tokens, cfg.n_train, k1=cfg.k1, b=cfg.b)
+            pool = [d for d, _ in cands if d not in q.relevant_ids]
         else:
-            pools[q.id] = [a.id for a in corpus if a.id not in q.relevant_ids]
+            pool = [a.id for a in corpus if a.id not in q.relevant_ids]
+        prepared.append((q_tokens, sorted(q.relevant_ids & by_id.keys()), pool))
     params = parameters(model)
     rng = np.random.default_rng(cfg.seed)
     trace = []
@@ -298,14 +301,13 @@ def train_ranker(
         total = 0.0
         for qi in order:
             q = queries[int(qi)]
-            rel = sorted(q.relevant_ids & by_id.keys())
+            q_tokens, rel, pool = prepared[int(qi)]
             pos_id = rel[int(rng.integers(0, len(rel)))]
-            pool = pools[q.id]
             n_negs = min(k, len(pool))
             neg_ids = [pool[i] for i in rng.choice(len(pool), size=n_negs, replace=False)] if pool else []
 
             def loss_fn():
-                ys = _train_scores(model, tokenize(q.text), [by_id[d] for d in [pos_id, *neg_ids]], rng)
+                ys = _train_scores(model, q_tokens, [by_id[d] for d in [pos_id, *neg_ids]], rng)
                 return T.ce_negsample(ys[0], ys[1:])
 
             loss = T.train_step(params, cfg.lr, loss_fn, f"epoch {epoch} at query {q.id!r}")

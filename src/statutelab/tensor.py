@@ -8,9 +8,9 @@ tape node with a hand-written VJP: ``conv_tanh``, ``additive_attention`` and
 ``multihead_self_attention``.  Their forward values are computed once, over
 any leading batch axes; the ``*_values`` functions give the values of a
 stack of same-length inputs without building a tape, each entry with the
-bits of its own tape op.  Their VJPs are plain functions
-(``_conv_tanh_vjp``, ``_additive_vjp``, ``_self_attention_vjp``), which
-``encoders.encode_on_tape`` also runs, once per sentence of its node.  All
+bits of its own tape op.  The VJPs of the first two are plain functions
+(``_conv_tanh_vjp``, ``_additive_vjp``), which ``encoders.encode_on_tape``
+also runs, once per sentence of a CNN's node.  All
 math is double precision and single threaded, so repeated runs are
 bit-identical.
 """
@@ -622,27 +622,6 @@ def _self_attention_forward(xd: np.ndarray, layer):
     return np.matmul(z, layer.w_o.data) + xd, z, (qh, kt, vh, a)
 
 
-def _self_attention_vjp(g, xd, z, cache, weights, n_heads: int, need_x: bool):
-    """VJP of one self-attention layer at output gradient g, given its input
-    xd, concatenated head outputs z, the forward stacks ``cache`` and the
-    weight arrays (w_q, w_k, w_v, w_o): the gradients of x for its four uses
-    (the residual, then V, K and Q; None unless need_x), then of the four
-    weights."""
-    qh, kt, vh, a = cache
-    wq, wk, wv, wo = weights
-    c = 1.0 / math.sqrt(wq.shape[0] // n_heads)
-    gz = g @ wo.T
-    # go[h] views the head's columns of gz, strided as the slice gz[:, cols]
-    go = gz.reshape(xd.shape[0], n_heads, -1).swapaxes(0, 1)
-    ga = go @ vh.swapaxes(-1, -2)
-    gs = a * (ga - (ga * a).sum(axis=-1, keepdims=True)) * c
-    gq = _merge_heads(gs @ kt.swapaxes(-1, -2))
-    gk = _merge_heads((qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2))
-    gv = _merge_heads(a.swapaxes(-1, -2) @ go)
-    gx = (g, gv @ wv.T, gk @ wk.T, gq @ wq.T) if need_x else (None,) * 4
-    return (*gx, xd.T @ gq, xd.T @ gk, xd.T @ gv, z.T @ g)
-
-
 def multihead_self_attention(x: Tensor, layer) -> tuple[Tensor, list[np.ndarray]]:
     """One multi-head self-attention layer as one node: the Q/K/V
     projections, per-head softmax(Q_h K_h^T / sqrt(d_h)) V_h, the head
@@ -656,17 +635,26 @@ def multihead_self_attention(x: Tensor, layer) -> tuple[Tensor, list[np.ndarray]
     sums in the order the separate ops add it.
     """
     xd = x.data
-    weights = (layer.w_q, layer.w_k, layer.w_v, layer.w_o)
-    d = weights[0].data.shape[0]
+    wq, wk, wv, wo = layer.w_q, layer.w_k, layer.w_v, layer.w_o
+    d = wq.data.shape[0]
     if xd.ndim != 2 or xd.shape[1] != d:
         raise ValueError(f"multihead_self_attention: input shape {xd.shape} does not match width {d}")
-    out, z, cache = _self_attention_forward(xd, layer)
-    n_heads = layer.n_heads
+    c = 1.0 / math.sqrt(d // layer.n_heads)
+    out, z, (qh, kt, vh, a) = _self_attention_forward(xd, layer)
 
     def vjp(g):
-        return _self_attention_vjp(g, xd, z, cache, [w.data for w in weights], n_heads, x.requires_grad)
+        gz = g @ wo.data.T
+        # go[h] views the head's columns of gz, strided as the slice gz[:, cols]
+        go = gz.reshape(xd.shape[0], layer.n_heads, -1).swapaxes(0, 1)
+        ga = go @ vh.swapaxes(-1, -2)
+        gs = a * (ga - (ga * a).sum(axis=-1, keepdims=True)) * c
+        gq = _merge_heads(gs @ kt.swapaxes(-1, -2))
+        gk = _merge_heads((qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2))
+        gv = _merge_heads(a.swapaxes(-1, -2) @ go)
+        gx = (g, gv @ wv.data.T, gk @ wk.data.T, gq @ wq.data.T) if x.requires_grad else (None,) * 4
+        return (*gx, xd.T @ gq, xd.T @ gk, xd.T @ gv, z.T @ g)
 
-    return _out(out, (x, x, x, x, *weights), vjp, "multihead_self_attention"), list(cache[3])
+    return _out(out, (x, x, x, x, wq, wk, wv, wo), vjp, "multihead_self_attention"), list(a)
 
 
 def multihead_self_attention_values(x: np.ndarray, layer) -> np.ndarray:

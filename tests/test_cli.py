@@ -177,6 +177,20 @@ def test_selftest_gradcheck_small(capsys):
     assert "OK" in out
 
 
+def test_selftest_seed_zero_is_not_the_default(capsys):
+    runs = {
+        argv: run(capsys, "selftest", *argv)
+        for argv in [
+            ("properties",), ("properties", "--seed", "7"), ("properties", "--seed", "0"),
+            ("gradcheck", "--instances", "2"), ("gradcheck", "--instances", "2", "--seed", "0"),
+        ]
+    }
+    assert all(code == 0 for code, _, _ in runs.values())
+    assert runs[("properties",)] == runs[("properties", "--seed", "7")]
+    assert runs[("properties", "--seed", "0")] != runs[("properties",)]
+    assert runs[("gradcheck", "--instances", "2", "--seed", "0")] != runs[("gradcheck", "--instances", "2")]
+
+
 def test_inject_tag_stats(tmp_path, capsys):
     bioe = tmp_path / "x.tsv"
     bioe.write_text("Gifts\tB-R\tB-E\t-\nrevoked\tE-R\tE-E\t-\n", encoding="utf-8")

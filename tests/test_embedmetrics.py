@@ -112,7 +112,7 @@ def test_metric_report_fields():
 def test_export_projection(tmp_path):
     tab = table([("lien", [1.0, 0.0]), ("cat", [0.5, 0.25]), ("tort", [0.0, 1.0])])
     out = tmp_path / "proj.tsv"
-    n = export_projection(tab, {"lien", "tort"}, {}, top_k=3, path=out)
+    n = export_projection(tab, {"lien", "tort"}, top_k=3, path=out)
     assert n == 3
     lines = out.read_text(encoding="utf-8").strip().split("\n")
     assert len(lines) == 3
@@ -120,7 +120,4 @@ def test_export_projection(tmp_path):
     assert first[0] == "lien" and first[1] == "legal"
     assert lines[1].split("\t")[1] == "nonlegal"
     # top_k larger than the vocabulary clamps
-    assert export_projection(tab, set(), {}, top_k=99, path=out) == 3
-    # explicit labels override the term set
-    export_projection(tab, {"lien"}, {"lien": "nonlegal"}, top_k=1, path=out)
-    assert out.read_text(encoding="utf-8").split("\t")[1] == "nonlegal"
+    assert export_projection(tab, set(), top_k=99, path=out) == 3

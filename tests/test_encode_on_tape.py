@@ -1,5 +1,5 @@
-"""The one encode node of a training step against the per-sentence
-composition it replaces (train_oracle): the same values, every parameter
+"""A training step's encode_on_tape (one node for a CNN) against the
+per-sentence composition (train_oracle): the same values, every parameter
 gradient bit for bit, the same dropout draws and the same update."""
 
 import numpy as np
@@ -90,7 +90,8 @@ def test_node_rows_are_the_per_sentence_encodes_with_the_same_draws(kind):
     assert sorted({len(t) for t in token_lists}) == [1, 2, 3, 6]
     node_rng, oracle_rng = np.random.default_rng(4), np.random.default_rng(4)
     node = encode_on_tape(token_lists, model.encoder, node_rng)
-    assert node.op == "encode_on_tape" and node.data.shape[0] == len(token_lists)
+    assert node.op == ("stack_rows" if kind == "paraformer_lite" else "encode_on_tape")
+    assert node.data.shape[0] == len(token_lists)
     for row, tokens in zip(node.data, token_lists):
         assert row.tobytes() == train_oracle.encode_sentence(tokens, model.encoder, oracle_rng).data.tobytes()
     assert node_rng.bit_generator.state == oracle_rng.bit_generator.state

@@ -198,12 +198,17 @@ def test_train_ranker_loss_decreases_on_planted_corpus():
 
 def test_train_ranker_deterministic_checkpoints():
     articles, queries = tiny_world()
-    runs = []
-    for _ in range(2):
-        model = small_model(articles, queries, seed=9)
-        model, _ = train_ranker(model, articles, queries)
-        runs.append(model_bytes(model))
-    assert runs[0] == runs[1]
+
+    def paraformer_lite():
+        cfg = RankerConfig(lr=0.1, epochs=3, k_negatives=1, seed=9, n_predict=4, eval_k=1)
+        return build_paraformer_lite(vocab_of(articles, queries), embed_dim=8, n_layers=2, n_heads=2, seed=9, config=cfg)
+
+    for build in (lambda: small_model(articles, queries, seed=9), paraformer_lite):
+        runs = []
+        for _ in range(2):
+            model, _ = train_ranker(build(), articles, queries)
+            runs.append(model_bytes(model))
+        assert runs[0] == runs[1]
 
 
 def test_grid_search_degenerate_semantic():
@@ -696,6 +701,8 @@ def test_train_step_encodes_the_query_once(kind, monkeypatch):
     articles, queries = statement_world()
     model = scoring_models(articles, queries)[kind]
     model.config.epochs = 1
+    # K = 4 on five articles: the step draws every article
+    model.config.k_negatives = 4
     seen = []
     real = rankers.encode_on_tape
 
@@ -704,8 +711,7 @@ def test_train_step_encodes_the_query_once(kind, monkeypatch):
         return real(token_lists, enc, rng)
 
     monkeypatch.setattr(rankers, "encode_on_tape", counting)
-    # K = 4 on five articles: the step draws every article
-    train_ranker(model, articles, queries[:1], k_negatives=4)
+    train_ranker(model, articles, queries[:1])
     statements = [tuple(t) for a in articles for t in map(tokenize, a.statements or [a.text]) if t]
     assert sorted(seen) == sorted([tuple(tokenize(queries[0].text))] + statements)
 
