@@ -389,6 +389,8 @@ def _cmd_inject_hydra_attach(args) -> int:
 def _cmd_inject_tre_train(args) -> int:
     cfg = _resolve_config(args)
     data = inject.load_bioe(args.bioe)
+    if not data:
+        raise CliError("no samples in the tagged file")
     icfg = inject.injection_config(cfg.n_layers, cfg.positions, cfg.portions)
     vocab = sorted({t for s in data for t in s.tokens})
     sizes = effective_sizes(cfg)

@@ -362,9 +362,9 @@ def _token_cross_entropy(logits: Tensor, gold_idx: np.ndarray) -> Tensor:
     def vjp(g):
         gm = p.copy()
         gm[rows, gold_idx] -= 1.0
-        return float(g) * gm / len(gold_idx)
+        return (float(g) * gm / len(gold_idx),)
 
-    return Tensor(np.asarray(loss), parents=(logits,), vjps=(vjp,), op="token_ce")
+    return T._out(np.asarray(loss), (logits,), vjp, "token_ce")
 
 
 def tre_needle_loss(z: Tensor, gold_tags: list[str], w: Tensor, b: Tensor) -> Tensor:

@@ -275,8 +275,10 @@ def train_ranker(
     training-phase cut, which may differ from the prediction-phase
     n_predict).  The draws are seeded by the model's config.  A step that
     diverges raises ValueError naming the epoch and the query
-    (tensor.train_step).
+    (tensor.train_step).  No queries raise ValueError.
     """
+    if not queries:
+        raise ValueError("no training queries")
     cfg = model.config
     k = cfg.k_negatives
     if k >= len(corpus):
@@ -312,7 +314,7 @@ def train_ranker(
 
             loss = T.train_step(params, cfg.lr, loss_fn, f"epoch {epoch} at query {q.id!r}")
             total += float(loss.data)
-        trace.append(total / max(1, len(queries)))
+        trace.append(total / len(queries))
     return model, trace
 
 

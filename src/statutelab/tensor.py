@@ -3,16 +3,17 @@
 Every kernel the trainable models need lives here: matmul, stable softmax,
 sparsemax (exact simplex projection), same-length 1-D convolution, average
 pooling, the negative-sampling cross-entropy, element-wise matrix MSE and
-a differentiable soft argmax.  The encoders run on three fused ops, each one
-tape node with a hand-written VJP: ``conv_tanh``, ``additive_attention`` and
-``multihead_self_attention``.  Their forward values are computed once, over
-any leading batch axes; the ``*_values`` functions give the values of a
-stack of same-length inputs without building a tape, each entry with the
-bits of its own tape op.  The VJPs of the first two are plain functions
-(``_conv_tanh_vjp``, ``_additive_vjp``), which ``encoders.encode_on_tape``
-also runs, once per sentence of a CNN's node.  All
-math is double precision and single threaded, so repeated runs are
-bit-identical.
+a differentiable soft argmax.  Every tape node holds one VJP closure that
+maps its output gradient to the gradients of all its parents.  The encoders
+run on three fused ops, each one tape node with a hand-written VJP:
+``conv_tanh``, ``additive_attention`` and ``multihead_self_attention``.
+Their forward values are computed once, over any leading batch axes; the
+``*_values`` functions give the values of a stack of same-length inputs
+without building a tape, each entry with the bits of its own tape op.  The
+VJPs of the first two are plain functions (``_conv_tanh_vjp``,
+``_additive_vjp``), which ``encoders.encode_on_tape`` also runs, once per
+sentence of a CNN's node.  All math is double precision and single
+threaded, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -76,23 +77,23 @@ _ids = itertools.count()
 class Tensor:
     """A node in the computation graph.
 
-    ``data`` is a float64 ndarray.  Non-leaf tensors remember their parents
-    and their vector-Jacobian products: a tuple of one closure per parent, or
-    (for the fused ops) one joint closure that maps the output gradient to a
-    tuple of per-parent gradients.  Creation order is the tape order, so
+    ``data`` is a float64 ndarray.  A non-leaf tensor remembers its parents
+    and its vector-Jacobian product: one closure that maps the output
+    gradient to a tuple of per-parent gradients, in parent order (None for a
+    parent that needs none).  Creation order is the tape order, so
     walking nodes by descending id is a reverse topological sweep.  After
     ``backward`` a leaf's ``grad`` is an array, or a RowGrad when the leaf was
     read only through ``gather_rows``.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjps", "_id", "op")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_id", "op")
 
-    def __init__(self, data, requires_grad=False, parents=(), vjps=(), op="leaf"):
+    def __init__(self, data, requires_grad=False, parents=(), vjp=None, op="leaf"):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in parents)
         self.grad = None
         self._parents = tuple(parents)
-        self._vjps = vjps
+        self._vjp = vjp
         self._id = next(_ids)
         self.op = op
 
@@ -108,9 +109,9 @@ def tensor(data, requires_grad=False) -> Tensor:
     return t
 
 
-def _out(data, parents, vjps, op):
+def _out(data, parents, vjp, op):
     if any(p.requires_grad for p in parents):
-        return Tensor(data, True, parents, vjps, op)
+        return Tensor(data, True, parents, vjp, op)
     return Tensor(data, op=op)
 
 
@@ -121,85 +122,65 @@ def _out(data, parents, vjps, op):
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; also supports adding a vector bias to matrix rows."""
     if a.data.shape == b.data.shape:
-        return _out(a.data + b.data, (a, b), (lambda g: g, lambda g: g), "add")
+        return _out(a.data + b.data, (a, b), lambda g: (g, g), "add")
     if a.data.ndim == 2 and b.data.ndim == 1 and a.data.shape[1] == b.data.shape[0]:
-        return _out(a.data + b.data, (a, b), (lambda g: g, lambda g: g.sum(axis=0)), "add")
+        return _out(a.data + b.data, (a, b), lambda g: (g, g.sum(axis=0)), "add")
     raise ValueError(f"add: incompatible shapes {a.data.shape} and {b.data.shape}")
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ValueError(f"sub: incompatible shapes {a.data.shape} and {b.data.shape}")
-    return _out(a.data - b.data, (a, b), (lambda g: g, lambda g: -g), "sub")
+    return _out(a.data - b.data, (a, b), lambda g: (g, -g), "sub")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ValueError(f"mul: incompatible shapes {a.data.shape} and {b.data.shape}")
-    return _out(a.data * b.data, (a, b), (lambda g: g * b.data, lambda g: g * a.data), "mul")
+    return _out(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data), "mul")
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    return _out(a.data * c, (a,), (lambda g: g * c,), "scale")
+    return _out(a.data * c, (a,), lambda g: (g * c,), "scale")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Standard [m,k] @ [k,n] product."""
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}")
-    return _out(
-        a.data @ b.data,
-        (a, b),
-        (lambda g: g @ b.data.T, lambda g: a.data.T @ g),
-        "matmul",
-    )
+    return _out(a.data @ b.data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g), "matmul")
 
 
 def matvec(a: Tensor, x: Tensor) -> Tensor:
     """[m,n] @ [n] -> [m]."""
     if a.data.ndim != 2 or x.data.ndim != 1 or a.data.shape[1] != x.data.shape[0]:
         raise ValueError(f"matvec: incompatible shapes {a.data.shape} and {x.data.shape}")
-    return _out(
-        a.data @ x.data,
-        (a, x),
-        (lambda g: np.outer(g, x.data), lambda g: a.data.T @ g),
-        "matvec",
-    )
+    return _out(a.data @ x.data, (a, x), lambda g: (np.outer(g, x.data), a.data.T @ g), "matvec")
 
 
 def vecmat(w: Tensor, v: Tensor) -> Tensor:
     """[n] @ [n,d] -> [d]; the weighted sum of the rows of v."""
     if w.data.ndim != 1 or v.data.ndim != 2 or w.data.shape[0] != v.data.shape[0]:
         raise ValueError(f"vecmat: incompatible shapes {w.data.shape} and {v.data.shape}")
-    return _out(
-        w.data @ v.data,
-        (w, v),
-        (lambda g: v.data @ g, lambda g: np.outer(w.data, g)),
-        "vecmat",
-    )
+    return _out(w.data @ v.data, (w, v), lambda g: (v.data @ g, np.outer(w.data, g)), "vecmat")
 
 
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ValueError("transpose expects a matrix")
-    return _out(a.data.T.copy(), (a,), (lambda g: g.T,), "transpose")
+    return _out(a.data.T.copy(), (a,), lambda g: (g.T,), "transpose")
 
 
 def dot(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 1 or b.data.ndim != 1 or a.data.shape != b.data.shape:
         raise ValueError(f"dot: incompatible shapes {a.data.shape} and {b.data.shape}")
-    return _out(
-        np.dot(a.data, b.data),
-        (a, b),
-        (lambda g: g * b.data, lambda g: g * a.data),
-        "dot",
-    )
+    return _out(np.dot(a.data, b.data), (a, b), lambda g: (g * b.data, g * a.data), "dot")
 
 
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
-    return _out(y, (a,), (lambda g: g * (1.0 - y * y),), "tanh")
+    return _out(y, (a,), lambda g: (g * (1.0 - y * y),), "tanh")
 
 
 def softplus(a: Tensor) -> Tensor:
@@ -208,16 +189,16 @@ def softplus(a: Tensor) -> Tensor:
     # below about -709 e^-x is inf and the sigmoid its limit 0
     with np.errstate(over="ignore"):
         sig = 1.0 / (1.0 + np.exp(-a.data))
-    return _out(y, (a,), (lambda g: g * sig,), "softplus")
+    return _out(y, (a,), lambda g: (g * sig,), "softplus")
 
 
 def tsum(a: Tensor) -> Tensor:
-    return _out(a.data.sum(), (a,), (lambda g: np.full_like(a.data, float(g)),), "sum")
+    return _out(a.data.sum(), (a,), lambda g: (np.full_like(a.data, float(g)),), "sum")
 
 
 def tmean(a: Tensor) -> Tensor:
     n = a.data.size
-    return _out(a.data.mean(), (a,), (lambda g: np.full_like(a.data, float(g) / n),), "mean")
+    return _out(a.data.mean(), (a,), lambda g: (np.full_like(a.data, float(g) / n),), "mean")
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +212,7 @@ def stack(scalars: Sequence[Tensor]) -> Tensor:
     for s in scalars:
         if s.data.ndim != 0:
             raise ValueError("stack expects scalar tensors")
-    data = np.array([s.data for s in scalars])
-    vjps = tuple((lambda g, i=i: g[i]) for i in range(len(scalars)))
-    return _out(data, tuple(scalars), vjps, "stack")
+    return _out(np.array([s.data for s in scalars]), tuple(scalars), tuple, "stack")
 
 
 def stack_rows(vecs: Sequence[Tensor]) -> Tensor:
@@ -244,9 +223,7 @@ def stack_rows(vecs: Sequence[Tensor]) -> Tensor:
     for v in vecs:
         if v.data.ndim != 1 or v.data.shape != d:
             raise ValueError("stack_rows expects equal-length vectors")
-    data = np.stack([v.data for v in vecs])
-    vjps = tuple((lambda g, i=i: g[i]) for i in range(len(vecs)))
-    return _out(data, tuple(vecs), vjps, "stack_rows")
+    return _out(np.stack([v.data for v in vecs]), tuple(vecs), tuple, "stack_rows")
 
 
 def concat_cols(mats: Sequence[Tensor]) -> Tensor:
@@ -255,10 +232,7 @@ def concat_cols(mats: Sequence[Tensor]) -> Tensor:
         raise ValueError("concat_cols needs at least one matrix")
     data = np.concatenate([m.data for m in mats], axis=1)
     offs = np.cumsum([0] + [m.data.shape[1] for m in mats])
-    vjps = tuple(
-        (lambda g, s=offs[i], e=offs[i + 1]: g[:, s:e]) for i in range(len(mats))
-    )
-    return _out(data, tuple(mats), vjps, "concat_cols")
+    return _out(data, tuple(mats), lambda g: tuple(g[:, s:e] for s, e in zip(offs, offs[1:])), "concat_cols")
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
@@ -268,9 +242,9 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     def vjp(g):
         out = np.zeros_like(a.data)
         out[:, start:stop] = g
-        return out
+        return (out,)
 
-    return _out(a.data[:, start:stop].copy(), (a,), (vjp,), "slice_cols")
+    return _out(a.data[:, start:stop].copy(), (a,), vjp, "slice_cols")
 
 
 def _scatter_sums(inv: np.ndarray, n: int, vals: np.ndarray) -> np.ndarray:
@@ -365,12 +339,12 @@ def gather_rows(table: Tensor, indices: Sequence[int]) -> Tensor:
         def vjp(g):
             out = np.zeros_like(table.data)
             np.add.at(out, idx, g)
-            return out
+            return (out,)
     else:
         def vjp(g):
-            return RowGrad(table.data.shape, (_row_sums(idx, g),))
+            return (RowGrad(table.data.shape, (_row_sums(idx, g),)),)
 
-    return _out(table.data[idx], (table,), (vjp,), "gather_rows")
+    return _out(table.data[idx], (table,), vjp, "gather_rows")
 
 
 def take_rows(a: Tensor, key: int | slice) -> Tensor:
@@ -380,9 +354,9 @@ def take_rows(a: Tensor, key: int | slice) -> Tensor:
     def vjp(g):
         out = np.zeros_like(a.data)
         out[key] = g
-        return out
+        return (out,)
 
-    return _out(a.data[key], (a,), (vjp,), "take_rows")
+    return _out(a.data[key], (a,), vjp, "take_rows")
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +375,7 @@ def softmax(a: Tensor) -> Tensor:
     if a.data.ndim != 1:
         raise ValueError("softmax expects a vector")
     s = _softmax(a.data)
-    return _out(s, (a,), (lambda g: s * (g - np.dot(g, s)),), "softmax")
+    return _out(s, (a,), lambda g: (s * (g - np.dot(g, s)),), "softmax")
 
 
 def softmax_rows(a: Tensor) -> Tensor:
@@ -409,12 +383,7 @@ def softmax_rows(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ValueError("softmax_rows expects a matrix")
     s = _softmax(a.data)
-    return _out(
-        s,
-        (a,),
-        (lambda g: s * (g - (g * s).sum(axis=1, keepdims=True)),),
-        "softmax_rows",
-    )
+    return _out(s, (a,), lambda g: (s * (g - (g * s).sum(axis=1, keepdims=True)),), "softmax_rows")
 
 
 def sparsemax_values(x: np.ndarray) -> np.ndarray:
@@ -454,7 +423,7 @@ def sparsemax(a: Tensor) -> Tensor:
     if a.data.ndim != 1:
         raise ValueError("sparsemax expects a vector")
     p = sparsemax_values(a.data)
-    return _out(p, (a,), (lambda g: _sparsemax_grad(p, g),), "sparsemax")
+    return _out(p, (a,), lambda g: (_sparsemax_grad(p, g),), "sparsemax")
 
 
 def _check_conv(x: Tensor, filters: Tensor) -> None:
@@ -522,7 +491,7 @@ def conv1d(x: Tensor, filters: Tensor) -> Tensor:
     return _out(
         out,
         (x, filters),
-        (lambda g: _conv_grad_x(g, xp, filters.data), lambda g: _conv_grad_f(g, xp, filters.data)),
+        lambda g: (_conv_grad_x(g, xp, filters.data), _conv_grad_f(g, xp, filters.data)),
         "conv1d",
     )
 
@@ -668,12 +637,7 @@ def avg_pool(z: Tensor) -> Tensor:
     if z.data.ndim != 2 or z.data.shape[0] < 1:
         raise ValueError("avg_pool expects a non-empty matrix")
     m = z.data.shape[0]
-    return _out(
-        z.data.mean(axis=0),
-        (z,),
-        (lambda g: np.tile(g / m, (m, 1)),),
-        "avg_pool",
-    )
+    return _out(z.data.mean(axis=0), (z,), lambda g: (np.tile(g / m, (m, 1)),), "avg_pool")
 
 
 def ce_negsample(y_pos: Tensor, y_negs: Tensor | Sequence[Tensor]) -> Tensor:
@@ -695,13 +659,10 @@ def ce_negsample(y_pos: Tensor, y_negs: Tensor | Sequence[Tensor]) -> Tensor:
     p = e / e.sum()
     loss = m + np.log(e.sum()) - float(y_pos.data)
 
-    def vjp_pos(g):
-        return np.asarray(float(g) * (p[0] - 1.0))
+    def vjp(g):
+        return np.asarray(float(g) * (p[0] - 1.0)), float(g) * p[1:]
 
-    def vjp_negs(g):
-        return float(g) * p[1:]
-
-    return _out(loss, (y_pos, y_negs), (vjp_pos, vjp_negs), "ce_negsample")
+    return _out(loss, (y_pos, y_negs), vjp, "ce_negsample")
 
 
 def mse_matrix(pred: Tensor, target: Tensor) -> Tensor:
@@ -715,7 +676,7 @@ def mse_matrix(pred: Tensor, target: Tensor) -> Tensor:
     return _out(
         (diff * diff).mean(),
         (pred, target),
-        (lambda g: float(g) * 2.0 * diff / n, lambda g: -float(g) * 2.0 * diff / n),
+        lambda g: (float(g) * 2.0 * diff / n, -float(g) * 2.0 * diff / n),
         "mse_matrix",
     )
 
@@ -732,7 +693,7 @@ def softargmax(x: Tensor, beta: float = 1.0) -> Tensor:
     return _out(
         np.asarray(out),
         (x,),
-        (lambda g: float(g) * beta * s * (idx - out),),
+        lambda g: (float(g) * beta * s * (idx - out),),
         "softargmax",
     )
 
@@ -754,12 +715,12 @@ def backward(loss: Tensor) -> None:
     (a requires_grad tensor with no parents) that the loss depends on.
 
     Nodes are visited in reverse creation order, which is a reverse
-    topological order of the tape by construction.  Each node's gradients
-    are added onto its parents' in parent order; a fused op's joint VJP runs
-    once and gives them all.  Intermediate gradients
-    stay in a local dict and are never written to .grad.  A leaf's .grad may
-    share memory with another gradient (add passes g to both parents), so
-    nothing may update a .grad in place.
+    topological order of the tape by construction.  Each node's VJP runs
+    once and gives the gradients of all its parents, which are added onto
+    theirs in parent order; the entry of a parent that needs no gradient is
+    dropped.  Intermediate gradients stay in a local dict and are never
+    written to .grad.  A leaf's .grad may share memory with another gradient
+    (add passes g to both parents), so nothing may update a .grad in place.
 
     A leaf reached only through ``gather_rows`` gets a RowGrad in .grad:
     the parts of every gather, concatenated in contribution order, with
@@ -784,12 +745,8 @@ def backward(loss: Tensor) -> None:
             continue
         if not node._parents:
             node.grad = g if node.grad is None else node.grad + g
-        vjps = node._vjps
-        if callable(vjps):
-            contribs = vjps(g)
-        else:
-            contribs = [vjp(g) if p.requires_grad else None for p, vjp in zip(node._parents, vjps)]
-        for parent, contrib in zip(node._parents, contribs):
+            continue
+        for parent, contrib in zip(node._parents, node._vjp(g)):
             if contrib is None or not parent.requires_grad:
                 continue
             if parent._id in grads:

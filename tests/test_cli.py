@@ -392,6 +392,21 @@ def test_rank_manifests_name_the_index_digest(tmp_path, capsys):
         assert set(inputs) == {str(corpus), str(queries), str(model), str(index)}
 
 
+def test_rank_train_with_no_queries_exits_1_and_writes_nothing(tmp_path, capsys):
+    corpus = write_corpus(tmp_path)
+    queries = tmp_path / "queries.jsonl"
+    queries.write_text("")
+    out = tmp_path / "train"
+    code, _, err = run(
+        capsys, "rank", "train", "--corpus", str(corpus), "--queries", str(queries), "--out", str(out),
+        "--seed", "2", "--embed-dim", "4", "--filters", "4", "--attn-dim", "3", "--width", "1",
+        "--epochs", "2", "--K", "1", "--n-predict", "5",
+    )
+    assert code == 1
+    assert "error: no training queries" in err
+    assert not out.exists()
+
+
 def test_rank_run_on_corrupt_index_or_checkpoint_exits_1(tmp_path, capsys):
     corpus, queries, index, model = _trained_ranker(tmp_path, capsys)
     bad_index = tmp_path / "cut.slix"
@@ -458,6 +473,19 @@ def test_inject_tre_train_positions_beyond_the_stack_exit_1(tmp_path, capsys):
     )
     assert code == 1
     assert "positions must lie in [1, 3]" in err
+
+
+@pytest.mark.parametrize("text", ["", "\n\n  \n"])
+def test_inject_tre_train_on_a_tagged_file_with_no_samples_exits_1(tmp_path, capsys, text):
+    bioe = tmp_path / "empty.bioe.tsv"
+    bioe.write_text(text)
+    out = tmp_path / "out"
+    code, _, err = run(
+        capsys, "inject", "tre-train", "--bioe", str(bioe), "--seed", "2", "--epochs", "1", "--out", str(out),
+    )
+    assert code == 1
+    assert "error: no samples in the tagged file" in err
+    assert not out.exists()
 
 
 def test_inject_attn_report_input_longer_than_the_positional_table_exits_1(tmp_path, capsys):

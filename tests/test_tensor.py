@@ -234,7 +234,7 @@ def test_grad_check_composite_and_negative_control():
     def wrong(x):
         # deliberately corrupt gradient: forward ok, backward doubled
         out = T.dot(x, x)
-        return Tensor(out.data, parents=(x,), vjps=(lambda g: 4.0 * g * x.data,), op="bad")
+        return Tensor(out.data, parents=(x,), vjp=lambda g: (4.0 * g * x.data,), op="bad")
 
     assert grad_check(wrong, Tensor(rng.normal(size=3))) > 0.1
 
@@ -281,9 +281,9 @@ def _dense_gather(table, indices):
     def vjp(g):
         out = np.zeros_like(table.data)
         np.add.at(out, idx, g)
-        return out
+        return (out,)
 
-    return T._out(table.data[idx], (table,), (vjp,), "gather_rows")
+    return T._out(table.data[idx], (table,), vjp, "gather_rows")
 
 
 def _gather_loss(t, gather, idx1, idx2, rng, dense_use):
