@@ -120,12 +120,18 @@ def _cmd_corpus_chunk(args) -> int:
 # augment
 
 
-def _load_statements(path) -> list[aug.LabeledStatement]:
+def _load_statements(path, need_tokens: bool = False) -> list[aug.LabeledStatement]:
+    """The labelled statements of a JSONL file.  With need_tokens, a
+    statement whose text has no tokens raises ValueError naming the file and
+    the line: the classifier cannot encode it."""
     records = []
-    for _, obj in corpus_mod.read_jsonl(path, ("text",)):
+    for lineno, obj in corpus_mod.read_jsonl(path, ("text",)):
+        text = str(obj["text"])
+        if need_tokens and not lexical.tokenize(text):
+            raise ValueError(f"{path} line {lineno}: the statement has no tokens")
         records.append(
             aug.LabeledStatement(
-                str(obj["text"]),
+                text,
                 bool(obj.get("lawful", True)),
                 str(obj.get("provenance", "article_chunk")),
                 obj.get("rule_rank"),
@@ -268,13 +274,16 @@ def _rank_inputs(args):
     """Config, model, chunked corpus, queries, index, and the input files to
     digest.  The config records the checkpoint's values of the keys it
     fixes (BM25 scores with its k1 and b); n_predict and eval_k come from
-    the flag, else the --config file, else the checkpoint.  An index must
-    hold exactly the chunked corpus's article ids."""
+    the flag, else the --config file, else the checkpoint.  The queries file
+    must hold a query, and an index exactly the chunked corpus's article
+    ids."""
     model = rankers.load_model(args.model_path)
     stored = RunConfig(n_predict=model.config.n_predict, eval_k=model.config.eval_k)
     cfg = dataclasses.replace(_resolve_config(args, stored), **_checkpoint_keys(model))
     articles = corpus_mod.chunk_corpus(corpus_mod.load_corpus(args.corpus))
     queries = corpus_mod.load_queries(args.queries)
+    if not queries:
+        raise ValueError(f"no queries in {args.queries}")
     idx = lexical.load_index(args.index) if args.index else lexical.build_index(articles)
     corpus_ids, index_ids = {a.id for a in articles}, set(idx.doc_ids)
     if corpus_ids != index_ids:
@@ -321,7 +330,7 @@ def _cmd_rank_grid_alpha(args) -> int:
 
 def _cmd_classify_train(args) -> int:
     cfg = _resolve_config(args)
-    records = _load_statements(args.data)
+    records = _load_statements(args.data, need_tokens=True)
     sizes = effective_sizes(cfg)
     vocab = sorted({w for r in records for w in lexical.tokenize(r.text)})
     clf = rankers.build_lawfulness_classifier(
@@ -338,7 +347,7 @@ def _cmd_classify_train(args) -> int:
 
 def _cmd_classify_run(args) -> int:
     clf = rankers.load_classifier(args.model_path)
-    records = _load_statements(args.data)
+    records = _load_statements(args.data, need_tokens=True)
     rows = []
     for r in records:
         p = rankers.lawful_probability(clf, r.text)
@@ -492,9 +501,11 @@ def _cmd_eval_accuracy(args) -> int:
     else:
         if args.correct is None or args.total is None:
             raise CliError("need --correct and --total, or --preds")
-        preds = [True] * args.total
-        golds = [True] * args.correct + [False] * (args.total - args.correct)
-        value = evalkit.accuracy(preds, golds)
+        if args.total < 1:
+            raise CliError(f"--total must be >= 1, got {args.total}")
+        if not 0 <= args.correct <= args.total:
+            raise CliError(f"--correct must lie in [0, --total] = [0, {args.total}], got {args.correct}")
+        value = args.correct / args.total
     print(round(value, 4))
     return 0
 

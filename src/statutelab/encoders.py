@@ -356,7 +356,7 @@ def encode_on_tape(
             xp, y, feats, w, h = saved[i]
             g_vecmat, g_matmul, g_a, g_b, g_u = T._additive_vjp(g[i], feats, at, u, w, h, "softmax")
             g_feats = g_vecmat + g_matmul
-            gx, g_filt = T._conv_tanh_vjp(g_feats if drops[i] is None else g_feats * drops[i], y, xp, filt, True)
+            gx, g_filt = T._conv_tanh_vjp(g_feats if drops[i] is None else g_feats * drops[i], y, xp, filt)
             # out-of-vocabulary rows take no gradient
             gxs.append(gx if masks[i] is None else gx * masks[i])
             contribs.append((g_filt, g_a, g_b, g_u))

@@ -55,7 +55,6 @@ __all__ = [
     "rank",
     "train_lawfulness",
     "lawful_probability",
-    "classify",
     "model_bytes",
     "save_model",
     "load_model",
@@ -154,16 +153,16 @@ def parameters(model: RankerModel) -> list[Tensor]:
     return params
 
 
-def _encode_sentence(model: RankerModel, tokens: list[str]) -> Tensor | None:
-    """The encoded token sequence; None when it has no tokens."""
+def _encode_sentence(model: RankerModel, tokens: list[str]) -> np.ndarray | None:
+    """The encoded token sequence, values only; None when it has no tokens."""
     if not tokens:
         return None
     enc = model.encoder
     # a CNN goes through this module's encode_sentence_cnn name, which tests
-    # patch to count encodes
+    # and perfbench patch to count query encodes
     if isinstance(enc, SentenceEncoderCNN):
-        return encode_sentence_cnn(tokens, enc)
-    return enc.encode(tokens)
+        return encode_sentence_cnn(tokens, enc).data
+    return encode_statements([tokens], enc)[0]
 
 
 def _statement_tokens(article: Article) -> list[list[str]]:
@@ -249,7 +248,7 @@ def semantic_score(model: RankerModel, query_text: str, article: Article) -> flo
     qv = _encode_sentence(model, tokenize(query_text))
     if qv is None:
         return 0.0
-    return _semantic(model, qv.data, [_encode_articles(model, [article], {})[article.id]])[0]
+    return _semantic(model, qv, [_encode_articles(model, [article], {})[article.id]])[0]
 
 
 def require_relevant(queries: list[Query], article_ids) -> None:
@@ -366,7 +365,7 @@ def score_candidates(
             sem = [0.0] * len(ids)
         else:
             _encode_articles(model, [by_id[doc_id] for doc_id in ids], encoded)
-            sem = _semantic(model, qv.data, [encoded[doc_id] for doc_id in ids])
+            sem = _semantic(model, qv, [encoded[doc_id] for doc_id in ids])
         out.append(CandidateScores(ids, _minmax([s for _, s in hits]), sem))
     return out
 
@@ -486,11 +485,6 @@ def _clf_params(clf: LawfulnessClassifier) -> list[Tensor]:
     return clf.encoder.tensors() + [clf.w, clf.b]
 
 
-def _logit(clf: LawfulnessClassifier, text: str) -> Tensor:
-    vec = encode_sentence_cnn(tokenize(text), clf.encoder)
-    return T.add(T.dot(clf.w, vec), clf.b)
-
-
 def train_lawfulness(clf: LawfulnessClassifier, dataset, seed: int) -> LawfulnessClassifier:
     """Binary cross-entropy training of the CNN encoder plus linear head.  A
     step that diverges raises ValueError naming the epoch and the sample,
@@ -500,30 +494,27 @@ def train_lawfulness(clf: LawfulnessClassifier, dataset, seed: int) -> Lawfulnes
         raise ValueError("training data must contain both lawful and unlawful records")
     params = _clf_params(clf)
     rng = np.random.default_rng(seed)
-    items = list(dataset)
+    items = [(tokenize(rec.text), 1.0 if rec.lawful else 0.0) for rec in dataset]
     for epoch in range(1, clf.epochs + 1):
         for i in rng.permutation(len(items)):
-            rec = items[int(i)]
+            tokens, y = items[int(i)]
 
             def loss_fn():
-                z = _logit(clf, rec.text)
+                z = T.add(T.dot(clf.w, encode_sentence_cnn(tokens, clf.encoder)), clf.b)
                 # -ln sigma(z) if lawful else -ln(1 - sigma(z)), via softplus
-                return T.sub(T.softplus(z), T.scale(z, 1.0 if rec.lawful else 0.0))
+                return T.sub(T.softplus(z), T.scale(z, y))
 
             T.train_step(params, clf.lr, loss_fn, f"epoch {epoch} at sample {int(i) + 1}")
     return clf
 
 
 def lawful_probability(clf: LawfulnessClassifier, text: str) -> float:
-    z = float(_logit(clf, text).data)
+    """sigma(w . v + b) of the encoded text, on plain arrays."""
+    z = float(np.dot(clf.w.data, encode_statements([tokenize(text)], clf.encoder)[0]) + clf.b.data)
     try:
         return 1.0 / (1.0 + math.exp(-z))
     except OverflowError:  # z below about -709, where sigma(z) rounds to 0
         return 0.0
-
-
-def classify(clf: LawfulnessClassifier, text: str) -> bool:
-    return lawful_probability(clf, text) >= 0.5
 
 
 # ---------------------------------------------------------------------------

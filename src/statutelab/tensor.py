@@ -79,11 +79,10 @@ class Tensor:
 
     ``data`` is a float64 ndarray.  A non-leaf tensor remembers its parents
     and its vector-Jacobian product: one closure that maps the output
-    gradient to a tuple of per-parent gradients, in parent order (None for a
-    parent that needs none).  Creation order is the tape order, so
-    walking nodes by descending id is a reverse topological sweep.  After
-    ``backward`` a leaf's ``grad`` is an array, or a RowGrad when the leaf was
-    read only through ``gather_rows``.
+    gradient to a tuple of per-parent gradients, in parent order.  Creation
+    order is the tape order, so walking nodes by descending id is a reverse
+    topological sweep.  After ``backward`` a leaf's ``grad`` is an array, or
+    a RowGrad when the leaf was read only through ``gather_rows``.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_id", "op")
@@ -472,12 +471,11 @@ def _conv_grad_f(g: np.ndarray, xp: np.ndarray, filt: np.ndarray) -> np.ndarray:
     return np.matmul(windows, g)
 
 
-def _conv_tanh_vjp(g: np.ndarray, y: np.ndarray, xp: np.ndarray, filt: np.ndarray, need_x: bool):
+def _conv_tanh_vjp(g: np.ndarray, y: np.ndarray, xp: np.ndarray, filt: np.ndarray):
     """VJP of conv_tanh at output y [M, F] and padded input xp: the gradients
-    of x (None unless need_x) and of the filters."""
+    of x and of the filters."""
     gc = g * (1.0 - y * y)
-    gx = _conv_grad_x(gc, xp, filt) if need_x else None
-    return gx, _conv_grad_f(gc, xp, filt)
+    return _conv_grad_x(gc, xp, filt), _conv_grad_f(gc, xp, filt)
 
 
 def conv1d(x: Tensor, filters: Tensor) -> Tensor:
@@ -501,7 +499,7 @@ def conv_tanh(x: Tensor, filters: Tensor) -> Tensor:
     _check_conv(x, filters)
     xp, out = _conv_same(x.data, filters.data)
     y = np.tanh(out)
-    return _out(y, (x, filters), lambda g: _conv_tanh_vjp(g, y, xp, filters.data, x.requires_grad), "conv_tanh")
+    return _out(y, (x, filters), lambda g: _conv_tanh_vjp(g, y, xp, filters.data), "conv_tanh")
 
 
 def conv_tanh_values(x: np.ndarray, filters: np.ndarray) -> np.ndarray:
@@ -620,8 +618,7 @@ def multihead_self_attention(x: Tensor, layer) -> tuple[Tensor, list[np.ndarray]
         gq = _merge_heads(gs @ kt.swapaxes(-1, -2))
         gk = _merge_heads((qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2))
         gv = _merge_heads(a.swapaxes(-1, -2) @ go)
-        gx = (g, gv @ wv.data.T, gk @ wk.data.T, gq @ wq.data.T) if x.requires_grad else (None,) * 4
-        return (*gx, xd.T @ gq, xd.T @ gk, xd.T @ gv, z.T @ g)
+        return g, gv @ wv.data.T, gk @ wk.data.T, gq @ wq.data.T, xd.T @ gq, xd.T @ gk, xd.T @ gv, z.T @ g
 
     return _out(out, (x, x, x, x, wq, wk, wv, wo), vjp, "multihead_self_attention"), list(a)
 
@@ -747,7 +744,7 @@ def backward(loss: Tensor) -> None:
             node.grad = g if node.grad is None else node.grad + g
             continue
         for parent, contrib in zip(node._parents, node._vjp(g)):
-            if contrib is None or not parent.requires_grad:
+            if not parent.requires_grad:
                 continue
             if parent._id in grads:
                 grads[parent._id] = grads[parent._id] + contrib

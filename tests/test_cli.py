@@ -51,6 +51,17 @@ def test_eval_accuracy_prints_testset_value(capsys):
     assert out.strip() == "0.5309"
 
 
+def test_eval_accuracy_counts_are_the_fraction_and_are_checked(capsys):
+    code, out, _ = run(capsys, "eval", "accuracy", "--correct", "0", "--total", "3")
+    assert (code, out.strip()) == (0, "0.0")
+    code, out, _ = run(capsys, "eval", "accuracy", "--correct", "3", "--total", "3")
+    assert (code, out.strip()) == (0, "1.0")
+    for correct, total, flag in (("5", "3", "--correct"), ("-1", "3", "--correct"), ("0", "0", "--total")):
+        code, out, err = run(capsys, "eval", "accuracy", "--correct", correct, "--total", total)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {flag} must") and "--total" in err
+
+
 def test_eval_human(capsys):
     code, out, _ = run(capsys, "eval", "human", "--positives", "1,3", "--total", "4")
     assert code == 0
@@ -224,6 +235,37 @@ def test_classify_train_and_run(tmp_path, capsys):
     assert code == 0
     preds = [json.loads(l) for l in (run_dir / "predictions.jsonl").read_text().strip().split("\n")]
     assert [p["lawful"] for p in preds] == [True, True, False, False]
+
+
+def test_classify_train_and_run_reject_a_statement_without_tokens(tmp_path, capsys):
+    rows = [
+        {"text": "the party may keep goods", "lawful": True},
+        {"text": "the party never keeps goods", "lawful": False},
+        {"text": " ?! ", "lawful": True},
+    ]
+    data = tmp_path / "data.jsonl"
+    data.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    small = ["--embed-dim", "4", "--filters", "4", "--attn-dim", "3", "--width", "1", "--epochs", "1"]
+    out = tmp_path / "clf"
+    code, _, err = run(capsys, "classify", "train", "--data", str(data), "--seed", "1", *small, "--out", str(out))
+    assert code == 1
+    assert f"error: {data} line 3: the statement has no tokens" in err
+    assert not out.exists()
+    data.write_text("\n".join(json.dumps(r) for r in rows[:2]) + "\n")
+    code, _, err = run(capsys, "classify", "train", "--data", str(data), "--seed", "1", *small, "--out", str(out))
+    assert code == 0, err
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps(rows[0]) + "\n\n" + json.dumps({"text": ""}) + "\n")
+    preds = tmp_path / "preds"
+    code, stdout, err = run(
+        capsys, "classify", "run", "--model", str(out / "classifier.slrk"), "--data", str(bad), "--out", str(preds)
+    )
+    assert code == 1 and stdout == ""
+    assert f"error: {bad} line 3: the statement has no tokens" in err
+    assert not preds.exists()
+    # augment negate keeps such statements
+    code, _, err = run(capsys, "augment", "negate", "--data", str(bad), "--lang", "en", "--out", str(tmp_path / "aug"))
+    assert code == 0, err
 
 
 def test_rank_pipeline_deterministic(tmp_path, capsys):
@@ -404,6 +446,20 @@ def test_rank_train_with_no_queries_exits_1_and_writes_nothing(tmp_path, capsys)
     )
     assert code == 1
     assert "error: no training queries" in err
+    assert not out.exists()
+
+
+def test_rank_run_at_a_fixed_alpha_with_no_queries_exits_1_and_writes_nothing(tmp_path, capsys):
+    corpus, _, index, model = _trained_ranker(tmp_path, capsys)
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    out = tmp_path / "ranked"
+    code, _, err = run(
+        capsys, "rank", "run", "--model", str(model), "--corpus", str(corpus), "--queries", str(empty),
+        "--index", str(index), "--alpha", "0.5", "--n-predict", "5", "--out", str(out),
+    )
+    assert code == 1
+    assert f"error: no queries in {empty}" in err
     assert not out.exists()
 
 

@@ -20,7 +20,6 @@ from statutelab.rankers import (
     build_attentive_cnn,
     build_lawfulness_classifier,
     build_paraformer_lite,
-    classify,
     ensemble,
     grid_search_alpha,
     lawful_probability,
@@ -305,7 +304,7 @@ def test_lawfulness_classifier_separable_fixture():
     vocab = sorted({w for r in train + held for w in tokenize(r.text)})
     clf = build_lawfulness_classifier(vocab, embed_dim=8, filters=8, attn_dim=4, seed=1, width=1, lr=0.3, epochs=40)
     train_lawfulness(clf, train, seed=1)
-    correct = sum(classify(clf, r.text) == r.lawful for r in held)
+    correct = sum((lawful_probability(clf, r.text) >= 0.5) == r.lawful for r in held)
     assert correct / len(held) >= 0.95
 
 
@@ -314,6 +313,19 @@ def test_lawfulness_zero_head_probability_half():
     vocab = sorted({w for r in train for w in tokenize(r.text)})
     clf = build_lawfulness_classifier(vocab, embed_dim=4, filters=4, attn_dim=3, seed=0)
     assert lawful_probability(clf, "the party may keep the goods") == 0.5
+
+
+def test_lawful_probability_builds_no_tensor_and_has_the_tape_bits():
+    train, held = lawfulness_fixture()
+    vocab = sorted({w for r in train + held for w in tokenize(r.text)})
+    clf = build_lawfulness_classifier(vocab, embed_dim=6, filters=6, attn_dim=4, seed=2, width=3, lr=0.3, epochs=3)
+    train_lawfulness(clf, train, seed=2)
+    for r in train + held + [LabeledStatement("the party zzz the goods", True, "article_chunk")]:
+        start = next(tensor._ids)
+        p = lawful_probability(clf, r.text)
+        assert next(tensor._ids) == start + 1
+        z = tensor.add(tensor.dot(clf.w, encode_sentence_cnn(tokenize(r.text), clf.encoder)), clf.b)
+        assert p == 1.0 / (1.0 + math.exp(-float(z.data)))
 
 
 def test_lawfulness_single_class_rejected():
@@ -534,6 +546,16 @@ def test_scoring_builds_tensors_for_the_query_encode_only(kind):
         return next(tensor._ids) - start
 
     assert built(5) == built(len(articles))
+
+
+def test_paraformer_lite_scoring_builds_no_tensor():
+    articles, queries = statement_world()
+    model = scoring_models(articles, queries)["paraformer_lite"]
+    idx = build_index(articles)
+    start = next(tensor._ids)
+    score_candidates(model, idx, articles, queries, n_predict=5)
+    semantic_score(model, "gift writing", articles[0])
+    assert next(tensor._ids) == start + 1
 
 
 @pytest.mark.parametrize("kind", ["learned", "derived", "paraformer_lite"])

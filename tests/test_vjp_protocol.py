@@ -1,6 +1,6 @@
 """Every tape node holds one VJP closure: called with a gradient of the
-node's shape, it returns one entry per parent, in parent order, each None or
-a gradient of that parent's shape."""
+node's shape, it returns one entry per parent, in parent order, each a
+gradient of that parent's shape, also for a parent that needs none."""
 
 import numpy as np
 import pytest
@@ -57,11 +57,17 @@ OPS = {
     "softmax_rows": [lambda: T.softmax_rows(_leaf(3, 4))],
     "sparsemax": [lambda: T.sparsemax(_leaf(4))],
     "conv1d": [lambda: T.conv1d(_leaf(5, 2), _leaf(3, 2, 4, seed=1))],
-    "conv_tanh": [lambda: T.conv_tanh(_leaf(5, 2), _leaf(3, 2, 4, seed=1))],
+    "conv_tanh": [
+        lambda: T.conv_tanh(_leaf(5, 2), _leaf(3, 2, 4, seed=1)),
+        lambda: T.conv_tanh(Tensor(np.ones((5, 2))), _leaf(3, 2, 4, seed=1)),
+    ],
     "additive_attention": [
         lambda: T.additive_attention(_leaf(4, 3), _leaf(2, 3, seed=1), _leaf(2, seed=2), _leaf(2, seed=3))[0]
     ],
-    "multihead_self_attention": [lambda: T.multihead_self_attention(_leaf(3, 4), _layer())[0]],
+    "multihead_self_attention": [
+        lambda: T.multihead_self_attention(_leaf(3, 4), _layer())[0],
+        lambda: T.multihead_self_attention(Tensor(np.ones((3, 4))), _layer())[0],
+    ],
     "avg_pool": [lambda: T.avg_pool(_leaf(3, 2))],
     "ce_negsample": [lambda: T.ce_negsample(_leaf(), _leaf(3, seed=1)), lambda: T.ce_negsample(_leaf(), [_leaf(seed=1)])],
     "mse_matrix": [lambda: T.mse_matrix(_leaf(3, 2), _leaf(3, 2, seed=1))],
@@ -105,4 +111,4 @@ def test_a_node_holds_one_closure_with_one_entry_per_parent(build):
     contribs = node._vjp(np.ones_like(node.data))
     assert isinstance(contribs, tuple) and len(contribs) == len(node._parents)
     for parent, contrib in zip(node._parents, contribs):
-        assert contrib is None or contrib.shape == parent.data.shape
+        assert contrib.shape == parent.data.shape
