@@ -14,8 +14,6 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-import numpy as np
-
 __all__ = [
     "Article",
     "Query",
@@ -28,7 +26,6 @@ __all__ = [
     "chunk_article",
     "chunk_corpus",
     "corpus_stats",
-    "split_dataset",
 ]
 
 
@@ -200,27 +197,3 @@ def corpus_stats(texts) -> CorpusStats:
     var = sum((n - mean) ** 2 for n in lengths) / len(lengths)
     return CorpusStats(mean, math.sqrt(var), len(lengths))
 
-
-def split_dataset(items, ratios, seed: int):
-    """Deterministic seeded shuffle, then split by the three ratios.
-
-    Rounded val/test sizes, remainder to train; partitions are disjoint and
-    exhaustive.
-    """
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
-        raise ValueError(f"ratios must be three positive reals, got {ratios}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
-    items = list(items)
-    n = len(items)
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    n_val = min(round(ratios[1] * n), n)
-    n_test = min(round(ratios[2] * n), n - n_val)
-    n_train = n - n_val - n_test
-    shuffled = [items[i] for i in order]
-    return (
-        shuffled[:n_train],
-        shuffled[n_train : n_train + n_val],
-        shuffled[n_train + n_val :],
-    )

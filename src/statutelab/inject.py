@@ -48,7 +48,6 @@ __all__ = [
     "hydra_attn_matrix",
     "hydra_pretrain",
     "hydra_attach",
-    "hydra_detach",
     "count_parameters",
     "build_tre_model",
     "tre_forward",
@@ -310,12 +309,6 @@ def hydra_attach(body: list[SelfAttentionLayer], heads: list[HydraHead]) -> list
         d,
     )
     return list(body) + [layer]
-
-
-def hydra_detach(model: list[SelfAttentionLayer]) -> list[SelfAttentionLayer]:
-    if not model:
-        raise ValueError("nothing to detach")
-    return list(model[:-1])
 
 
 def count_parameters(layers: list[SelfAttentionLayer]) -> int:

@@ -29,10 +29,17 @@ __all__ = [
 ]
 
 _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
+# byte -> itself for [A-Za-z0-9], space for every other byte
+_GAPS = bytes(b if chr(b).isascii() and chr(b).isalnum() else 0x20 for b in range(256))
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase, split on whitespace and punctuation, drop empties."""
+    """Lowercased runs of Unicode letters and digits; anything else,
+    underscore included, splits.  ASCII text takes a byte-table path that
+    yields the same tokens as the regex: there the regex's runs are exactly
+    the runs of [a-z0-9] after lowering."""
+    if text.isascii():
+        return text.encode().lower().translate(_GAPS).decode().split()
     return _TOKEN.findall(text.lower())
 
 

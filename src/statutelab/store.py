@@ -111,14 +111,6 @@ def tensor_from_bytes(buf: bytes, path=None) -> Tensor:
     return t
 
 
-def save_tensor(t: Tensor, path) -> None:
-    Path(path).write_bytes(tensor_to_bytes(t))
-
-
-def load_tensor(path) -> Tensor:
-    return tensor_from_bytes(Path(path).read_bytes(), path)
-
-
 # ---------------------------------------------------------------------------
 # SLRK1
 

@@ -10,7 +10,6 @@ from statutelab.corpus import (
     corpus_stats,
     load_corpus,
     load_queries,
-    split_dataset,
 )
 
 ARTICLE_330 = (
@@ -135,29 +134,6 @@ def test_chunking_reduces_mean_length():
     chunked = [chunk_article(a) for a in arts]
     after = corpus_stats([s for a in chunked for s in a.statements]).mean_len
     assert after < before
-
-
-def test_split_dataset_sizes_and_determinism():
-    items = list(range(10))
-    parts = split_dataset(items, (0.8, 0.1, 0.1), seed=7)
-    assert tuple(map(len, parts)) == (8, 1, 1)
-    again = split_dataset(items, (0.8, 0.1, 0.1), seed=7)
-    assert parts == again
-
-
-def test_split_dataset_bad_ratios():
-    with pytest.raises(ValueError):
-        split_dataset([1, 2], (0.5, 0.5, 0.5), seed=0)
-    with pytest.raises(ValueError):
-        split_dataset([1, 2], (0.9, 0.2, -0.1), seed=0)
-
-
-@given(st.integers(min_value=0, max_value=60), st.integers(min_value=0, max_value=2**31))
-def test_split_dataset_partitions_disjoint_exhaustive(n, seed):
-    items = list(range(n))
-    train, val, test = split_dataset(items, (0.6, 0.2, 0.2), seed=seed)
-    combined = sorted(train + val + test)
-    assert combined == items
 
 
 def test_invalid_utf8_names_file_line_and_column(tmp_path):

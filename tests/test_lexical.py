@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import struct
 
 import pytest
@@ -27,6 +28,25 @@ def test_tokenize():
     assert tokenize("") == []
     assert tokenize("shall-not") == ["shall", "not"]
     assert tokenize("Article 330 (1)") == ["article", "330", "1"]
+
+
+# the token rule written out here, not imported: lowercased runs of Unicode
+# letters and digits, split at anything else, underscore included
+TOKEN_RULE = re.compile(r"[^\W_]+")
+# every ASCII code point, plus non-ASCII letters and digits, one that lowers
+# to two characters (U+0130) and two non-ASCII spaces
+TOKEN_ALPHABET = [chr(c) for c in range(128)] + ["É", "ß", "\u0130", "\u0663", "\u00a0", "\u3000", "全"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet=TOKEN_ALPHABET, max_size=40))
+def test_tokenize_matches_the_regex_rule(text):
+    assert tokenize(text) == TOKEN_RULE.findall(text.lower())
+
+
+@pytest.mark.parametrize("text", ["a_b", "x\x1fy", "ÉCOLE 3", ""])
+def test_tokenize_matches_the_regex_rule_on_edge_cases(text):
+    assert tokenize(text) == TOKEN_RULE.findall(text.lower())
 
 
 def test_build_index_counts():
@@ -244,6 +264,23 @@ def test_index_file_of_a_fixed_synth_corpus_is_pinned(tmp_path):
     save_index(build_index(articles), path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == "c0d9c8e80c139956c8da28e15947d13d0ea37551507312e06a6ef31ed3ac1364"
+
+
+MIXED_SCRIPT_TEXTS = [
+    "Gifts not in writing may be revoked_by either party.",
+    "L'ÉCOLE est fermée; la Straße 3 reste ouverte.",
+    "İstanbul \u0663\u0664 dates\u00a0and\u3000全 codes",
+    "tab\tnew\nline\x1fsep\x1cfile CR\rLF A1b2",
+    "",
+    "Article 330 (1): the preserver shall prevail.",
+]
+
+
+def test_index_file_of_a_mixed_script_corpus_is_pinned(tmp_path):
+    path = tmp_path / "index.slix"
+    save_index(build_index(corpus(MIXED_SCRIPT_TEXTS)), path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "dd17dee723571ba6fef813164be78247e2e312b21e8d7ea47cd02632fce556b6"
 
 
 def _slix1(docs, terms):

@@ -7,7 +7,6 @@ import pytest
 from statutelab.store import (
     bundle_bytes,
     bundle_from_bytes,
-    load_tensor,
     read_bundle,
     tensor_from_bytes,
     tensor_to_bytes,
@@ -82,7 +81,7 @@ def test_every_decode_error_names_path_format_and_absolute_offset(tmp_path):
     path = tmp_path / "cut.sltn"
     path.write_bytes(tensor_to_bytes(Tensor(np.ones(2)))[:-3])
     with pytest.raises(ValueError, match=re.escape(f"{path}: corrupt SLTN1 tensor at offset 21: 16 bytes needed")):
-        load_tensor(path)
+        tensor_from_bytes(path.read_bytes(), path)
 
 
 def test_bundle_length_prefix_must_match_its_blob():
