@@ -49,10 +49,17 @@ class InvertedIndex:
     Document i is ``doc_ids[i]`` with ``lengths[i]`` tokens; term t is
     ``terms[t]`` (first-occurrence order over the corpus).  Term t's
     postings are ``docs[starts[t]:starts[t+1]]``, ascending document
-    positions, with term frequencies ``tf[starts[t]:starts[t+1]]``.
+    positions, with term frequencies ``tf[starts[t]:starts[t+1]]`` (u32,
+    the width SLIX1 stores them in).
     ``id_rank[i]`` is document i's place in ascending id order (Python
     string order, which numpy's fixed-width strings would not keep for ids
     ending in "\\x00"), the tie-break of ``top_n``.
+
+    The arrays are read-only after construction, because the index memoizes
+    a function of them: ``impact``, every posting's BM25 term score (a
+    float64, 8 bytes per posting) under the last (k1, b) it was queried
+    with.  The first query under a pair fills it (see ``_impacts``);
+    building and loading an index compute none.
     """
 
     def __init__(self, doc_ids: list[str], lengths: np.ndarray, terms: list[str],
@@ -68,6 +75,9 @@ class InvertedIndex:
         self.avgdl = int(lengths.sum()) / self.n_docs if self.n_docs else 0.0
         self.id_rank = np.empty(self.n_docs, dtype=np.int64)
         self.id_rank[sorted(range(self.n_docs), key=doc_ids.__getitem__)] = np.arange(self.n_docs)
+        for a in (lengths, starts, docs, tf, self.id_rank):
+            a.flags.writeable = False
+        self.impact: tuple[tuple[float, float], np.ndarray] | None = None
 
     @property
     def doc_len(self) -> dict[str, int]:
@@ -110,34 +120,65 @@ def build_index(corpus: list[Article]) -> InvertedIndex:
         lengths[i] = len(tokens)
         flat.extend(map(term_ids.__getitem__, tokens))
     # one sort groups the (term, doc) pairs by term, docs ascending within a
-    # term, and counts each pair's occurrences
-    keys, tf = np.unique(
-        np.array(flat, dtype=np.int64) * n + np.repeat(np.arange(n, dtype=np.int64), lengths),
-        return_counts=True,
-    )
+    # term; each run of equal keys is a posting and its length the tf.  The
+    # sort runs in place, where np.unique would sort a copy, to lower the
+    # build's peak memory.
+    keys = np.array(flat, dtype=np.int64)
+    del flat
+    keys *= n
+    keys += np.repeat(np.arange(n, dtype=np.int64), lengths)
+    keys.sort()
+    last = np.empty(len(keys), dtype=bool)  # the last pair of each run
+    last[:-1] = keys[1:] != keys[:-1]
+    last[-1:] = True
+    last = np.flatnonzero(last)
+    tf = np.diff(last, prepend=-1)
+    keys = keys[last]
     starts = np.zeros(len(term_ids) + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys // n, minlength=len(term_ids)), out=starts[1:])
-    return InvertedIndex(doc_ids, lengths, list(term_ids), starts, keys % n, tf.astype(np.int64))
+    return InvertedIndex(doc_ids, lengths, list(term_ids), starts, keys % n, tf.astype("<u4"))
 
 
 def _idf(n_docs: int, df: int) -> float:
     return math.log((n_docs - df + 0.5) / (df + 0.5) + 1.0)
 
 
+def _impacts(index: InvertedIndex, k1: float, b: float) -> np.ndarray:
+    """Every posting's BM25 term score under (k1, b), aligned with
+    ``index.docs``: idf * tf * (k1 + 1) / (tf + norm), the same IEEE
+    operations per posting as scoring one term at a time.  Memoized on the
+    index for the last pair asked for."""
+    memo = index.impact
+    if memo is not None and memo[0] == (k1, b):
+        return memo[1]
+    counts = np.diff(index.starts)
+    # idf through _idf's math.log: np.log need not give the same last bit
+    impact = np.repeat(np.array([_idf(index.n_docs, df) for df in counts.tolist()], dtype=np.float64), counts)
+    if impact.size:  # else there is nothing to score, and avgdl may be 0
+        norm = k1 * (1.0 - b + b * index.lengths.astype(np.float64) / index.avgdl)
+        denom = index.tf.astype(np.float64)
+        impact *= denom
+        impact *= k1 + 1.0
+        denom += norm[index.docs]
+        impact /= denom
+    index.impact = ((k1, b), impact)
+    return impact
+
+
 def _scores(index: InvertedIndex, query_terms: list[str], k1: float, b: float) -> np.ndarray:
     """Every document's Okapi BM25 score, summed term by term in query
-    order.  Duplicate query terms contribute additively; terms absent from
-    a document contribute zero."""
+    order: one scatter-add of the term's memoized posting impacts per query
+    term, the summation order of scoring each term from scratch.  Duplicate
+    query terms contribute additively; terms absent from a document
+    contribute zero."""
+    impact = _impacts(index, k1, b)
     scores = np.zeros(index.n_docs)
     for term in query_terms:
         t = index.term_ids.get(term)
         if t is None:
             continue
         lo, hi = index.starts[t : t + 2].tolist()
-        docs = index.docs[lo:hi]
-        tf = index.tf[lo:hi].astype(np.float64)
-        norm = k1 * (1.0 - b + b * index.lengths[docs].astype(np.float64) / index.avgdl)
-        scores[docs] += _idf(index.n_docs, hi - lo) * tf * (k1 + 1.0) / (tf + norm)
+        scores[index.docs[lo:hi]] += impact[lo:hi]
     return scores
 
 
@@ -177,7 +218,7 @@ def top_n(
     else:
         cand = np.arange(n_docs)
     best = cand[np.lexsort((index.id_rank[cand], -scores[cand]))[:m]]
-    return [(index.doc_ids[i], float(scores[i])) for i in best.tolist()]
+    return list(zip(map(index.doc_ids.__getitem__, best.tolist()), scores[best].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +239,7 @@ def save_index(index: InvertedIndex, path) -> None:
     parts.append(struct.pack("<I", len(index.terms)))
     pairs = np.empty((len(index.docs), 2), dtype="<u4")
     pairs[:, 0], pairs[:, 1] = index.docs, index.tf
-    blob = memoryview(pairs.tobytes())
+    blob = memoryview(pairs.view("u1").reshape(-1))
     bounds = index.starts.tolist()
     for t, term in enumerate(index.terms):
         lo, hi = bounds[t], bounds[t + 1]
@@ -238,7 +279,7 @@ def load_index(path) -> InvertedIndex:
 
     blocks = b"".join([buf[at : at + 8 * n] for at, n in zip(block_at, counts)])
     pairs = np.frombuffer(blocks, dtype="<u4").reshape(-1, 2)
-    docs, tf = pairs[:, 0].astype(np.int64), pairs[:, 1].astype(np.int64)
+    docs, tf = pairs[:, 0].astype(np.int64), pairs[:, 1].copy()
     n_docs = len(doc_ids)
     block_at, counts = np.array(block_at, dtype=np.int64), np.array(counts, dtype=np.int64)
     starts = np.concatenate(([0], np.cumsum(counts)))

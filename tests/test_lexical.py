@@ -371,3 +371,75 @@ def test_index_load_survives_every_single_byte_flip(tmp_path):
                     assert all(math.isfinite(s) for _, s in hits)
     # flips inside the doc ids and terms leave a well-formed file
     assert loaded > 0
+
+
+BM25_K1 = st.floats(min_value=0.1, max_value=3.0)
+BM25_B = st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0))
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.lists(st.lists(st.sampled_from(WORDS), max_size=6), min_size=1, max_size=10),
+    st.lists(st.tuples(BM25_K1, BM25_B), min_size=2, max_size=2),
+    st.data(),
+)
+def test_top_n_and_bm25_score_equal_the_dict_reference_under_any_k1_and_b(texts, pairs, data):
+    # one index queried under two alternating (k1, b) pairs, so its single
+    # memo of posting impacts is replaced and refilled; queries repeat terms
+    # and hold unknown ones
+    arts = corpus([" ".join(t) for t in texts])
+    ref = _dict_index(arts)
+    idx = build_index(arts)
+    queries = data.draw(st.lists(st.lists(st.sampled_from(WORDS + ["zzz"]), max_size=6), min_size=1, max_size=3))
+    n = data.draw(st.integers(min_value=1, max_value=len(arts) + 2))
+    for k1, b in pairs * 2:
+        for query in queries + [["law", "law", "zzz"]]:
+            assert top_n(idx, query, n, k1, b) == _dict_top_n(ref, query, n, k1, b)
+            every = dict(_dict_top_n(ref, query, len(arts), k1, b))
+            assert all(bm25_score(idx, query, a.id, k1, b) == every[a.id] for a in arts)
+
+
+def test_posting_impacts_are_filled_by_the_first_query_of_each_pair(tmp_path, monkeypatch):
+    from statutelab import lexical
+    from statutelab.synth import planted_retrieval_world
+
+    idf_calls = []
+    real_idf = lexical._idf
+    monkeypatch.setattr(lexical, "_idf", lambda n_docs, df: idf_calls.append(df) or real_idf(n_docs, df))
+    articles, _ = planted_retrieval_world(60, 20)
+    idx = build_index(articles)
+    path = tmp_path / "index.slix"
+    save_index(idx, path)
+    loaded = load_index(path)
+    assert idf_calls == [] and idx.impact is None and loaded.impact is None
+    with pytest.raises(ValueError):
+        loaded.tf[0] = 2
+
+    query = idx.terms[:3] + idx.terms[:1]
+    first = top_n(loaded, query, 5)
+    assert len(idf_calls) == len(loaded.terms)
+    impact = loaded.impact[1]
+    assert loaded.impact[0] == (1.2, 0.75) and impact.shape == loaded.docs.shape
+    assert top_n(loaded, query, 5) == first
+    bm25_score(loaded, idx.terms[4:6], loaded.doc_ids[0])
+    assert len(idf_calls) == len(loaded.terms) and loaded.impact[1] is impact
+    top_n(loaded, query, 5, k1=2.0)
+    assert len(idf_calls) == 2 * len(loaded.terms) and loaded.impact[0] == (2.0, 0.75)
+
+    # a queried index still saves the pinned bytes
+    top_n(idx, query, 5)
+    save_index(idx, path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "c0d9c8e80c139956c8da28e15947d13d0ea37551507312e06a6ef31ed3ac1364"
+
+
+def test_an_index_without_tokens_scores_every_doc_0_without_warnings():
+    import warnings
+
+    idx = build_index(corpus(["", "-- ;", "_"]))
+    assert (idx.avgdl, idx.terms) == (0.0, [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for query in ([], ["zzz"], ["zzz", "yyy", "zzz"]):
+            assert top_n(idx, query, 5) == [("d000", 0.0), ("d001", 0.0), ("d002", 0.0)]
+            assert [bm25_score(idx, query, d) for d in idx.doc_ids] == [0.0, 0.0, 0.0]
