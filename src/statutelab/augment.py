@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Article, Query, json_list, open_text, read_jsonl
+from .corpus import Article, Query, json_list, open_text, read_jsonl, require_records
 
 __all__ = [
     "NegationRule",
@@ -90,31 +90,30 @@ def default_rules(language: str) -> list[NegationRule]:
     raise ValueError(f"unknown language {language!r}")
 
 
-def _validate_rules(rules: list[NegationRule]) -> list[NegationRule]:
-    ranks: dict[str, set[int]] = {}
-    for r in rules:
-        if r.trigger == r.replacement:
-            raise ValueError(f"rule {r.rank}: trigger equals replacement")
-        if r.rank in ranks.setdefault(r.language, set()):
-            raise ValueError(f"duplicate rank {r.rank} for language {r.language}")
-        ranks[r.language].add(r.rank)
-    return sorted(rules, key=lambda r: (r.language, r.rank))
-
-
 def load_rules(path) -> list[NegationRule]:
-    """Read a TSV rule file with columns language, trigger, replacement, rank."""
-    rules = []
+    """Read a TSV rule file (language, trigger, replacement, rank) of one
+    rule or more, sorted by language and rank; blank and "#" lines skipped.
+    A bad rule raises ValueError naming the file and the line."""
+    rules, ranks = [], set()
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
-            if not line or line.startswith("#"):
+            if not line.strip() or line.startswith("#"):
                 continue
-            cols = line.split("\t")
-            if len(cols) != 4:
-                raise ValueError(f"rule line {lineno}: expected 4 tab-separated columns")
-            lang, trigger, replacement, rank = cols
-            rules.append(NegationRule(lang, trigger, replacement, int(rank)))
-    return _validate_rules(rules)
+            try:
+                cols = line.split("\t")
+                if len(cols) != 4:
+                    raise ValueError("expected 4 tab-separated columns")
+                rule = NegationRule(cols[0], cols[1], cols[2], int(cols[3]))
+                if rule.trigger == rule.replacement:
+                    raise ValueError("trigger equals replacement")
+                if (rule.language, rule.rank) in ranks:
+                    raise ValueError(f"duplicate rank {rule.rank} for language {rule.language}")
+            except ValueError as exc:
+                raise ValueError(f"{path} line {lineno}: {exc}") from None
+            ranks.add((rule.language, rule.rank))
+            rules.append(rule)
+    return require_records(path, sorted(rules, key=lambda r: (r.language, r.rank)), "rules")
 
 
 def dump_rules(rules: list[NegationRule], path) -> None:
@@ -213,7 +212,7 @@ class BilingualDoc:
 
 
 def load_bilingual(path) -> list[BilingualDoc]:
-    """JSONL, one doc per line: {"pairs": [["sent a", "sent b"], ...]}."""
+    """JSONL, one doc or more, one per line: {"pairs": [["sent a", "sent b"], ...]}."""
 
     def parse(obj):
         pairs = []
@@ -226,7 +225,7 @@ def load_bilingual(path) -> list[BilingualDoc]:
             pairs.append((a, b))
         return BilingualDoc(pairs)
 
-    return [doc for _, doc in read_jsonl(path, ("pairs",), parse)]
+    return require_records(path, [doc for _, doc in read_jsonl(path, ("pairs",), parse)], "documents")
 
 
 @dataclass

@@ -121,9 +121,9 @@ def _cmd_corpus_chunk(args) -> int:
 
 
 def _load_statements(path, need_tokens: bool = False) -> list[aug.LabeledStatement]:
-    """The labelled statements of a JSONL file.  With need_tokens, a
-    statement whose text has no tokens raises ValueError naming the file and
-    the line: the classifier cannot encode it."""
+    """The labelled statements of a JSONL file, one or more.  With
+    need_tokens, a statement whose text has no tokens raises ValueError
+    naming the file and the line: the classifier cannot encode it."""
     records = []
     for lineno, obj in corpus_mod.read_jsonl(path, ("text",)):
         text = str(obj["text"])
@@ -137,7 +137,7 @@ def _load_statements(path, need_tokens: bool = False) -> list[aug.LabeledStateme
                 obj.get("rule_rank"),
             )
         )
-    return records
+    return corpus_mod.require_records(path, records, "statements")
 
 
 def _cmd_augment_negate(args) -> int:
@@ -274,16 +274,13 @@ def _rank_inputs(args):
     """Config, model, chunked corpus, queries, index, and the input files to
     digest.  The config records the checkpoint's values of the keys it
     fixes (BM25 scores with its k1 and b); n_predict and eval_k come from
-    the flag, else the --config file, else the checkpoint.  The queries file
-    must hold a query, and an index exactly the chunked corpus's article
-    ids."""
+    the flag, else the --config file, else the checkpoint.  An index must
+    hold exactly the chunked corpus's article ids."""
     model = rankers.load_model(args.model_path)
     stored = RunConfig(n_predict=model.config.n_predict, eval_k=model.config.eval_k)
     cfg = dataclasses.replace(_resolve_config(args, stored), **_checkpoint_keys(model))
     articles = corpus_mod.chunk_corpus(corpus_mod.load_corpus(args.corpus))
     queries = corpus_mod.load_queries(args.queries)
-    if not queries:
-        raise ValueError(f"no queries in {args.queries}")
     idx = lexical.load_index(args.index) if args.index else lexical.build_index(articles)
     corpus_ids, index_ids = {a.id for a in articles}, set(idx.doc_ids)
     if corpus_ids != index_ids:
@@ -368,8 +365,6 @@ def _cmd_classify_run(args) -> int:
 
 def _cmd_inject_hydra_pretrain(args) -> int:
     samples = inject.load_sdoi(args.sdoi)
-    if not samples:
-        raise CliError("no samples in the relation file")
     rng = np.random.default_rng(args.seed)
     vocab = sorted({t for s in samples for t in s.tokens})
     table = {w: rng.normal(0.0, 1.0, size=args.d) for w in vocab}
@@ -398,8 +393,6 @@ def _cmd_inject_hydra_attach(args) -> int:
 def _cmd_inject_tre_train(args) -> int:
     cfg = _resolve_config(args)
     data = inject.load_bioe(args.bioe)
-    if not data:
-        raise CliError("no samples in the tagged file")
     icfg = inject.injection_config(cfg.n_layers, cfg.positions, cfg.portions)
     vocab = sorted({t for s in data for t in s.tokens})
     sizes = effective_sizes(cfg)
@@ -442,7 +435,7 @@ def _cmd_inject_attn_report(args) -> int:
 
 def _load_terms(path) -> set[str]:
     with corpus_mod.open_text(path) as fh:
-        return {line.strip() for line in fh if line.strip()}
+        return corpus_mod.require_records(path, {line.strip() for line in fh if line.strip()}, "terms")
 
 
 def _cmd_embed_lvc(args) -> int:
@@ -480,6 +473,7 @@ def _cmd_eval_prf2(args) -> int:
             return evalkit.RetrievalJudgment(gold, corpus_mod.json_list(obj, "retrieved"))
 
         judgments = [j for _, j in corpus_mod.read_jsonl(args.judgments, ("gold", "retrieved"), judgment)]
+        corpus_mod.require_records(args.judgments, judgments, "judgments")
         p, r, f2 = evalkit.macro_f2(judgments, args.k)
     else:
         if args.gold is None or args.retrieved is None:
@@ -497,6 +491,7 @@ def _cmd_eval_accuracy(args) -> int:
         for _, obj in corpus_mod.read_jsonl(args.preds, ("pred", "gold")):
             preds.append(bool(obj["pred"]))
             golds.append(bool(obj["gold"]))
+        corpus_mod.require_records(args.preds, preds, "predictions")
         value = evalkit.accuracy(preds, golds)
     else:
         if args.correct is None or args.total is None:

@@ -21,6 +21,7 @@ __all__ = [
     "open_text",
     "read_jsonl",
     "json_list",
+    "require_records",
     "load_corpus",
     "load_queries",
     "chunk_article",
@@ -101,6 +102,14 @@ def read_jsonl(path, keys=(), parse=None):
             yield lineno, obj
 
 
+def require_records(path, records, what: str):
+    """The records a loader read from `path`; none raises ValueError
+    "no <what> in <path>".  Every loader a command uses returns through it."""
+    if not records:
+        raise ValueError(f"no {what} in {path}")
+    return records
+
+
 def json_list(obj: dict, key: str) -> list:
     """obj[key], an empty list when the key is absent; TypeError unless the
     value is a JSON array."""
@@ -124,26 +133,26 @@ def _query(obj: dict) -> Query:
     return Query(str(obj["id"]), str(obj["text"]), set(map(str, json_list(obj, "relevant_ids"))), label)
 
 
-def _unique(path, records, what: str) -> list:
+def _unique(path, records, what: str, plural: str) -> list:
     """The records of (line number, record) pairs, in order; a repeated id
-    raises ValueError naming its line."""
+    raises ValueError naming its line, and no record "no <plural> in <path>"."""
     out, seen = [], set()
     for lineno, rec in records:
         if rec.id in seen:
             raise ValueError(f"{path} line {lineno}: duplicate {what} id {rec.id!r}")
         seen.add(rec.id)
         out.append(rec)
-    return out
+    return require_records(path, out, plural)
 
 
 def load_corpus(path) -> list[Article]:
-    """Read a JSONL corpus; order preserved, statements left empty."""
-    return _unique(path, read_jsonl(path, ("id", "text"), _article), "article")
+    """Read a JSONL corpus of one article or more; order preserved, statements left empty."""
+    return _unique(path, read_jsonl(path, ("id", "text"), _article), "article", "articles")
 
 
 def load_queries(path) -> list[Query]:
-    """Read a JSONL query set; label may be true, false or null."""
-    return _unique(path, read_jsonl(path, ("id", "text"), _query), "query")
+    """Read a JSONL query set of one query or more; label may be true, false or null."""
+    return _unique(path, read_jsonl(path, ("id", "text"), _query), "query", "queries")
 
 
 _MARKER = re.compile(r"\((\d+)\)")

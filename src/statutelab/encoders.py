@@ -25,7 +25,7 @@ from typing import Iterator
 import numpy as np
 
 from . import tensor as T
-from .corpus import open_text
+from .corpus import open_text, require_records
 from .tensor import Tensor
 
 __all__ = [
@@ -97,30 +97,30 @@ class EmbeddingTable:
 
 
 def load_embeddings(path) -> EmbeddingTable:
-    """GloVe-style text: one "word v1 v2 ... vd" line per word, read into a
-    frozen table."""
+    """GloVe-style text: one "word v1 v2 ... vd" line per word, one word or
+    more, read into a frozen table.  A bad line, a blank one included,
+    raises ValueError naming the file and the line."""
     vocab: dict[str, int] = {}
     rows: list[list[float]] = []
     dim = None
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) < 2:
-                raise ValueError(f"embedding line {lineno}: expected word and values")
-            word, vals = parts[0], parts[1:]
-            if dim is None:
-                dim = len(vals)
-            elif len(vals) != dim:
-                raise ValueError(
-                    f"embedding line {lineno}: dimension {len(vals)} != {dim}"
-                )
-            if word in vocab:
-                raise ValueError(f"embedding line {lineno}: duplicate word {word!r}")
-            vocab[word] = len(rows)
-            rows.append([float(v) for v in vals])
-    if not rows:
-        raise ValueError("empty embedding file")
-    return EmbeddingTable(vocab, Tensor(np.array(rows)))
+            try:
+                parts = line.rstrip("\n").split(" ")
+                if len(parts) < 2:
+                    raise ValueError("expected word and values")
+                word, vals = parts[0], parts[1:]
+                if dim is None:
+                    dim = len(vals)
+                elif len(vals) != dim:
+                    raise ValueError(f"dimension {len(vals)} != {dim}")
+                if word in vocab:
+                    raise ValueError(f"duplicate word {word!r}")
+                vocab[word] = len(rows)
+                rows.append([float(v) for v in vals])
+            except ValueError as exc:
+                raise ValueError(f"{path} line {lineno}: {exc}") from None
+    return EmbeddingTable(vocab, Tensor(np.array(require_records(path, rows, "word vectors"))))
 
 
 def random_embeddings(words, d: int, seed: int, scale: float = 0.1) -> EmbeddingTable:

@@ -13,6 +13,7 @@ the needles are dropped from checkpoints after training.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -29,7 +30,7 @@ from .encoders import (
     self_attention_stack_states,
     self_attention_states,
 )
-from .corpus import json_list, open_text, read_jsonl
+from .corpus import json_list, open_text, read_jsonl, require_records
 from .store import bundle_bytes, load_bundle, write_bundle
 
 __all__ = [
@@ -141,12 +142,12 @@ def injection_config(n_layers: int, positions=None, portions=None) -> InjectionC
 
 
 def load_sdoi(path) -> list[SdoiMatrix]:
-    """JSONL: {"tokens": [...], "matrix": [[0,1,...], ...]} per line."""
+    """JSONL, one line or more: {"tokens": [...], "matrix": [[0,1,...], ...]}."""
 
     def parse(obj):
         return SdoiMatrix(list(map(str, json_list(obj, "tokens"))), np.array(json_list(obj, "matrix")))
 
-    return [m for _, m in read_jsonl(path, ("tokens", "matrix"), parse)]
+    return require_records(path, [m for _, m in read_jsonl(path, ("tokens", "matrix"), parse)], "samples")
 
 
 def validate_bioe(sample: BioeSample) -> None:
@@ -159,7 +160,7 @@ def validate_bioe(sample: BioeSample) -> None:
         open_seg: dict[str, bool] = {}
         for i, tag in enumerate(tags):
             if tag not in _TAG_IDX:
-                raise ValueError(f"unknown tag {tag!r}")
+                raise ValueError(f"level {level + 1} token {i}: unknown tag {tag!r}")
             if tag == "O":
                 continue
             kind, typ = tag.split("-")
@@ -174,34 +175,29 @@ def validate_bioe(sample: BioeSample) -> None:
 
 
 def load_bioe(path) -> list[BioeSample]:
-    """TSV columns token, L1, L2, L3; "-" means O; blank line between samples."""
-    samples = []
-    tokens: list[str] = []
-    tags: list[list[str]] = [[], [], []]
-
-    def flush():
-        nonlocal tokens, tags
-        if tokens:
-            sample = BioeSample(tokens, tags)
-            validate_bioe(sample)
-            samples.append(sample)
-        tokens, tags = [], [[], [], []]
-
+    """TSV columns token, L1, L2, L3; "-" means O; blank line between
+    samples; one sample or more.  A bad line, or a sample validate_bioe
+    rejects, raises ValueError naming the file and the line (the sample's
+    first)."""
+    samples, rows = [], []  # rows: the columns of the sample being read
     with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                flush()
-                continue
-            cols = line.split("\t")
-            if len(cols) != 4:
-                raise ValueError(f"bioe line {lineno}: expected 4 tab-separated columns")
-            tokens.append(cols[0])
-            for level in range(_LEVELS):
-                tag = cols[level + 1]
-                tags[level].append("O" if tag == "-" else tag)
-    flush()
-    return samples
+        # a blank line after the last one ends the last sample
+        for lineno, line in enumerate(itertools.chain(fh, [""]), start=1):
+            if line.strip():
+                rows.append(line.rstrip("\n").split("\t"))
+                if len(rows[-1]) != 4:
+                    raise ValueError(f"{path} line {lineno}: expected 4 tab-separated columns")
+            elif rows:
+                tokens, *levels = zip(*rows)
+                tags = [["O" if tag == "-" else tag for tag in level] for level in levels]
+                sample = BioeSample(list(tokens), tags)
+                try:
+                    validate_bioe(sample)
+                except ValueError as exc:
+                    raise ValueError(f"{path} line {lineno - len(rows)}: {exc}") from None
+                samples.append(sample)
+                rows = []
+    return require_records(path, samples, "samples")
 
 
 def dump_bioe(samples: list[BioeSample], path) -> None:

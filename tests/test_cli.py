@@ -445,7 +445,7 @@ def test_rank_train_with_no_queries_exits_1_and_writes_nothing(tmp_path, capsys)
         "--epochs", "2", "--K", "1", "--n-predict", "5",
     )
     assert code == 1
-    assert "error: no training queries" in err
+    assert f"error: no queries in {queries}" in err
     assert not out.exists()
 
 
@@ -540,7 +540,7 @@ def test_inject_tre_train_on_a_tagged_file_with_no_samples_exits_1(tmp_path, cap
         capsys, "inject", "tre-train", "--bioe", str(bioe), "--seed", "2", "--epochs", "1", "--out", str(out),
     )
     assert code == 1
-    assert "error: no samples in the tagged file" in err
+    assert f"error: no samples in {bioe}" in err
     assert not out.exists()
 
 

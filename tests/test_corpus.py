@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from statutelab.augment import load_rules
 from statutelab.corpus import (
     Article,
     chunk_article,
@@ -11,6 +12,8 @@ from statutelab.corpus import (
     load_corpus,
     load_queries,
 )
+from statutelab.encoders import load_embeddings
+from statutelab.inject import load_bioe
 
 ARTICLE_330 = (
     "(1) In cases where there is conflict among special statutory liens with "
@@ -50,7 +53,8 @@ def test_load_corpus_order_and_fields(tmp_path):
 def test_load_corpus_empty_file(tmp_path):
     p = tmp_path / "c.jsonl"
     p.write_text("", encoding="utf-8")
-    assert load_corpus(p) == []
+    with pytest.raises(ValueError, match="no articles in"):
+        load_corpus(p)
 
 
 def test_load_corpus_duplicate_id(tmp_path):
@@ -65,6 +69,34 @@ def test_load_corpus_malformed_line_names_line_number(tmp_path):
     p.write_text('{"id": "a1", "title": "", "text": "x"}\nnot json\n', encoding="utf-8")
     with pytest.raises(ValueError, match="line 2"):
         load_corpus(p)
+
+
+# each text loader, a file it rejects, and the message after "<file> line "
+_BAD_TEXT_FILES = {
+    "bioe columns": (load_bioe, "a\t-\t-\t-\nb\t-\t-\n", "2: expected 4 tab-separated columns"),
+    "bioe tag": (load_bioe, "a\t-\t-\t-\n\nb\tX-Q\t-\t-\nc\t-\t-\t-\n", "3: level 1 token 0: unknown tag 'X-Q'"),
+    "bioe bracket": (load_bioe, "\n\na\t-\tE-E\t-\n", "3: level 2 token 0: E-E without an open segment"),
+    "rule columns": (load_rules, "# rules\nen\ta\tb\n", "2: expected 4 tab-separated columns"),
+    "rule rank": (load_rules, "en\ta\tb\tfirst\n", "1: invalid literal for int() with base 10: 'first'"),
+    "rule trigger": (load_rules, "en\ta\tb\t1\nen\tc\tc\t2\n", "2: trigger equals replacement"),
+    "rule rank twice": (
+        load_rules, "en\ta\tb\t1\nja\ta\tb\t1\n\nen\tc\td\t1\n", "4: duplicate rank 1 for language en"
+    ),
+    "embedding word only": (load_embeddings, "law 0.1\ngift\n", "2: expected word and values"),
+    "embedding dimension": (load_embeddings, "law 0.1 0.2\ngift -1.0\n", "2: dimension 1 != 2"),
+    "embedding word twice": (load_embeddings, "law 0.1\nlaw 0.2\n", "2: duplicate word 'law'"),
+    "embedding value": (load_embeddings, "law 0.1\ngift x\n", "2: could not convert string to float: 'x'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_TEXT_FILES))
+def test_text_loaders_name_the_file_and_the_line(tmp_path, case):
+    loader, text, message = _BAD_TEXT_FILES[case]
+    p = tmp_path / "in.txt"
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        loader(p)
+    assert str(exc.value) == f"{p} line {message}"
 
 
 def test_load_queries(tmp_path):
