@@ -328,25 +328,16 @@ def property_suite(seed: int = 7) -> list[tuple[str, bool, str]]:
     results.append(("sparsemax simplex + oracle", worst < 1e-8, f"max dev {worst:.2e}"))
 
     ok = True
+    words = ["law", "gift", "writing", "party", "claim", "lien", "act"]
     for trial in range(25):
         n_docs = int(rng.integers(2, 30))
-        words = ["law", "gift", "writing", "party", "claim", "lien", "act"]
         docs = {
             f"d{j:03d}": " ".join(rng.choice(words, size=rng.integers(1, 12)))
             for j in range(n_docs)
         }
-        corpus = [Article(i, "", t) for i, t in docs.items()]
-        idx = build_index(corpus)
         q = list(rng.choice(words, size=3))
-        oracle = bm25_oracle(docs, q)
-        for did in docs:
-            if abs(bm25_score(idx, q, did) - oracle[did]) > 1e-12:
-                ok = False
-        ranked = top_n(idx, q, n_docs)
-        expect = sorted(oracle.items(), key=lambda kv: (-kv[1], kv[0]))
-        if [d for d, _ in ranked] != [d for d, _ in expect]:
-            ok = False
-    results.append(("bm25 + top_n vs straight-loop oracle", ok, "25 random corpora"))
+        ok = _bm25_agrees(docs, q, (1, max(1, n_docs // 3), n_docs)) and ok
+    results.append(("bm25 + top_n vs straight-loop oracle", ok, "25 random corpora, n = 1, n_docs // 3, n_docs"))
 
     pair_ok = True
     for text in ("X can do Y", "done with care"):
@@ -384,4 +375,29 @@ def property_suite(seed: int = 7) -> list[tuple[str, bool, str]]:
         if not (0.0 <= p <= 1.0 and 0.0 <= r <= 1.0 and 0.0 <= f2 <= 1.0):
             bounds_ok = False
     results.append(("precision/recall/F2 bounded in [0, 1]", bounds_ok, "100 random judgments"))
+
+    # corpora of >= 64 n docs, where top_n bounds the n-th score from a
+    # sample and adds the rows of terms in a quarter of the docs; drawn after
+    # every case above, so their inputs stay as they were
+    ok = True
+    rare = ["tort", "writ", "bond", "oath", "levy", "heir", "ward", "toll", "lease", "deed"]
+    for _ in range(10):
+        n_docs = int(rng.integers(128, 200))
+        docs = {
+            f"d{j:03d}": " ".join([*rng.choice(words, size=rng.integers(1, 6)), *rng.choice(rare, size=rng.integers(0, 2))])
+            for j in range(n_docs)
+        }
+        q = list(rng.choice(words + rare, size=3))
+        ok = _bm25_agrees(docs, q, (1, 2, n_docs // 3)) and ok
+    results.append(("bm25 top_n cuts on large corpora vs oracle", ok, "10 corpora of 128-199 docs, n = 1, 2, n_docs // 3"))
     return results
+
+
+def _bm25_agrees(docs: dict[str, str], q: list[str], cuts) -> bool:
+    """bm25_score of every doc, and top_n's ids at each cut, against the
+    straight-loop oracle."""
+    idx = build_index([Article(i, "", t) for i, t in docs.items()])
+    oracle = bm25_oracle(docs, q)
+    expect = [d for d, _ in sorted(oracle.items(), key=lambda kv: (-kv[1], kv[0]))]
+    close = all(abs(bm25_score(idx, q, did) - oracle[did]) <= 1e-12 for did in docs)
+    return close and all([d for d, _ in top_n(idx, q, n)] == expect[:n] for n in cuts)

@@ -433,6 +433,63 @@ def test_posting_impacts_are_filled_by_the_first_query_of_each_pair(tmp_path, mo
     assert digest == "c0d9c8e80c139956c8da28e15947d13d0ea37551507312e06a6ef31ed3ac1364"
 
 
+RARE = ["lien", "tort", "bond", "oath", "levy", "fee", "heir", "ward", "toll", "lease"]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(min_value=1, max_value=3), st.data())
+def test_dense_rows_and_the_sampled_cut_equal_the_dict_reference(n, data):
+    # n_docs >= 64 n, so top_n bounds the n-th score from a strided sample;
+    # "law" is in every other doc and "writ" in doc 0 only, so queries mix
+    # dense rows with scatter-adds; bags of a few words tie at the n-th place
+    n_docs = data.draw(st.integers(min_value=64 * n, max_value=64 * n + 64))
+    bag = st.tuples(st.lists(st.sampled_from(WORDS[1:]), max_size=3), st.lists(st.sampled_from(RARE), max_size=1))
+    bags = data.draw(st.lists(bag, min_size=n_docs, max_size=n_docs))
+    texts = [" ".join(["law"] * (j % 2 == 0) + ["writ"] * (j == 0) + c + r) for j, (c, r) in enumerate(bags)]
+    arts = corpus(texts)
+    ref = _dict_index(arts)
+    idx = build_index(arts)
+    pairs = data.draw(st.lists(st.tuples(BM25_K1, BM25_B), min_size=2, max_size=2))
+    words = WORDS + RARE + ["writ", "zzz"]
+    queries = data.draw(st.lists(st.lists(st.sampled_from(words), min_size=1, max_size=5), min_size=1, max_size=2))
+    # sparse terms between dense ones, where adding the rows out of query
+    # order would move last bits
+    queries += [["law", "writ", "law"], ["writ", "law", "lien", "gift", "tort", "deed", "lease", "act"]]
+    for k1, b in pairs * 2:
+        for query in queries:
+            assert top_n(idx, query, n, k1, b) == _dict_top_n(ref, query, n, k1, b)
+            every = dict(_dict_top_n(ref, query, n_docs, k1, b))
+            assert all(bm25_score(idx, query, a.id, k1, b) == every[a.id] for a in arts[::7])
+        rows = idx.impact[2]
+        assert idx.term_ids["law"] in rows and idx.term_ids["writ"] not in rows
+
+
+def test_dense_rows_are_built_once_per_pair_for_terms_in_a_quarter_of_the_docs():
+    # df: law 5, gift 3, deed 2 (a quarter of 8 docs), act 1, writ 1
+    texts = ["law gift act", "law gift deed", "law deed", "law", "writ", "", "gift", "law"]
+    idx = build_index(corpus(texts))
+    assert idx.impact is None
+    first = top_n(idx, ["act", "law"], 3)
+    k1_b, impact, rows = idx.impact
+    assert k1_b == (1.2, 0.75)
+    assert sorted(rows) == sorted(idx.term_ids[t] for t in ("law", "gift", "deed"))
+    for t, row in rows.items():
+        lo, hi = idx.starts[t : t + 2]
+        dense = [0.0] * idx.n_docs
+        for d, s in zip(idx.docs[lo:hi].tolist(), impact[lo:hi].tolist()):
+            dense[d] = s
+        assert row.tolist() == dense and row.shape == (idx.n_docs,)
+
+    assert top_n(idx, ["act", "law"], 3) == first
+    bm25_score(idx, ["gift"], "d001")
+    assert idx.impact[2] is rows and all(idx.impact[2][t] is row for t, row in rows.items())
+    top_n(idx, ["law"], 3, b=0.5)
+    other = idx.impact[2]
+    assert other is not rows and sorted(other) == sorted(rows)
+    top_n(idx, ["gift"], 3, b=0.5)
+    assert idx.impact[2] is other
+
+
 def test_an_index_without_tokens_scores_every_doc_0_without_warnings():
     import warnings
 

@@ -18,7 +18,7 @@ PINNED = {
     "errstate", "exp", "flatnonzero", "float64", "frombuffer", "full_like", "int64",
     "intp", "isfinite", "lexsort", "linalg", "linalg.norm", "linalg.qr", "log",
     "log1p", "matmul", "max", "maximum", "mean", "ndarray", "ones_like", "outer",
-    "partition", "random", "random.Generator", "random.default_rng", "repeat",
+    "random", "random.Generator", "random.default_rng", "repeat",
     "searchsorted", "sort", "stack", "tanh", "tile", "unique", "zeros", "zeros_like",
 }
 
