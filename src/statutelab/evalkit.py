@@ -9,8 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "RetrievalJudgment",
+    "f2_score",
+    "ordered_mean",
     "prf2",
     "macro_f2",
     "accuracy",
@@ -28,13 +32,29 @@ class RetrievalJudgment:
             raise ValueError("retrieved list contains duplicates")
 
 
+def f2_score(p, r):
+    """F2 = 5PR / (4P + R) of a precision and a recall (both >= 0), 0.0
+    where both are 0.  Floats or float64 arrays, elementwise: the IEEE
+    operations are the same either way."""
+    den = 4.0 * p + r
+    return 5.0 * p * r / np.where(den > 0.0, den, 1.0)
+
+
+def ordered_mean(values):
+    """The mean of floats or of float64 arrays, added left to right from
+    0.0: the order of sum() before Python 3.12, whose sum() compensates."""
+    total = 0.0
+    for v in values:
+        total = total + v
+    return total / len(values)
+
+
 def prf2(gold: set, retrieved: set) -> tuple[float, float, float]:
     """Precision, recall and F2 of one retrieval."""
     hits = len(set(gold) & set(retrieved))
     p = hits / len(retrieved) if retrieved else 0.0
     r = hits / len(gold) if gold else 0.0
-    f2 = 5.0 * p * r / (4.0 * p + r) if (p + r) > 0 else 0.0
-    return p, r, f2
+    return p, r, float(f2_score(p, r))
 
 
 def macro_f2(judgments: list[RetrievalJudgment], k: int) -> tuple[float, float, float]:
@@ -47,8 +67,7 @@ def macro_f2(judgments: list[RetrievalJudgment], k: int) -> tuple[float, float, 
         ps.append(p)
         rs.append(r)
         f2s.append(f2)
-    n = len(judgments)
-    return sum(ps) / n, sum(rs) / n, sum(f2s) / n
+    return ordered_mean(ps), ordered_mean(rs), ordered_mean(f2s)
 
 
 def accuracy(preds: list[bool], golds: list[bool]) -> float:

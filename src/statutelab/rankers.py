@@ -10,6 +10,7 @@ cross-entropy in tensor.ce_negsample and plain gradient descent.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -18,6 +19,7 @@ from . import tensor as T
 from .tensor import Tensor
 from .corpus import Article, Query
 from .encoders import (
+    STACK_CAP,
     EmbeddingTable,
     GeneralAttentionParams,
     SelfAttentionEncoder,
@@ -30,7 +32,7 @@ from .encoders import (
     init_self_attention_layer,
     random_embeddings,
 )
-from .evalkit import RetrievalJudgment, macro_f2
+from .evalkit import f2_score, ordered_mean
 from .lexical import InvertedIndex, tokenize, top_n
 from .store import bundle_bytes, load_bundle, write_bundle
 
@@ -215,12 +217,14 @@ def _pool_paragraphs(
     return out
 
 
-def _encode_articles(model: RankerModel, articles: list[Article], encoded: dict) -> dict:
-    """Put what scoring needs of each article not yet in `encoded` there, the
-    statements of all of them encoded in one encode_statements call: r_a when
-    the paragraph query is learned, else the statement rows; None when no
-    statement has tokens.  Returns `encoded`."""
-    todo = {a.id: _statement_tokens(a) for a in articles if a.id not in encoded}
+# statements per encode_statements call of _encode_articles: enough to fill
+# the stacks, few enough to bound the token lists and rows held at once
+ENCODE_CHUNK = 64 * STACK_CAP
+
+
+def _encode_chunk(model: RankerModel, todo: dict[str, list[list[str]]], encoded: dict) -> None:
+    """Put the entries of the articles in `todo` (id -> statement token
+    lists) into `encoded`, their statements encoded in one call."""
     vecs = encode_statements([t for ts in todo.values() for t in ts], model.encoder)
     blocks, start = [], 0
     for ts in todo.values():
@@ -230,6 +234,27 @@ def _encode_articles(model: RankerModel, articles: list[Article], encoded: dict)
         pooled = _pool_paragraphs(model, blocks, model.para_query.data)
         blocks = [None if p is None else p[0] for p in pooled]
     encoded.update(zip(todo, blocks))
+
+
+def _encode_articles(model: RankerModel, articles: Iterable[Article], encoded: dict) -> dict:
+    """Put what scoring needs of each article not yet in `encoded` there, in
+    first-seen order: r_a when the paragraph query is learned, else the
+    statement rows; None when no statement has tokens.  The articles are
+    tokenized and encoded in chunks of at most ENCODE_CHUNK statements (an
+    article with more is a chunk of its own); every row has the bits of its
+    own encode, whatever the chunk.  Returns `encoded`."""
+    todo, size = {}, 0
+    for a in articles:
+        if a.id in encoded or a.id in todo:
+            continue
+        ts = _statement_tokens(a)
+        if todo and size + len(ts) > ENCODE_CHUNK:
+            _encode_chunk(model, todo, encoded)
+            todo, size = {}, 0
+        todo[a.id] = ts
+        size += len(ts)
+    if todo:
+        _encode_chunk(model, todo, encoded)
     return encoded
 
 
@@ -349,24 +374,21 @@ def score_candidates(
     n_predict: int | None = None,
 ) -> list[CandidateScores]:
     """Retrieve each query's top-N lexically and score the candidates
-    semantically, in one pass: each query is encoded once and each distinct
-    candidate article once, a query's new candidates in one stacked encode,
-    and the encodings live only for this call."""
+    semantically, in one pass: each query is encoded once, then the distinct
+    candidates of every query with tokens once, in first-seen order and in
+    _encode_articles' chunks, and the encodings live only for this call."""
     n_predict = model.config.n_predict if n_predict is None else n_predict
     by_id = {a.id: a for a in corpus}
-    encoded = {}
-    out = []
+    out, qvs = [], []
     for query in queries:
         q_tokens = tokenize(query.text)
         hits = top_n(index, q_tokens, n_predict, k1=model.config.k1, b=model.config.b)
-        ids = [doc_id for doc_id, _ in hits]
-        qv = _encode_sentence(model, q_tokens)
-        if qv is None:
-            sem = [0.0] * len(ids)
-        else:
-            _encode_articles(model, [by_id[doc_id] for doc_id in ids], encoded)
-            sem = _semantic(model, qv, [encoded[doc_id] for doc_id in ids])
-        out.append(CandidateScores(ids, _minmax([s for _, s in hits]), sem))
+        out.append(CandidateScores([doc_id for doc_id, _ in hits], _minmax([s for _, s in hits]), []))
+        qvs.append(_encode_sentence(model, q_tokens))
+    cands = (by_id[doc_id] for c, qv in zip(out, qvs) if qv is not None for doc_id in c.ids)
+    encoded = _encode_articles(model, cands, {})
+    for c, qv in zip(out, qvs):
+        c.sem = [0.0] * len(c.ids) if qv is None else _semantic(model, qv, [encoded[doc_id] for doc_id in c.ids])
     return out
 
 
@@ -395,6 +417,25 @@ def rank(
     return order_candidates(scored, alpha)
 
 
+def _f2_at_k(gold: set[str], c: CandidateScores, grid: np.ndarray, k: int) -> np.ndarray:
+    """evalkit.prf2's F2 of one query's top k candidates at each alpha of
+    the grid [A, 1], ranked by (-score, id).  With the candidates in id
+    order, each of k argmax passes takes the best candidate not yet taken,
+    the smallest id among equals."""
+    order = sorted(range(len(c.ids)), key=c.ids.__getitem__)
+    final = grid * np.array(c.lex)[order] + (1.0 - grid) * np.array(c.sem)[order]
+    is_gold = np.array([c.ids[i] in gold for i in order], dtype=bool)
+    rows = np.arange(len(grid))
+    hits = np.zeros(len(grid), dtype=np.int64)
+    cut = min(k, len(order))
+    for _ in range(cut):
+        top = np.argmax(final, axis=1)
+        hits += is_gold[top]
+        final[rows, top] = -np.inf
+    zero = np.zeros(len(grid))
+    return f2_score(hits / cut if cut else zero, hits / len(gold) if gold else zero)
+
+
 def best_alpha(
     queries: list[Query],
     scored: list[CandidateScores],
@@ -402,11 +443,11 @@ def best_alpha(
     k: int = 1,
 ) -> tuple[float, float]:
     """Best alpha on the grid 0, step, 2*step, ..., 1 by macro-F2@k over
-    the queries' scored candidates; ties take the smallest alpha.
+    the queries' scored candidates; ties take the smallest alpha.  The
+    result has the bits of evalkit.macro_f2 over each alpha's rankings.
 
     Each alpha's final scores are alpha*lex + (1-alpha)*sem in float64,
-    rounded exactly as the scalar expression, and each query's candidates
-    are ordered by (-score, id) with one lexsort over the whole grid."""
+    rounded exactly as the scalar expression.  The scores must be finite."""
     if not queries:
         raise ValueError("grid search needs a non-empty validation set")
     if not 0.0 < step <= 1.0:
@@ -420,18 +461,9 @@ def best_alpha(
         a += step
     alphas.append(1.0)
     grid = np.array(alphas)[:, None]
-    tops = []  # per query: gold ids, candidate ids, top-k candidate positions per alpha
-    for q, c in zip(queries, scored, strict=True):
-        ids = np.array(c.ids, dtype=object)
-        id_rank = np.empty(len(ids), dtype=np.int64)
-        id_rank[sorted(range(len(ids)), key=c.ids.__getitem__)] = np.arange(len(ids))
-        final = grid * np.array(c.lex) + (1.0 - grid) * np.array(c.sem)
-        order = np.lexsort((np.broadcast_to(id_rank, final.shape), -final), axis=-1)
-        tops.append((set(q.relevant_ids), ids, order[:, :k]))
+    f2s = ordered_mean([_f2_at_k(set(q.relevant_ids), c, grid, k) for q, c in zip(queries, scored, strict=True)])
     best, best_f2 = 0.0, -1.0
-    for a, alpha in enumerate(alphas):
-        judgments = [RetrievalJudgment(gold, list(ids[top[a]])) for gold, ids, top in tops]
-        _, _, f2 = macro_f2(judgments, k)
+    for alpha, f2 in zip(alphas, f2s.tolist()):
         if f2 > best_f2 + 1e-12:
             best, best_f2 = alpha, f2
     return best, best_f2

@@ -687,6 +687,19 @@ def test_invalid_utf8_input_names_file_and_line(tmp_path, capsys):
     assert not (tmp_path / "train").exists()
 
 
+@pytest.mark.parametrize("key", ["id", "text"])
+def test_a_lone_surrogate_in_a_corpus_exits_1_writing_nothing(tmp_path, capsys, key):
+    rows = [{"id": "a1", "title": "", "text": "gift law"}, {"id": "a2", "title": "", "text": "lease lien"}]
+    rows[1][key] += "\ud800"
+    corpus = write_corpus(tmp_path, rows)
+    for argv in (["index", "build"], ["corpus", "chunk"]):
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, *argv, "--corpus", str(corpus), "--out", str(out))
+        assert code == 1
+        assert err == f"error: {corpus} line 2: key {key!r} holds a lone surrogate (not UTF-8)\n"
+        assert stdout == "" and not out.exists()
+
+
 # each JSONL reader: the command that reads it and one good record
 _JSONL_READERS = {
     "bilingual": (["augment", "nmsp", "--seed", "7", "--out", "{out}", "--doc"], {"pairs": [["a b", "c d"]]}),

@@ -99,6 +99,25 @@ def test_text_loaders_name_the_file_and_the_line(tmp_path, case):
     assert str(exc.value) == f"{p} line {message}"
 
 
+def test_a_lone_surrogate_names_file_line_and_key(tmp_path):
+    p = tmp_path / "in.jsonl"
+    good = {"id": "a0", "title": "", "text": "x"}
+    for loader, bad, key in (
+        (load_corpus, {"id": "a\ud800", "title": "", "text": "x"}, "id"),
+        (load_corpus, {"id": "a1", "title": "", "text": "x \udc00 y"}, "text"),
+        (load_corpus, {"id": "a1", "title": "", "text": "x", "notes": [["ok", "\ud83d"]]}, "notes"),
+        (load_queries, {"id": "q1", "text": "x", "relevant_ids": ["a\udfff"]}, "relevant_ids"),
+    ):
+        write_jsonl(p, [good, bad])  # json.dumps writes each surrogate as a \u escape
+        with pytest.raises(ValueError) as exc:
+            loader(p)
+        assert str(exc.value) == f"{p} line 2: key {key!r} holds a lone surrogate (not UTF-8)"
+    # an escaped surrogate pair is one character, and an escaped backslash
+    # before a u is no escape
+    write_jsonl(p, [good, {"id": "a\U0001f600", "title": "C:\\users", "text": "x \\ud800"}])
+    assert [(a.id, a.title, a.text) for a in load_corpus(p)][1] == ("a\U0001f600", "C:\\users", "x \\ud800")
+
+
 def test_load_queries(tmp_path):
     p = tmp_path / "q.jsonl"
     write_jsonl(p, [

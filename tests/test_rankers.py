@@ -476,16 +476,23 @@ def sorted_sweep(queries, scored, step, k):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_best_alpha_equals_sorted_sweep_with_tied_scores(seed):
+    """11 queries with F2 values that are mostly not dyadic, so a pairwise
+    sum over the queries would change the last bits; 0-8 candidates, so k
+    is often above a query's count; gold ids drawn from the candidates plus,
+    for about half the queries, one that is none of them."""
     rng = np.random.default_rng(seed)
     levels = np.array([0.0, 0.25, 0.5, 0.75, 1.0])  # few levels: many exact ties
     queries, scored = [], []
-    for qi in range(7):
-        n = int(rng.integers(1, 9))
+    for qi in range(11):
+        n = int(rng.integers(0, 9))
         ids = [f"d{j}" for j in rng.permutation(12)[:n]]
-        queries.append(Query(f"q{qi}", "", set(rng.choice(ids, size=int(rng.integers(1, n + 1)), replace=False))))
+        gold = set(rng.choice(ids, size=int(rng.integers(0, n + 1)), replace=False)) if n else set()
+        if rng.random() < 0.5:
+            gold.add(f"x{qi}")
+        queries.append(Query(f"q{qi}", "", gold))
         scored.append(CandidateScores(ids, list(rng.choice(levels, n)), list(rng.choice(levels, n))))
     for step in (0.01, 0.125, 0.3, 1.0):
-        for k in (1, 2, 5):
+        for k in (1, 2, 3, 5, 9):
             assert best_alpha(queries, scored, step, k) == sorted_sweep(queries, scored, step, k)
 
 
@@ -494,7 +501,7 @@ def test_grid_search_alpha_equals_sorted_sweep_on_model_scores():
     idx = build_index(articles)
     for model in scoring_models(articles, queries).values():
         scored = score_candidates(model, idx, articles, queries, n_predict=5)
-        for k in (1, 2):
+        for k in (1, 2, 3):
             got = grid_search_alpha(model, idx, articles, queries, step=0.05, n_predict=5, k=k)
             assert got == sorted_sweep(queries, scored, 0.05, k)
 
@@ -511,10 +518,12 @@ def test_best_alpha_rejects_bad_inputs():
 
 
 def test_score_candidates_encodes_each_query_and_article_once(monkeypatch):
+    """Also in chunks of 2 statements, or of 1 (an article with 2 is then a
+    chunk of its own), with the bits of a single chunk."""
     articles, queries = statement_world()
     model = scoring_models(articles, queries)["learned"]
     idx = build_index(articles)
-    seen = []
+    seen, calls = [], []
     real = rankers.encode_sentence_cnn
     real_statements = rankers.encode_statements
 
@@ -524,13 +533,25 @@ def test_score_candidates_encodes_each_query_and_article_once(monkeypatch):
 
     def counting_statements(token_lists, enc):
         seen.extend(tuple(t) for t in token_lists)
+        calls.append(len(token_lists))
         return real_statements(token_lists, enc)
+
+    def bits(scored):
+        return [(c.ids, [x.hex() for x in c.lex], [x.hex() for x in c.sem]) for c in scored]
 
     monkeypatch.setattr(rankers, "encode_sentence_cnn", counting)
     monkeypatch.setattr(rankers, "encode_statements", counting_statements)
-    score_candidates(model, idx, articles, queries, n_predict=5)
     statements = [tuple(t) for a in articles for t in map(tokenize, a.statements or [a.text]) if t]
-    assert sorted(seen) == sorted([tuple(tokenize(q.text)) for q in queries] + statements)
+    once = sorted([tuple(tokenize(q.text)) for q in queries] + statements)
+    whole = score_candidates(model, idx, articles, queries, n_predict=5)
+    assert sorted(seen) == once and calls == [len(statements)]
+    for chunk in (2, 1):
+        seen.clear()
+        calls.clear()
+        monkeypatch.setattr(rankers, "ENCODE_CHUNK", chunk)
+        assert bits(score_candidates(model, idx, articles, queries, n_predict=5)) == bits(whole)
+        assert sorted(seen) == once
+        assert len(calls) > 1 and max(calls) == 2
 
 
 @pytest.mark.parametrize("kind", ["learned", "derived", "paraformer_lite"])
