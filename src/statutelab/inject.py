@@ -12,7 +12,6 @@ the needles are dropped from checkpoints after training.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -339,35 +338,84 @@ def tre_forward(model: SelfAttentionEncoder, tokens: list[str]) -> list[Tensor]:
     return self_attention_states(tokens, model)[0][1:]
 
 
-def _token_cross_entropy(logits: Tensor, gold_idx: np.ndarray) -> Tensor:
-    z = logits.data
+def _softmax_ce(z: np.ndarray, gold_idx: np.ndarray) -> tuple[float, np.ndarray]:
+    """The mean cross entropy of the softmax rows of z [M, T] against the
+    gold indices, and the softmax rows."""
     m = z.max(axis=1, keepdims=True)
     e = np.exp(z - m)
-    p = e / e.sum(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(e.sum(axis=1))
-    rows = np.arange(len(gold_idx))
-    loss = float((lse - z[rows, gold_idx]).mean())
+    total = e.sum(axis=1, keepdims=True)
+    p = e / total
+    lse = m[:, 0] + np.log(total[:, 0])
+    # the sum and the division of np.mean, without its Python wrapper
+    return float((lse - z[np.arange(len(gold_idx)), gold_idx]).sum() / len(gold_idx)), p
 
-    def vjp(g):
-        gm = p.copy()
-        gm[rows, gold_idx] -= 1.0
-        return (float(g) * gm / len(gold_idx),)
 
-    return T._out(np.asarray(loss), (logits,), vjp, "token_ce")
+def _softmax_ce_grad(g: float, p: np.ndarray, gold_idx: np.ndarray) -> np.ndarray:
+    """The gradient of _softmax_ce at output gradient g: g (p - onehot) / M."""
+    gm = p.copy()
+    gm[np.arange(len(gold_idx)), gold_idx] -= 1.0
+    return g * gm / len(gold_idx)
+
+
+def _token_cross_entropy(logits: Tensor, gold_idx: np.ndarray) -> Tensor:
+    loss, p = _softmax_ce(logits.data, gold_idx)
+    return T._out(np.asarray(loss), (logits,), lambda g: (_softmax_ce_grad(float(g), p, gold_idx),), "token_ce")
+
+
+def _gold_index(z: np.ndarray, gold_tags: list[str], w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The TAGSET indices of the gold tags of states z under a needle (w, b);
+    ValueError for a needle of another size, a tag count other than z's row
+    count or an unknown tag."""
+    if w.shape[1] != len(TAGSET) or b.shape[0] != len(TAGSET):
+        raise ValueError(f"needle must map to {len(TAGSET)} tags")
+    if z.shape[0] != len(gold_tags):
+        raise ValueError(f"{z.shape[0]} states but {len(gold_tags)} gold tags")
+    try:
+        return np.array([_TAG_IDX[t] for t in gold_tags])
+    except KeyError as exc:
+        raise ValueError(f"unknown tag {exc.args[0]!r}") from exc
 
 
 def tre_needle_loss(z: Tensor, gold_tags: list[str], w: Tensor, b: Tensor) -> Tensor:
     """Mean token-level cross entropy of softmax(z W + b) against gold tags."""
-    if w.data.shape[1] != len(TAGSET) or b.data.shape[0] != len(TAGSET):
-        raise ValueError(f"needle must map to {len(TAGSET)} tags")
-    if z.data.shape[0] != len(gold_tags):
-        raise ValueError(f"{z.data.shape[0]} states but {len(gold_tags)} gold tags")
-    try:
-        gold_idx = np.array([_TAG_IDX[t] for t in gold_tags])
-    except KeyError as exc:
-        raise ValueError(f"unknown tag {exc.args[0]!r}") from exc
+    gold_idx = _gold_index(z.data, gold_tags, w.data, b.data)
     logits = T.add(T.matmul(z, w), b)
     return _token_cross_entropy(logits, gold_idx)
+
+
+def _needles_loss(
+    states: list[Tensor], tags: list[list[str]], needles: list[Needle], assignment: list[tuple[int, float]]
+) -> tuple[Tensor, list[float]]:
+    """A tre_train step's loss as one tape node, and the raw needle losses
+    in level order.  Level l's needle reads states[pos - 1] for its
+    assigned (pos, portion), and the loss adds the levels' portion-weighted
+    losses in level order.  The value, the raw losses and every gradient
+    have the bits of the per-level composition (tre_needle_loss, T.scale,
+    then T.add left to right): a layer that several needles read takes
+    their gradients last level first, as backward adds them on that tape."""
+    levels, raw, total = [], [], None
+    for level, (pos, portion) in enumerate(assignment):
+        z, w, b = states[pos - 1].data, needles[level].w.data, needles[level].b.data
+        gold_idx = _gold_index(z, tags[level], w, b)
+        loss, p = _softmax_ce(np.matmul(z, w) + b, gold_idx)
+        raw.append(loss)
+        part = np.asarray(loss) * float(portion)
+        total = part if total is None else total + part
+        levels.append((pos, float(portion), z, w, gold_idx, p))
+    layers = sorted({pos for pos, _ in assignment})
+
+    def vjp(g):
+        g_states, g_needles = {}, [()] * len(levels)
+        for level in reversed(range(len(levels))):
+            pos, portion, z, w, gold_idx, p = levels[level]
+            g_logits = _softmax_ce_grad(float(g * portion), p, gold_idx)
+            g_z = g_logits @ w.T
+            g_states[pos] = g_states[pos] + g_z if pos in g_states else g_z
+            g_needles[level] = (z.T @ g_logits, g_logits.sum(axis=0))
+        return (*(g_states[pos] for pos in layers), *(g for pair in g_needles for g in pair))
+
+    parents = (*(states[pos - 1] for pos in layers), *(t for n in needles for t in (n.w, n.b)))
+    return T._out(np.asarray(total), parents, vjp, "needles_loss"), raw
 
 
 def _needle_assignment(config: InjectionConfig) -> list[tuple[int, float]]:
@@ -423,15 +471,9 @@ def tre_train(
             raw = []
 
             def loss_fn():
-                states = tre_forward(model, sample.tokens)
-                parts = []
-                for level, (pos, portion) in enumerate(assignment):
-                    l = tre_needle_loss(
-                        states[pos - 1], sample.tags[level], needles[level].w, needles[level].b
-                    )
-                    raw.append(float(l.data))
-                    parts.append(T.scale(l, portion))
-                return functools.reduce(T.add, parts)
+                loss, losses = _needles_loss(tre_forward(model, sample.tokens), sample.tags, needles, assignment)
+                raw.extend(losses)
+                return loss
 
             loss = T.train_step(params, lr, loss_fn, f"epoch {epoch} at sample {int(si) + 1}")
             step_losses.append((float(loss.data), raw))

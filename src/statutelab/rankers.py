@@ -173,14 +173,22 @@ def _statement_tokens(article: Article) -> list[list[str]]:
     return [t for t in map(tokenize, article.statements or [article.text]) if t]
 
 
-def _train_scores(model: RankerModel, q_tokens: list[str], articles: list[Article], rng) -> list[Tensor]:
+def _train_scores(
+    model: RankerModel, q_tokens: list[str], articles: list[Article], rng, statements: dict | None = None
+) -> list[Tensor]:
     """s_s = q . r_a of each article on the tape, the query and every
     statement encoded in one encode_on_tape node, with dropout; 0.0 when the
     query or every statement of the article has no tokens.  No statement is
-    encoded when the query has no tokens."""
+    encoded when the query has no tokens.  statements, when given, keeps
+    each article's _statement_tokens by id, so an article is tokenized once
+    across calls."""
     if not q_tokens:
         return [Tensor(0.0) for _ in articles]
-    blocks = [_statement_tokens(a) for a in articles]
+    statements = {} if statements is None else statements
+    for a in articles:
+        if a.id not in statements:
+            statements[a.id] = _statement_tokens(a)
+    blocks = [statements[a.id] for a in articles]
     encoded = encode_on_tape([q_tokens] + [t for ts in blocks for t in ts], model.encoder, rng)
     qv = T.take_rows(encoded, 0)
     pq = model.para_query if model.para_query is not None else qv
@@ -321,6 +329,7 @@ def train_ranker(
         prepared.append((q_tokens, sorted(q.relevant_ids & by_id.keys()), pool))
     params = parameters(model)
     rng = np.random.default_rng(cfg.seed)
+    statements: dict[str, list[list[str]]] = {}
     trace = []
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(queries))
@@ -333,7 +342,7 @@ def train_ranker(
             neg_ids = [pool[i] for i in rng.choice(len(pool), size=n_negs, replace=False)] if pool else []
 
             def loss_fn():
-                ys = _train_scores(model, q_tokens, [by_id[d] for d in [pos_id, *neg_ids]], rng)
+                ys = _train_scores(model, q_tokens, [by_id[d] for d in [pos_id, *neg_ids]], rng, statements)
                 return T.ce_negsample(ys[0], ys[1:])
 
             loss = T.train_step(params, cfg.lr, loss_fn, f"epoch {epoch} at query {q.id!r}")
@@ -518,9 +527,10 @@ def _clf_params(clf: LawfulnessClassifier) -> list[Tensor]:
 
 
 def train_lawfulness(clf: LawfulnessClassifier, dataset, seed: int) -> LawfulnessClassifier:
-    """Binary cross-entropy training of the CNN encoder plus linear head.  A
-    step that diverges raises ValueError naming the epoch and the sample,
-    counted from 1 in dataset order (tensor.train_step)."""
+    """Binary cross-entropy training of the CNN encoder plus linear head,
+    each text encoded by encode_on_tape as a ranker step encodes its
+    statements.  A step that diverges raises ValueError naming the epoch
+    and the sample, counted from 1 in dataset order (tensor.train_step)."""
     labels = {rec.lawful for rec in dataset}
     if labels != {True, False}:
         raise ValueError("training data must contain both lawful and unlawful records")
@@ -532,7 +542,7 @@ def train_lawfulness(clf: LawfulnessClassifier, dataset, seed: int) -> Lawfulnes
             tokens, y = items[int(i)]
 
             def loss_fn():
-                z = T.add(T.dot(clf.w, encode_sentence_cnn(tokens, clf.encoder)), clf.b)
+                z = T.add(T.dot(clf.w, T.take_rows(encode_on_tape([tokens], clf.encoder, None), 0)), clf.b)
                 # -ln sigma(z) if lawful else -ln(1 - sigma(z)), via softplus
                 return T.sub(T.softplus(z), T.scale(z, y))
 

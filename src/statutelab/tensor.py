@@ -12,7 +12,8 @@ Their forward values are computed once, over any leading batch axes; the
 without building a tape, each entry with the bits of its own tape op.  The
 VJPs of the first two are plain functions (``_conv_tanh_vjp``,
 ``_additive_vjp``), which ``encoders.encode_on_tape`` also runs, once per
-sentence of a CNN's node.  All math is double precision and single
+sentence of a CNN's node, after a forward whose row-wise products run once
+over all the node's sentences.  All math is double precision and single
 threaded, so repeated runs are bit-identical.
 """
 
@@ -508,13 +509,19 @@ def conv_tanh_values(x: np.ndarray, filters: np.ndarray) -> np.ndarray:
     return np.tanh(_conv_same(x, filters)[1])
 
 
+def _additive_pool(r: np.ndarray, h: np.ndarray, q: np.ndarray, weight_fn: str):
+    """The pooled rows and the weights of additive attention over the rows
+    of r [..., n, d_r], given its hidden rows h = tanh(r at + b)."""
+    scores = np.matmul(h, q)
+    w = _softmax(scores) if weight_fn == "softmax" else sparsemax_values(scores)
+    return np.matmul(w[..., None, :], r)[..., 0, :], w
+
+
 def _additive_forward(r: np.ndarray, at: np.ndarray, b: np.ndarray, q: np.ndarray, weight_fn: str):
     """Additive attention over the rows (second-last axis) of r [..., n, d_r]
     with at = A^T: the pooled rows, the weights and tanh(r at + b)."""
     h = np.tanh(np.matmul(r, at) + b)
-    scores = np.matmul(h, q)
-    w = _softmax(scores) if weight_fn == "softmax" else sparsemax_values(scores)
-    return np.matmul(w[..., None, :], r)[..., 0, :], w, h
+    return (*_additive_pool(r, h, q, weight_fn), h)
 
 
 def _additive_vjp(g, r, at, q, w, h, weight_fn):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import train_oracle
-from statutelab import rankers
+from statutelab import encoders, rankers
 from statutelab import tensor as T
 from statutelab.corpus import Article, chunk_corpus
 from statutelab.encoders import encode_on_tape
@@ -44,11 +44,17 @@ def _step(kind, step, scores_fn):
     """One training step's loss and scores through scores_fn on a fresh
     model: the loss, the scores, each parameter's gradient, the parameters
     after the update and the rng state after the step."""
-    model = MODELS[kind](rankers.RankerConfig(seed=5, lr=0.1))
     text, ids = STEPS[step]
     by_id = {a.id: a for a in ARTICLES}
+    return _run_step(MODELS[kind], text, [by_id[i] for i in ids], scores_fn)
+
+
+def _run_step(build, text, articles, scores_fn):
+    """_step for the model that build(config) makes, the query text and the
+    articles, the positive first."""
+    model = build(rankers.RankerConfig(seed=5, lr=0.1))
     rng = np.random.default_rng(17)
-    scores = scores_fn(model, tokenize(text), [by_id[i] for i in ids], rng)
+    scores = scores_fn(model, tokenize(text), articles, rng)
     loss = T.ce_negsample(scores[0], scores[1:])
     params = rankers.parameters(model)
     if loss.requires_grad:
@@ -114,3 +120,43 @@ def test_the_node_raises_the_per_sentence_errors():
         encode_on_tape([["gift"], []], model.encoder, np.random.default_rng(0))
     with pytest.raises(ValueError, match="sequence length 65 exceeds positional table"):
         encode_on_tape([["gift"], ["deed"] * 65], model.encoder, np.random.default_rng(0))
+
+
+# with the query's 5 tokens, token lists of 1 to 9 tokens; "void" is out of
+# the vocabulary throughout
+LONG_QUERY = "gift deed lien act writing"
+LONG_ARTICLES = chunk_corpus([
+    Article("nine", "", "(1) gift deed lien act law party goods claim. (2) writing."),
+    Article("void", "", "zzz qqq zzz"),
+    Article("mixed", "", "(1) deed zzz act law party goods. (2) lien lease gift. (3) ?! "
+                         "(4) goods gift claim lien party writing qqq."),
+    Article("six", "", "claim party lease act law deed"),
+])
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+@pytest.mark.parametrize("sizes", [(16, 8), (17, 2)])
+@pytest.mark.parametrize("width", [1, 5])
+def test_the_one_pass_forward_has_the_bits_of_the_per_sentence_composition(width, sizes, dropout, monkeypatch):
+    filters, attn_dim = sizes
+
+    def build(cfg):
+        return rankers.build_attentive_cnn(
+            VOCAB, embed_dim=16, filters=filters, attn_dim=attn_dim, seed=3, width=width, dropout=dropout, config=cfg)
+
+    lengths = [len(tokenize(LONG_QUERY))] + [len(t) for a in LONG_ARTICLES for t in rankers._statement_tokens(a)]
+    assert sorted(lengths) == list(range(1, 10))
+    passes = []
+    cnn_hidden = encoders._cnn_hidden
+    monkeypatch.setattr(encoders, "_cnn_hidden", lambda xs, *rest: passes.append(len(xs)) or cnn_hidden(xs, *rest))
+    node = _run_step(build, LONG_QUERY, LONG_ARTICLES, rankers._train_scores)
+    # at output widths that are multiples of 8 the lists of two tokens or
+    # more run in one pass; at 17 filters and d_q 2 each list runs alone
+    assert sorted(passes) == ([1, 8] if encoders._one_pass(filters, attn_dim) else [1] * 9)
+    oracle = _run_step(build, LONG_QUERY, LONG_ARTICLES, train_oracle.train_scores)
+    assert np.asarray(node[0].data).tobytes() == np.asarray(oracle[0].data).tobytes()
+    assert [s.data.tobytes() for s in node[1]] == [s.data.tobytes() for s in oracle[1]]
+    assert all(g is not None for g in node[2])
+    assert [_grad_bytes(g) for g in node[2]] == [_grad_bytes(g) for g in oracle[2]]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(node[3], oracle[3]))
+    assert node[4] == oracle[4]

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -470,3 +471,51 @@ def test_tre_evaluate_counts_every_token_of_a_sample_with_an_unknown_word():
             total += len(gold)
     assert total == 3 * sum(len(s.tokens) for s in data)
     assert tre_evaluate(result.model, result.needles, config, data)["token_accuracy"] == correct / total
+
+
+def _grad_bytes(g):
+    if isinstance(g, T.RowGrad):
+        rows, sums = g.totals()
+        return rows.tobytes(), sums.tobytes()
+    return g.tobytes()
+
+
+def _needle_steps(positions, node):
+    """Three tre_train steps on a fresh model and fresh needles, the loss of
+    each built by the needle node (node) or by the per-level composition:
+    per step, the loss, the raw losses, every parameter's gradient and every
+    parameter after the update."""
+    model = _eval_model(seed=2)
+    rng = np.random.default_rng(9)
+    needles = [
+        Needle(Tensor(rng.normal(size=(16, len(TAGSET))), True), Tensor(rng.normal(size=len(TAGSET)), True))
+        for _ in range(3)
+    ]
+    assignment = inject._needle_assignment(inject.injection_config(4, positions))
+    params = model.tensors() + [t for n in needles for t in (n.w, n.b)]
+    steps = []
+    for sample in _eval_samples(6, oov=True)[:3]:
+        states = tre_forward(model, sample.tokens)
+        if node:
+            loss, raw = inject._needles_loss(states, sample.tags, needles, assignment)
+        else:
+            parts, raw = [], []
+            for level, (pos, portion) in enumerate(assignment):
+                l = tre_needle_loss(states[pos - 1], sample.tags[level], needles[level].w, needles[level].b)
+                raw.append(float(l.data))
+                parts.append(T.scale(l, portion))
+            loss = functools.reduce(T.add, parts)
+        T.backward(loss)
+        grads = [_grad_bytes(p.grad) for p in params]
+        T.sgd_step(params, 0.1)
+        steps.append((loss.data.tobytes(), [r.hex() for r in raw], grads, [p.data.tobytes() for p in params]))
+    return steps
+
+
+@pytest.mark.parametrize("positions", [[2, 3, 4], [3, 4], [4]])
+def test_the_needle_node_has_the_bits_of_the_per_level_composition(positions):
+    # at [4] the three needles read one layer, whose gradient then depends on
+    # the order in which their parts are added: last level first
+    node, composed = _needle_steps(positions, True), _needle_steps(positions, False)
+    assert [len(raw) for _, raw, _, _ in node] == [3, 3, 3]
+    assert node == composed
