@@ -275,7 +275,8 @@ def _rank_inputs(args):
     digest.  The config records the checkpoint's values of the keys it
     fixes (BM25 scores with its k1 and b); n_predict and eval_k come from
     the flag, else the --config file, else the checkpoint.  An index must
-    hold exactly the chunked corpus's article ids."""
+    hold exactly the chunked corpus's article ids, and then its corpus
+    digest must be the corpus's."""
     model = rankers.load_model(args.model_path)
     stored = RunConfig(n_predict=model.config.n_predict, eval_k=model.config.eval_k)
     cfg = dataclasses.replace(_resolve_config(args, stored), **_checkpoint_keys(model))
@@ -287,6 +288,12 @@ def _rank_inputs(args):
         raise ValueError(
             f"index {args.index} was not built from corpus {args.corpus}: "
             f"{_missing(corpus_ids - index_ids, 'index')}, {_missing(index_ids - corpus_ids, 'corpus')}"
+        )
+    if args.index and idx.digest != corpus_mod.digest(articles):
+        raise ValueError(
+            f"index {args.index} was not built from corpus {args.corpus}: the same ids, "
+            f"but the corpus digest differs (an article's text or the article order changed); "
+            f"rebuild it with `slab index build`"
         )
     files = [args.corpus, args.queries, args.model_path] + ([args.index] if args.index else [])
     return cfg, model, articles, queries, idx, files

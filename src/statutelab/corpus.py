@@ -8,6 +8,7 @@ roman-numeral items "(i)", "(ii)" stay inside their parent chunk.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import re
@@ -27,6 +28,7 @@ __all__ = [
     "chunk_article",
     "chunk_corpus",
     "corpus_stats",
+    "digest",
 ]
 
 
@@ -76,21 +78,36 @@ def open_text(path):
             raise
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+_JSON_SPACE = " \t\n\r"
+
+
 def read_jsonl(path, keys=(), parse=None):
     """Yield (line number, record) for each non-blank line of a JSONL file;
     the record is the line's object, or parse(object).  A line that is not
     a JSON object, an object without one of `keys`, a key or value holding
     a lone surrogate (only a \\u escape can write one, so only lines with
     one are searched), or a ValueError or TypeError from `parse` raises
-    ValueError naming the file and the line."""
+    ValueError naming the file and the line.
+
+    A line is decoded by the steps of ``json.loads``, without its Python
+    wrapper: skip JSON whitespace, one ``raw_decode``, and only JSON
+    whitespace after the value.  A line that fails them goes through
+    ``json.loads``, so the error and its message are its own."""
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
+            if line.isspace():  # a line from a file is never empty
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path} line {lineno}: invalid JSON ({exc.msg} at column {exc.colno})") from None
+                obj, end = _raw_decode(line, len(line) - len(line.lstrip(_JSON_SPACE)))
+                clean = not line[end:].strip(_JSON_SPACE)
+            except ValueError:
+                clean = False
+            if not clean:
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{path} line {lineno}: invalid JSON ({exc.msg} at column {exc.colno})") from None
             if not isinstance(obj, dict):
                 raise ValueError(f"{path} line {lineno}: expected a JSON object, got a {type(obj).__name__}")
             # a lone surrogate needs a \u escape; the search for one byte
@@ -217,3 +234,17 @@ def corpus_stats(texts) -> CorpusStats:
     var = sum((n - mean) ** 2 for n in lengths) / len(lengths)
     return CorpusStats(mean, math.sqrt(var), len(lengths))
 
+
+def digest(articles) -> bytes:
+    """sha256 over each article's id and text, in order, each as its UTF-8
+    byte count (u64, little-endian) and bytes.  Titles and statements do
+    not enter it, so chunking a corpus keeps its digest.  A lone surrogate,
+    which no loaded corpus holds, is hashed as its surrogatepass bytes, so
+    every Article has a digest."""
+    h = hashlib.sha256()
+    for a in articles:
+        for s in (a.id, a.text):
+            raw = s.encode("utf-8", "surrogatepass")
+            h.update(len(raw).to_bytes(8, "little"))
+            h.update(raw)
+    return h.digest()

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Article
+from .corpus import digest as corpus_digest
 from .store import Reader
 
 __all__ = [
@@ -50,7 +51,8 @@ class InvertedIndex:
     ``terms[t]`` (first-occurrence order over the corpus).  Term t's
     postings are ``docs[starts[t]:starts[t+1]]``, ascending document
     positions, with term frequencies ``tf[starts[t]:starts[t+1]]`` (u32,
-    the width SLIX1 stores them in).
+    the width SLIX2 stores them in).  ``digest`` is ``corpus.digest`` of
+    the articles the index was built from.
     ``id_rank[i]`` is document i's place in ascending id order (Python
     string order, which numpy's fixed-width strings would not keep for ids
     ending in "\\x00"), the tie-break of ``top_n``.
@@ -68,14 +70,15 @@ class InvertedIndex:
     """
 
     def __init__(self, doc_ids: list[str], lengths: np.ndarray, terms: list[str],
-                 starts: np.ndarray, docs: np.ndarray, tf: np.ndarray):
+                 starts: np.ndarray, docs: np.ndarray, tf: np.ndarray, digest: bytes):
         self.doc_ids = doc_ids
         self.lengths = lengths
         self.terms = terms
-        self.term_ids = {t: i for i, t in enumerate(terms)}
+        self.term_ids = dict(zip(terms, range(len(terms))))
         self.starts = starts
         self.docs = docs
         self.tf = tf
+        self.digest = digest
         self.n_docs = len(doc_ids)
         self.avgdl = int(lengths.sum()) / self.n_docs if self.n_docs else 0.0
         self.id_rank = np.empty(self.n_docs, dtype=np.int64)
@@ -141,7 +144,7 @@ def build_index(corpus: list[Article]) -> InvertedIndex:
     keys = keys[last]
     starts = np.zeros(len(term_ids) + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys // n, minlength=len(term_ids)), out=starts[1:])
-    return InvertedIndex(doc_ids, lengths, list(term_ids), starts, keys % n, tf.astype("<u4"))
+    return InvertedIndex(doc_ids, lengths, list(term_ids), starts, keys % n, tf.astype("<u4"), corpus_digest(corpus))
 
 
 def _idf(n_docs: int, df: int) -> float:
@@ -254,75 +257,101 @@ def top_n(
 
 
 # ---------------------------------------------------------------------------
-# persistence: b"SLIX1", u32 doc count, per doc a length-prefixed UTF-8 id and
-# its u32 token count, u32 term count, per term a length-prefixed UTF-8 term,
-# its u32 posting count and that many (u32 doc position, u32 tf) pairs; every
-# integer little-endian
+# persistence, SLIX2: b"SLIX2", the 32-byte corpus digest, then sections of
+# fields: u32 doc count, the u32 byte length of each doc id, the doc ids'
+# UTF-8 bytes back to back, the u32 token count of each doc; u32 term count,
+# the u32 byte length of each term, the terms' UTF-8 bytes, the u32 posting
+# count of each term; then every posting as a (u32 doc position, u32 tf)
+# pair, term by term.  Every integer is little-endian.  A section is one
+# bounds-checked take and one np.frombuffer, so reading costs a few calls
+# per section rather than per field.
 
-def _field(s: str, n: int) -> bytes:
-    """A length-prefixed UTF-8 string and the u32 after it."""
-    raw = s.encode("utf-8")
-    return len(raw).to_bytes(4, "little") + raw + n.to_bytes(4, "little")
+
+def _strings_section(items: list[str]) -> list[bytes]:
+    """The u32 byte lengths of the items, then their UTF-8 bytes."""
+    raw = [s.encode("utf-8") for s in items]
+    return [np.array([len(b) for b in raw], dtype="<u4").tobytes(), b"".join(raw)]
 
 
 def save_index(index: InvertedIndex, path) -> None:
-    """Write an SLIX1 file, streaming each term's posting block from one
-    array of (doc position, tf) pairs rather than joining the file in
-    memory.  The doc records are packed before the file opens, so a doc id
-    that UTF-8 cannot encode writes nothing; terms are tokens or decoded
-    UTF-8 and always encode."""
-    docs = map(_field, index.doc_ids, index.lengths.tolist())
-    head = b"".join([b"SLIX1", struct.pack("<I", index.n_docs), *docs, struct.pack("<I", len(index.terms))])
+    """Write an SLIX2 file.  Every section is packed before the file opens,
+    so a doc id that UTF-8 cannot encode writes nothing; terms are tokens
+    or decoded UTF-8 and always encode."""
     pairs = np.empty((len(index.docs), 2), dtype="<u4")
     pairs[:, 0], pairs[:, 1] = index.docs, index.tf
-    blob = memoryview(pairs.view("u1").reshape(-1))
-    bounds = index.starts.tolist()
+    parts = [
+        b"SLIX2", index.digest,
+        struct.pack("<I", index.n_docs), *_strings_section(index.doc_ids), index.lengths.astype("<u4").tobytes(),
+        struct.pack("<I", len(index.terms)), *_strings_section(index.terms), np.diff(index.starts).astype("<u4").tobytes(),
+    ]
     with open(path, "wb") as f:
-        f.write(head)
-        for term, lo, hi in zip(index.terms, bounds, bounds[1:]):
-            f.write(_field(term, hi - lo))
-            f.write(blob[8 * lo : 8 * hi])
+        f.writelines(parts)
+        f.write(pairs)
+
+
+def _u32s(r: Reader, n: int) -> np.ndarray:
+    """The next n u32, as an int64 array of their own."""
+    return np.frombuffer(r.buf, "<u4", n, r.take(4 * n)).astype(np.int64)
+
+
+def _strings(r: Reader, what: str) -> list[str]:
+    """A u32 count, that many u32 byte lengths, then the strings' UTF-8
+    bytes back to back.  Invalid UTF-8 and a repeated string raise
+    ValueError at the string's offset."""
+    n = r.u32()
+    lens = _u32s(r, n)
+    bounds = [0, *np.cumsum(lens).tolist()]
+    at = r.take(bounds[-1])
+    raw = r.buf[at : r.pos]
+    if raw.isascii():  # then a byte offset is a character offset
+        text = raw.decode("ascii")
+        items = [text[a:b] for a, b in zip(bounds, bounds[1:])]
+    else:
+        items = []
+        for a, b in zip(bounds, bounds[1:]):
+            try:
+                items.append(raw[a:b].decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise r.error(f"invalid UTF-8 in a {what} ({exc.reason})", at + a + exc.start) from None
+    if len(set(items)) != n:
+        seen = set()
+        for s, a in zip(items, bounds):
+            if s in seen:
+                raise r.error(f"duplicate {what} {s!r}", at + a)
+            seen.add(s)
+    return items
 
 
 def load_index(path) -> InvertedIndex:
-    """Read an SLIX1 file.
+    """Read an SLIX2 file.
 
-    A truncated or corrupt file, trailing bytes, a duplicate doc id or term,
-    a posting whose doc position is out of range or not above the previous
-    one of its term, a term frequency of 0, or a doc length that is not the
-    sum of its term frequencies raise ValueError naming the file and offset.
+    A truncated or corrupt file, trailing bytes, invalid UTF-8, a duplicate
+    doc id or term, a posting whose doc position is out of range or not
+    above the previous one of its term, a term frequency of 0, or a doc
+    length that is not the sum of its term frequencies raise ValueError
+    naming the file and offset.  An SLIX1 file, the format before the
+    corpus digest, raises ValueError asking for a rebuild.
     """
     buf = Path(path).read_bytes()
-    r = Reader(buf, "SLIX1 index", path)
-    r.magic(b"SLIX1")
-    ids: dict[str, int] = {}  # doc id or term -> its offset
-    lengths, length_at = [], []
-    for _ in range(r.u32()):
-        at = r.pos
-        if ids.setdefault(doc_id := r.string(), at) != at:
-            raise r.error(f"duplicate doc id {doc_id!r}", at)
-        length_at.append(r.pos)
-        lengths.append(r.u32())
-    doc_ids, ids = list(ids), {}
-    block_at, counts = [], []
-    for _ in range(r.u32()):
-        at = r.pos
-        if ids.setdefault(term := r.string(), at) != at:
-            raise r.error(f"duplicate term {term!r}", at)
-        counts.append(r.u32())
-        block_at.append(r.take(8 * counts[-1]))
-    r.end()
-    terms = list(ids)
-
-    blocks = b"".join([buf[at : at + 8 * n] for at, n in zip(block_at, counts)])
-    pairs = np.frombuffer(blocks, dtype="<u4").reshape(-1, 2)
-    docs, tf = pairs[:, 0].astype(np.int64), pairs[:, 1].copy()
-    n_docs = len(doc_ids)
-    block_at, counts = np.array(block_at, dtype=np.int64), np.array(counts, dtype=np.int64)
+    if buf[:5] == b"SLIX1":
+        raise ValueError(f"{path}: an SLIX1 index, which holds no corpus digest; rebuild it with `slab index build`")
+    r = Reader(buf, "SLIX2 index", path)
+    r.magic(b"SLIX2")
+    digest = buf[r.take(32) : r.pos]
+    doc_ids = _strings(r, "doc id")
+    n_docs, length_at = len(doc_ids), r.pos
+    lengths = _u32s(r, n_docs)
+    terms = _strings(r, "term")
+    counts = _u32s(r, len(terms))
     starts = np.concatenate(([0], np.cumsum(counts)))
+    pairs_at = r.take(8 * int(starts[-1]))
+    r.end()
+    pairs = np.frombuffer(buf, "<u4", 2 * int(starts[-1]), pairs_at).reshape(-1, 2)
+    docs, tf = pairs[:, 0].astype(np.int64), pairs[:, 1].copy()
 
-    rising = np.diff(docs, prepend=-1) > 0
-    rising[starts[:-1][counts > 0]] = True  # a term's first posting
+    rising = np.empty(len(docs), dtype=bool)
+    rising[1:] = docs[1:] > docs[:-1]
+    rising[starts[:-1][counts > 0]] = True  # each term's first posting, rising[0] among them
     for bad, what, field in (
         (docs >= n_docs, f"doc position out of range for {n_docs} docs", 0),
         (~rising, "doc position not above the previous one of its term", 0),
@@ -330,14 +359,11 @@ def load_index(path) -> InvertedIndex:
     ):
         hit = np.flatnonzero(bad)
         if hit.size:
-            i = int(hit[0])
-            t = int(np.searchsorted(starts, i, side="right")) - 1
-            raise r.error(f"posting {what}", int(block_at[t]) + 8 * (i - int(starts[t])) + field)
-    lengths = np.array(lengths, dtype=np.int64)
+            raise r.error(f"posting {what}", pairs_at + 8 * int(hit[0]) + field)
     summed = np.bincount(docs, weights=tf, minlength=n_docs)
     off = np.flatnonzero(summed != lengths)
     if off.size:
         d = int(off[0])
         what = f"doc {doc_ids[d]!r} has length {lengths[d]} but term frequencies summing to {int(summed[d])}"
-        raise r.error(what, length_at[d])
-    return InvertedIndex(doc_ids, lengths, terms, starts, docs, tf)
+        raise r.error(what, length_at + 4 * d)
+    return InvertedIndex(doc_ids, lengths, terms, starts, docs, tf, digest)

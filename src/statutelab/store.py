@@ -1,5 +1,6 @@
 """Binary files: one bounds-checked reader, SLTN1 tensor blobs and SLRK1
-model checkpoints (the SLIX1 index in ``lexical`` uses the same reader).
+model checkpoints (the SLIX2 index in ``lexical`` uses the same reader,
+taking each of its sections with one ``take``).
 
 SLTN1: magic b"SLTN1", ndim and dims as u64, then the values as doubles.
 SLRK1: magic b"SLRK1", a kind byte, a u64-length-prefixed JSON metadata
@@ -29,7 +30,7 @@ class Reader:
     """Bounds-checked little-endian reads over one buffer; ``pos`` is the
     next unread offset.  Every failure is a ValueError naming the path (if
     any), the format and the absolute offset.  A read that succeeds formats
-    no string, and ``u32``, the hottest one, is a single Python call."""
+    no string."""
 
     __slots__ = ("buf", "fmt", "path", "pos")
 
@@ -57,22 +58,10 @@ class Reader:
         return self.buf[self.take(1)]
 
     def u32(self) -> int:
-        at = self.pos
-        if len(self.buf) - at < 4:
-            raise self.error(f"4 bytes needed, {len(self.buf) - at} left", at)
-        self.pos = at + 4
-        return _U32(self.buf, at)[0]
+        return _U32(self.buf, self.take(4))[0]
 
     def u64(self) -> int:
         return _U64(self.buf, self.take(8))[0]
-
-    def string(self) -> str:
-        """A u32 byte count, then that many bytes of UTF-8."""
-        at = self.take(self.u32())
-        try:
-            return self.buf[at : self.pos].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise self.error(f"invalid UTF-8 ({exc.reason})", at + exc.start) from None
 
     def end(self) -> None:
         """Reject bytes left after the last field."""

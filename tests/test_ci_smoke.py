@@ -60,7 +60,7 @@ def _run(line: str) -> None:
 def test_the_smoke_step_replays_in_process(tmp_path, monkeypatch):
     commands = _commands()
     assert commands[0] == INSTALL and INSTALL not in commands[1:]
-    assert sum(c.startswith("cmp ") for c in commands) >= 7
+    assert sum(c.startswith("cmp ") for c in commands) >= 10
     monkeypatch.chdir(tmp_path)
     for line in commands[1:]:
         _run(line)

@@ -10,6 +10,7 @@ import pytest
 
 from statutelab.cli import cli_dispatch
 from statutelab.config import RunConfig, effective_sizes, load_config, merge_overrides
+from statutelab.lexical import load_index
 
 
 def run(capsys, *argv):
@@ -173,7 +174,7 @@ def test_index_build(tmp_path, capsys):
     out_dir = tmp_path / "idx"
     code, out, _ = run(capsys, "index", "build", "--corpus", str(corpus), "--out", str(out_dir))
     assert code == 0
-    assert (out_dir / "index.slix").read_bytes()[:5] == b"SLIX1"
+    assert (out_dir / "index.slix").read_bytes()[:5] == b"SLIX2"
 
 
 def test_selftest_properties(capsys):
@@ -588,7 +589,9 @@ def test_rank_with_an_index_from_another_corpus_exits_1(sub, tmp_path, capsys):
 def test_rank_run_on_index_with_repeated_posting_exits_1(tmp_path, capsys):
     corpus, queries, index, model = _trained_ranker(tmp_path, capsys)
     raw = bytearray(index.read_bytes())
-    at = raw.index(struct.pack("<I", 2) + b"bg") + 6 + 4  # first posting of "bg"
+    idx = load_index(index)
+    # the first posting of "bg", in the block of (doc, tf) pairs that ends the file
+    at = len(raw) - 8 * len(idx.docs) + 8 * int(idx.starts[idx.term_ids["bg"]])
     raw[at + 8 : at + 12] = raw[at : at + 4]  # its second posting repeats the doc
     bad = tmp_path / "repeat.slix"
     bad.write_bytes(bytes(raw))
@@ -597,7 +600,49 @@ def test_rank_run_on_index_with_repeated_posting_exits_1(tmp_path, capsys):
         "--index", str(bad), "--alpha", "0.5", "--n-predict", "5", "--out", str(tmp_path / "out"),
     )
     assert code == 1
-    assert f"repeat.slix: corrupt SLIX1 index at offset {at + 8}" in err
+    assert f"repeat.slix: corrupt SLIX2 index at offset {at + 8}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sub", ["run", "grid-alpha"])
+def test_rank_with_an_index_of_the_same_ids_but_other_texts_exits_1(sub, tmp_path, capsys):
+    corpus, queries, index, model = _trained_ranker(tmp_path, capsys)
+    rows = [json.loads(l) for l in corpus.read_text().splitlines()]
+    for order in ("texts", "order"):
+        stale = tmp_path / f"stale-{order}.jsonl"
+        changed = [{**r, "text": f"other{i} bg. words{i}"} for i, r in enumerate(rows)] if order == "texts" else rows[::-1]
+        stale.write_text("".join(json.dumps(r) + "\n" for r in changed))
+        ix = tmp_path / f"ix-{order}"
+        code, _, err = run(capsys, "index", "build", "--corpus", str(stale), "--out", str(ix))
+        assert code == 0, err
+        code, _, err = run(
+            capsys, "rank", sub, "--model", str(model), "--corpus", str(corpus), "--queries", str(queries),
+            "--index", str(ix / "index.slix"), "--n-predict", "5", "--out", str(tmp_path / "out"),
+        )
+        assert code == 1
+        assert f"index {ix / 'index.slix'} was not built from corpus {corpus}: the same ids, but the corpus digest differs" in err
+        assert not (tmp_path / "out").exists()
+    # a title is not in the digest
+    retitled = tmp_path / "retitled.jsonl"
+    retitled.write_text("".join(json.dumps({**r, "title": "Title " + r["id"]}) + "\n" for r in rows))
+    code, _, err = run(
+        capsys, "rank", sub, "--model", str(model), "--corpus", str(retitled), "--queries", str(queries),
+        "--index", str(index), "--n-predict", "5", "--out", str(tmp_path / "out"),
+    )
+    assert code == 0, err
+
+
+def test_rank_run_on_an_slix1_index_exits_1_asking_for_a_rebuild(tmp_path, capsys):
+    corpus, queries, _, model = _trained_ranker(tmp_path, capsys)
+    old = tmp_path / "old.slix"
+    # the fixture corpus's five docs in the format before the corpus digest
+    old.write_bytes(b"SLIX1" + struct.pack("<I", 5) + b"".join(struct.pack("<I2sI", 2, f"a{i}".encode(), 3) for i in range(5)))
+    code, _, err = run(
+        capsys, "rank", "run", "--model", str(model), "--corpus", str(corpus), "--queries", str(queries),
+        "--index", str(old), "--alpha", "0.5", "--n-predict", "5", "--out", str(tmp_path / "out"),
+    )
+    assert code == 1
+    assert err == f"error: {old}: an SLIX1 index, which holds no corpus digest; rebuild it with `slab index build`\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -11,6 +11,7 @@ from statutelab.corpus import (
     corpus_stats,
     load_corpus,
     load_queries,
+    read_jsonl,
 )
 from statutelab.encoders import load_embeddings
 from statutelab.inject import load_bioe
@@ -198,3 +199,76 @@ def test_invalid_utf8_names_file_line_and_column(tmp_path):
     for loader in (load_corpus, load_queries):
         with pytest.raises(ValueError, match="line 3: invalid UTF-8"):
             loader(p)
+
+
+# one JSONL line each, as written to the file after a good line; the file's
+# own line iteration turns a "\r" into a line break
+JSONL_LINES = [
+    '  {"a": 1}  ',
+    '\t{"a": 1}\t',
+    ' \r{"a": 1}\r\n',
+    '{"a": 1}\r \t',
+    '\x0c{"a": 1}',
+    '{"a": 1}\x0c',
+    '\x0c',
+    ' \u2028\x85 ',
+    '\ufeff{"a": 1}',
+    '{"a":1}x',
+    '{"a":1}{"b":2}',
+    '{"a":1} {"b":2}',
+    '{"a": NaN, "b": Infinity, "c": -Infinity}',
+    '{"a": "\\ud83d\\ude00", "\\ud83d\\ude00": 1}',
+    '{"a": "\\ud83d"}',
+    '{"\\udc00": 1}',
+    '{"a": "\\ude00\\ud83d"}',
+    '[1, 2]',
+    '"text"',
+    'null',
+    '{"a": 1',
+    '',
+    '{"a": {"b": [1, 2.5e3, true, false, null]}, "c": "\\u00e9\\\\u"}',
+]
+
+
+def _read_jsonl_by_json_loads(path):
+    """(records, error text) of the line by line json.loads reader that
+    ``read_jsonl``'s decode replaced, stopping at the first error."""
+    out = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                return out, f"{path} line {lineno}: invalid JSON ({exc.msg} at column {exc.colno})"
+            if not isinstance(obj, dict):
+                return out, f"{path} line {lineno}: expected a JSON object, got a {type(obj).__name__}"
+            for key, value in obj.items():
+                try:
+                    json.dumps({key: value}, ensure_ascii=False).encode("utf-8")
+                except UnicodeEncodeError:
+                    return out, f"{path} line {lineno}: key {key!r} holds a lone surrogate (not UTF-8)"
+            out.append((lineno, obj))
+    return out, None
+
+
+@pytest.mark.parametrize("line", JSONL_LINES)
+def test_read_jsonl_decodes_each_line_as_json_loads_does(tmp_path, monkeypatch, line):
+    p = tmp_path / "in.jsonl"
+    p.write_bytes(('{"ok": 0}\n' + line + "\n").encode("utf-8", "surrogatepass"))
+    want, error = _read_jsonl_by_json_loads(p)
+    calls = []
+    real_loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda s, *a, **k: calls.append(s) or real_loads(s, *a, **k))
+    got = []
+    if error is None:
+        got = list(read_jsonl(p))
+    else:
+        with pytest.raises(ValueError) as exc:
+            for rec in read_jsonl(p):
+                got.append(rec)
+        assert str(exc.value) == error
+    assert repr(got) == repr(want)  # repr, since NaN != NaN
+    # json.loads runs only on a line the fast decode rejects, to raise its error
+    assert len(calls) == (error is not None and "invalid JSON" in error)

@@ -1,4 +1,4 @@
-"""Corrupt SLIX1 indexes and SLRK1 checkpoints fed through the CLI: every
+"""Corrupt SLIX2 indexes and SLRK1 checkpoints fed through the CLI: every
 case exits 0 or 1, never 2, prints no traceback and raises no
 RuntimeWarning, and every exit-1 message names the file."""
 
@@ -144,3 +144,15 @@ def test_checkpoint_with_non_finite_value_exits_1_naming_tensor_and_offset(files
     code, err = _feed(files, "ranker", bad.read_bytes(), "inf.slrk")
     assert code == 1
     assert f"offset {at}: tensor 2 holds a non-finite value" in err, err
+
+
+@pytest.mark.parametrize("pos", [5, 20, 36])
+@pytest.mark.parametrize("mask", [0x01, 0x80, 0xFF])
+def test_index_with_a_flipped_digest_byte_exits_1_as_stale(files, pos, mask):
+    # bytes 5-36 of an SLIX2 file are the corpus digest: a flip there leaves
+    # a well-formed index of the same ids, which no longer matches the corpus
+    raw = bytearray(files["index"][0].read_bytes())
+    raw[pos] ^= mask
+    code, err = _feed(files, "index", bytes(raw), "digest.slix")
+    assert code == 1
+    assert "the same ids, but the corpus digest differs" in err, err

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statutelab.corpus import Article
+from statutelab.corpus import digest as corpus_digest
 from statutelab.lexical import (
     build_index,
     bm25_score,
@@ -157,7 +158,7 @@ def test_index_persistence_roundtrip(tmp_path):
     idx = build_index(arts)
     path = tmp_path / "index.slix"
     save_index(idx, path)
-    assert path.read_bytes()[:5] == b"SLIX1"
+    assert path.read_bytes()[:5] == b"SLIX2"
     back = load_index(path)
     assert back.postings == idx.postings
     assert back.doc_len == idx.doc_len
@@ -178,7 +179,7 @@ def test_index_load_rejects_every_truncation_and_trailing_bytes(tmp_path):
         with pytest.raises(ValueError, match="bad.slix"):
             load_index(bad)
     bad.write_bytes(full + b"\x00")
-    with pytest.raises(ValueError, match=f"trailing bytes after the SLIX1 index at offset {len(full)}"):
+    with pytest.raises(ValueError, match=f"trailing bytes after the SLIX2 index at offset {len(full)}"):
         load_index(bad)
 
 
@@ -263,7 +264,7 @@ def test_index_file_of_a_fixed_synth_corpus_is_pinned(tmp_path):
     path = tmp_path / "index.slix"
     save_index(build_index(articles), path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "c0d9c8e80c139956c8da28e15947d13d0ea37551507312e06a6ef31ed3ac1364"
+    assert digest == "7de3af43e185dbac04c3c3d1b0fed6f42d2d936ed0d12b96a9078ae401f1af8c"
 
 
 MIXED_SCRIPT_TEXTS = [
@@ -280,33 +281,39 @@ def test_index_file_of_a_mixed_script_corpus_is_pinned(tmp_path):
     path = tmp_path / "index.slix"
     save_index(build_index(corpus(MIXED_SCRIPT_TEXTS)), path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "dd17dee723571ba6fef813164be78247e2e312b21e8d7ea47cd02632fce556b6"
+    assert digest == "97e2bec521094ce1cc4f80325b082c20264c5519db8b4f87951bdbf75874266f"
 
 
-def _slix1(docs, terms):
-    """SLIX1 bytes for [(doc id, length)] and [(term, [(doc position, tf)])],
-    and the offset of every doc id, doc length, term and posting."""
-    out, at = bytearray(b"SLIX1"), {}
+DIGEST = bytes(range(32))
+
+
+def _slix2(docs, terms, digest=DIGEST):
+    """SLIX2 bytes for [(doc id, length)] and [(term, [(doc position, tf)])],
+    and the offset of every doc id, doc length, term and posting.  An id
+    or term given as bytes is written as is, valid UTF-8 or not."""
+    out, at = bytearray(b"SLIX2"), {"digest": 5}
+    out.extend(digest)
 
     def u32(v):
         out.extend(struct.pack("<I", v))
 
-    def string(s):
-        raw = s.encode("utf-8")
+    def strings(kind, items):
+        raw = [s if isinstance(s, bytes) else s.encode("utf-8") for s in items]
         u32(len(raw))
-        out.extend(raw)
+        for b in raw:
+            u32(len(b))
+        for i, b in enumerate(raw):
+            at[kind, i] = len(out)
+            out.extend(b)
 
-    u32(len(docs))
-    for i, (doc_id, dl) in enumerate(docs):
-        at["doc", i] = len(out)
-        string(doc_id)
+    strings("doc", [d for d, _ in docs])
+    for i, (_, dl) in enumerate(docs):
         at["len", i] = len(out)
         u32(dl)
-    u32(len(terms))
-    for t, (term, plist) in enumerate(terms):
-        at["term", t] = len(out)
-        string(term)
+    strings("term", [t for t, _ in terms])
+    for _, plist in terms:
         u32(len(plist))
+    for t, (_, plist) in enumerate(terms):
         for j, (pos, tf) in enumerate(plist):
             at["post", t, j] = len(out)
             u32(pos)
@@ -318,10 +325,16 @@ GOOD_DOCS = [("d0", 2), ("d1", 1), ("d2", 1)]
 GOOD_TERMS = [("a", [(0, 1), (1, 1)]), ("b", [(0, 1), (2, 1)])]
 
 
-def test_slix1_test_writer_matches_save_index(tmp_path):
+def test_slix2_test_writer_matches_save_index(tmp_path):
     path = tmp_path / "index.slix"
-    save_index(build_index([Article("d0", "", "a b"), Article("d1", "", "a"), Article("d2", "", "b")]), path)
-    assert path.read_bytes() == _slix1(GOOD_DOCS, GOOD_TERMS)[0]
+    arts = [Article("d0", "", "a b"), Article("d1", "", "a"), Article("d2", "", "b")]
+    save_index(build_index(arts), path)
+    raw, at = _slix2(GOOD_DOCS, GOOD_TERMS, corpus_digest(arts))
+    assert path.read_bytes() == raw
+    assert raw[at["digest"] : at["digest"] + 32] == hashlib.sha256(
+        b"".join(len(s).to_bytes(8, "little") + s.encode() for a in arts for s in (a.id, a.text))
+    ).digest()
+    assert load_index(path).digest == corpus_digest(arts)
 
 
 def _with(items, i, value):
@@ -341,16 +354,43 @@ def _with(items, i, value):
     ],
 )
 def test_index_load_rejects_corrupt_postings_and_duplicates(tmp_path, docs, terms, where, what):
-    raw, at = _slix1(docs, terms)
+    raw, at = _slix2(docs, terms)
     offset = at[where] + (4 if what == "term frequency 0" else 0)
     bad = tmp_path / "bad.slix"
     bad.write_bytes(raw)
-    with pytest.raises(ValueError, match=f"bad.slix: corrupt SLIX1 index at offset {offset}: .*{what}"):
+    with pytest.raises(ValueError, match=f"bad.slix: corrupt SLIX2 index at offset {offset}: .*{what}"):
         load_index(bad)
 
 
+@pytest.mark.parametrize(
+    "docs, terms, where, skip, what",
+    [
+        (_with(GOOD_DOCS, 1, (b"d\xff", 1)), GOOD_TERMS, ("doc", 1), 1, "invalid UTF-8 in a doc id"),
+        (GOOD_DOCS, _with(GOOD_TERMS, 1, (b"\xc3(", [(0, 1), (2, 1)])), ("term", 1), 0, "invalid UTF-8 in a term"),
+        # each half of "\xc3\xa9" alone is invalid, though the two bytes in a
+        # row, as the section holds them, are one character
+        (_with(_with(GOOD_DOCS, 0, (b"d\xc3", 2)), 1, (b"\xa9", 1)), GOOD_TERMS, ("doc", 0), 1, "invalid UTF-8 in a doc id"),
+        (GOOD_DOCS, [(b"\xc3", GOOD_TERMS[0][1]), (b"\xa9", GOOD_TERMS[1][1])], ("term", 0), 0, "invalid UTF-8 in a term"),
+    ],
+)
+def test_index_load_rejects_invalid_utf8_at_its_offset(tmp_path, docs, terms, where, skip, what):
+    raw, at = _slix2(docs, terms)
+    bad = tmp_path / "bad.slix"
+    bad.write_bytes(raw)
+    with pytest.raises(ValueError, match=f"bad.slix: corrupt SLIX2 index at offset {at[where] + skip}: {what}"):
+        load_index(bad)
+
+
+def test_an_slix1_index_asks_for_a_rebuild(tmp_path):
+    # one doc "d0" of one token "a", in the format before the corpus digest
+    old = tmp_path / "old.slix"
+    old.write_bytes(b"SLIX1" + struct.pack("<II2sII", 1, 2, b"d0", 1, 1) + struct.pack("<I1sIII", 1, b"a", 1, 0, 1))
+    with pytest.raises(ValueError, match=r"old.slix: an SLIX1 index, .*rebuild it with `slab index build`"):
+        load_index(old)
+
+
 def test_index_load_survives_every_single_byte_flip(tmp_path):
-    raw, _ = _slix1(GOOD_DOCS, GOOD_TERMS)
+    raw, _ = _slix2(GOOD_DOCS, GOOD_TERMS)
     bad = tmp_path / "bad.slix"
     loaded = 0
     for pos in range(len(raw)):
@@ -362,6 +402,7 @@ def test_index_load_survives_every_single_byte_flip(tmp_path):
                 idx = load_index(bad)
             except ValueError as exc:
                 assert "bad.slix" in str(exc) and "offset" in str(exc)
+                assert not 5 <= pos < 37, "a flip in the digest leaves a well-formed file"
                 continue
             loaded += 1
             for query in (["a"], ["b", "a"], idx.terms, ["zzz"]):
@@ -369,7 +410,7 @@ def test_index_load_survives_every_single_byte_flip(tmp_path):
                     hits = top_n(idx, query, n)
                     assert len(hits) == min(n, idx.n_docs)
                     assert all(math.isfinite(s) for _, s in hits)
-    # flips inside the doc ids and terms leave a well-formed file
+    # flips inside the digest, the doc ids and the terms leave a well-formed file
     assert loaded > 0
 
 
@@ -430,7 +471,7 @@ def test_posting_impacts_are_filled_by_the_first_query_of_each_pair(tmp_path, mo
     top_n(idx, query, 5)
     save_index(idx, path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "c0d9c8e80c139956c8da28e15947d13d0ea37551507312e06a6ef31ed3ac1364"
+    assert digest == "7de3af43e185dbac04c3c3d1b0fed6f42d2d936ed0d12b96a9078ae401f1af8c"
 
 
 RARE = ["lien", "tort", "bond", "oath", "levy", "fee", "heir", "ward", "toll", "lease"]
