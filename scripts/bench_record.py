@@ -17,7 +17,8 @@ record is rewritten after every pair, so a run that is cut short keeps what
 it measured.  The record holds the commits and the git tree id of each side's
 ``src/``, the machine, the seeds, every run's metrics with the median and
 quartiles per metric, the count of pairs in which the change is better, and
-every run's ``outputs`` digests.
+every run's ``outputs`` digests.  The machine names the OpenBLAS core
+that numpy loads (``blas_core``), which ``OPENBLAS_CORETYPE`` can force.
 """
 
 from __future__ import annotations
@@ -83,6 +84,17 @@ def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
+def blas_core() -> str | None:
+    """The OpenBLAS core a fresh numpy import loads under this environment
+    (OPENBLAS_CORETYPE included), from the "Core: <name>" line that
+    OPENBLAS_VERBOSE=2 prints; None when no such line appears.  numpy's
+    build info names only the build's baseline, not the kernels in use."""
+    env = {**os.environ, "OPENBLAS_VERBOSE": "2"}
+    proc = subprocess.run([sys.executable, "-c", "import numpy"], env=env, stderr=subprocess.PIPE, text=True)
+    cores = [line.split(":", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("Core:")]
+    return cores[0] if cores else None
+
+
 def summarize(runs: list[float]) -> dict:
     q1, med, q3 = np.percentile(runs, [25, 50, 75])
     return {"median": float(med), "q1": float(q1), "q3": float(q3), "runs": runs}
@@ -122,7 +134,7 @@ def claim_record(metric: str, frac: float, rec: dict) -> dict:
     }
 
 
-def build_record(args, seeds, first, results, parent_commit, parent_tree, change_tree) -> dict:
+def build_record(args, seeds, first, results, parent_commit, parent_tree, change_tree, core) -> dict:
     specs = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     done = [s for s in seeds if s in results]
     rec = {
@@ -135,7 +147,7 @@ def build_record(args, seeds, first, results, parent_commit, parent_tree, change
             "src_tree": change_tree,
             "note": "git tree id of src/ as benchmarked; each side ran its own perfbench/",
         },
-        "machine": results[done[0]]["change"]["machine"] if done else None,
+        "machine": {**results[done[0]]["change"]["machine"], "blas_core": core} if done else None,
         "seeds": done,
         "first_side": {str(s): first[s] for s in done},
         "all_correct": all(results[s][side]["correct"] and not results[s][side]["failed"]
@@ -174,13 +186,14 @@ def main(argv=None) -> int:
         parent_commit = git("rev-parse", "HEAD", cwd=baseline_dir)
         parent_tree, change_tree = src_tree(baseline_dir), src_tree(ROOT)
         dirs = {"parent": baseline_dir, "change": ROOT}
+        core = blas_core()
         first, results = {}, {}
         for i, seed in enumerate(seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             first[seed] = order[0]
             pair = {side: run_side(dirs[side], args.workload, seed, args.seconds) for side in order}
             results[seed] = pair
-            rec = build_record(args, seeds, first, results, parent_commit, parent_tree, change_tree)
+            rec = build_record(args, seeds, first, results, parent_commit, parent_tree, change_tree, core)
             args.out.write_text(json.dumps(rec, indent=1, sort_keys=False) + "\n")
             summary = {side: {k: round(v, 4) for k, v in pair[side]["metrics"].items()} for side in order}
             print(f"seed {seed}: {json.dumps(summary)}", file=sys.stderr, flush=True)

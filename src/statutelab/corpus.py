@@ -15,6 +15,8 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
+from .evalkit import ordered_mean
+
 __all__ = [
     "Article",
     "Query",
@@ -231,7 +233,7 @@ def corpus_stats(texts) -> CorpusStats:
     if not lengths:
         return CorpusStats(0.0, 0.0, 0)
     mean = sum(lengths) / len(lengths)
-    var = sum((n - mean) ** 2 for n in lengths) / len(lengths)
+    var = ordered_mean([(n - mean) ** 2 for n in lengths])
     return CorpusStats(mean, math.sqrt(var), len(lengths))
 
 

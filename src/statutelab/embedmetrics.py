@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoders import EmbeddingTable
+from .evalkit import ordered_mean
 
 __all__ = [
     "MetricReport",
@@ -81,10 +82,10 @@ def leca(
                 continue
             dists.append(_cosine_distance(table.matrix.data[row], o, tok))
         if dists:
-            sentence_means.append(sum(dists) / len(dists))
+            sentence_means.append(ordered_mean(dists))
     if not sentence_means:
         raise ValueError("no sentence has an in-vocabulary token")
-    return sum(sentence_means) / len(sentence_means), skipped
+    return ordered_mean(sentence_means), skipped
 
 
 def metric_report(

@@ -11,7 +11,9 @@ are pooled from sentence vectors with general attention a_i = q^T tanh(A r_i
 ``encode_statements`` encodes many sentences at once, values only, in
 stacks of the same length that ``embedded_stacks`` yields.  In training,
 ``encode_on_tape`` encodes all the sentences of a CNN's step as one tape
-node, and those of a self-attention encoder one by one.
+node, and those of a self-attention encoder one by one.  Both CNN paths
+run one forward, ``_cnn_forward``: once per stack outside training, once
+per sentence in training.
 """
 
 from __future__ import annotations
@@ -299,10 +301,11 @@ def encode_statements(token_lists: list[list[str]], enc: SentenceEncoderCNN | Se
     Raises the errors of the per-sentence path for the first list at fault."""
     cnn = isinstance(enc, SentenceEncoderCNN)
     out = np.empty((len(token_lists), enc.filters.data.shape[2] if cnn else enc.embeddings.dim))
+    if cnn:
+        weights = enc.filters.data, enc.attn.A.data.T.copy(), enc.attn.b.data, enc.u.data
     for rows, x in embedded_stacks(token_lists, enc):
         if cnn:
-            feats = T.conv_tanh_values(x, enc.filters.data)
-            out[rows] = T.additive_attention_values(feats, enc.attn.A.data, enc.attn.b.data, enc.u.data)[0]
+            out[rows] = _cnn_forward(x, None, *weights)[0]
         else:
             out[rows] = self_attention_stack_states(x, enc)[-1].mean(axis=-2)
     return out
@@ -319,16 +322,13 @@ def encode_on_tape(
     of a tape that encodes the lists one by one, list 0 first.
 
     The dropout masks are drawn from rng in list order before any kernel
-    runs, as those encodes drew them.  The forward runs its row-wise
-    products (the convolution taps and the attention's feats A^T) once over
-    the lists of two tokens or more when _one_pass(F, d_q) holds, and each
-    other list's on its own; the products over a list's rows alone (the
-    attention scores and the pooling) run per list.  The VJP runs each
-    list's VJP, last list first, on views of the forward's arrays, and adds
-    the lists' contributions to each parameter in that order, as backward
-    adds them on the per-sentence tape; the table gets one RowGrad part
-    with the bits of the per-gather parts.  Raises the errors of the
-    per-sentence path for the first list at fault."""
+    runs, as those encodes drew them.  Each list then runs _cnn_forward on
+    its own, the forward that encode_statements runs on a stack.  The VJP
+    runs each list's VJP, last list first, and adds the lists'
+    contributions to each parameter in that order, as backward adds them on
+    the per-sentence tape; the table gets one RowGrad part with the bits of
+    the per-gather parts.  Raises the errors of the per-sentence path for
+    the first list at fault."""
     if isinstance(enc, SelfAttentionEncoder):
         return T.stack_rows([enc.encode(tokens) for tokens in token_lists])
     table = enc.embeddings
@@ -346,20 +346,11 @@ def encode_on_tape(
     drops = [None] * len(xs)
     if enc.dropout > 0.0:
         drops = [T.dropout_mask((len(x), n_filters), enc.dropout, rng) for x in xs]
-    # the lists whose forward runs in one pass, after each other list alone
-    one_pass = _one_pass(n_filters, at.shape[1])
-    joint = [one_pass and len(x) > 1 for x in xs]
-    several = [i for i, j in enumerate(joint) if j]
-    groups = [[i] for i, j in enumerate(joint) if not j] + ([several] if several else [])
-    hidden = {}
-    for group in groups:
-        hidden.update(zip(group, _cnn_hidden([xs[i] for i in group], [drops[i] for i in group], filt, at, b)))
     out = np.empty((len(xs), n_filters))
     saved = []
-    for i in range(len(xs)):
-        xp, y, feats, h = hidden[i]
-        out[i], w = T._additive_pool(feats, h, u, "softmax")
-        saved.append((xp, y, feats, w, h))
+    for i, (x, drop) in enumerate(zip(xs, drops)):
+        out[i], arrays = _cnn_forward(x, drop, filt, at, b, u)
+        saved.append(arrays)
 
     def vjp(g):
         gxs, contribs = [], []
@@ -378,45 +369,19 @@ def encode_on_tape(
     return T._out(out, parents, vjp, "encode_on_tape")
 
 
-def _one_pass(*widths: int) -> bool:
-    """Whether encode_on_tape runs products with these output widths once
-    over many lists.  A row of a multi-row matrix product kept its bits
-    whatever the row count at widths that are multiples of 8, as in both
-    PRESETS; at widths 8k + 1, 8k + 2 and 8k + 3 its bits changed with the
-    row count (OpenBLAS 0.3.31).  A one-row product, which numpy sends to
-    gemv, differs from a gemm row at any width, so one-token lists always
-    run alone."""
-    return all(n % 8 == 0 for n in widths)
-
-
-def _cnn_hidden(xs: list[np.ndarray], drops: list, filt: np.ndarray, at: np.ndarray, b: np.ndarray) -> list:
-    """The CNN forward up to the attention scores of the embedded lists xs
-    (each [M_i, d]) under their dropout masks (all None for no dropout),
-    each row-wise product run once over all the lists: per list, views of
-    its padded input [M_i + w - 1, d], of tanh(conv), of the features and
-    of tanh(feats A^T + b).  The lists sit in one block, each between w - 1
-    zero rows, so every output row reads its own list's rows and padding
-    only, and a list's rows add their taps in tap order onto +0.0 as a
-    list's own convolution does."""
-    w = filt.shape[0]
-    starts = np.cumsum([0] + [len(x) + w - 1 for x in xs])
-    block = np.zeros((starts[-1] - (w - 1), filt.shape[1]))
-    for s, x in zip(starts, xs):
-        block[s : s + len(x)] = x
-    xp, conv = T._conv_same(block, filt)
+def _cnn_forward(
+    x: np.ndarray, drop: np.ndarray | None, filt: np.ndarray, at: np.ndarray, b: np.ndarray, u: np.ndarray
+) -> tuple[np.ndarray, tuple]:
+    """The CNN's forward over the rows of x [..., M, d] under the dropout
+    mask drop (None for none), with at = A^T: the pooled rows [..., F] and
+    what the VJP reads, (padded input, tanh(conv), features, attention
+    weights, tanh(feats at + b)).  Each entry of a stack has the bits of its
+    own forward, since every product keeps one entry's matrix shapes."""
+    xp, conv = T._conv_same(x, filt)
     y = np.tanh(conv)
-    feats = y
-    if drops[0] is not None:
-        # the separators' rows are dropped; no list reads them
-        mask = np.zeros_like(y)
-        for s, x, drop in zip(starts, xs, drops):
-            mask[s : s + len(x)] = drop
-        feats = y * mask
-    h = np.tanh(np.matmul(feats, at) + b)
-    return [
-        (xp[s : s + len(x) + w - 1], y[s : s + len(x)], feats[s : s + len(x)], h[s : s + len(x)])
-        for s, x in zip(starts, xs)
-    ]
+    feats = y if drop is None else y * drop
+    pooled, w, h = T._additive_forward(feats, at, b, u, "softmax")
+    return pooled, (xp, y, feats, w, h)
 
 
 def _in_order(parts) -> np.ndarray:

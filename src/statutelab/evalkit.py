@@ -87,7 +87,6 @@ def aggregate_human_eval(positives_per_evaluator: list[int], s: int) -> float:
             raise ValueError(f"evaluator count {p} exceeds total {s}")
         if p < 0:
             raise ValueError("counts must be non-negative")
-    n = len(positives_per_evaluator)
-    if n == 0:
+    if not positives_per_evaluator:
         raise ValueError("need at least one evaluator")
-    return sum(p / s for p in positives_per_evaluator) / n
+    return ordered_mean([p / s for p in positives_per_evaluator])

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import inject, rankers
-from .evalkit import RetrievalJudgment, macro_f2
+from .evalkit import RetrievalJudgment, macro_f2, ordered_mean
 from .lexical import build_index, tokenize, top_n
 from .synth import bracket_grammar, planted_retrieval_world
 from .tensor import Tensor
@@ -132,7 +132,7 @@ def tre_position_comparison(seed: int) -> dict:
 
     def mean_f1(report):
         levels = report["val_metrics"]["levels"]
-        return sum(l["f1"] for l in levels) / len(levels)
+        return ordered_mean([l["f1"] for l in levels])
 
     return {
         "late": late,

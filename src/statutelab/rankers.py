@@ -606,6 +606,8 @@ def load_model(path) -> RankerModel:
     def build(kind, meta, shapes):
         _check_oov_policy(meta)
         cfg = RankerConfig(**meta["config"])
+        if min(cfg.epochs, cfg.n_train, cfg.n_predict, cfg.eval_k) < 1 or cfg.k_negatives < 0:
+            raise ValueError(f"stored config out of range: {meta['config']}")
         if kind == "attentive_cnn":
             model = build_attentive_cnn(
                 meta["vocab"], **_cnn_sizes(shapes), seed=cfg.seed, dropout=meta.get("dropout", 0.0),

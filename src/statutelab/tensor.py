@@ -10,11 +10,11 @@ run on three fused ops, each one tape node with a hand-written VJP:
 Their forward values are computed once, over any leading batch axes; the
 ``*_values`` functions give the values of a stack of same-length inputs
 without building a tape, each entry with the bits of its own tape op.  The
-VJPs of the first two are plain functions (``_conv_tanh_vjp``,
-``_additive_vjp``), which ``encoders.encode_on_tape`` also runs, once per
-sentence of a CNN's node, after a forward whose row-wise products run once
-over all the node's sentences.  All math is double precision and single
-threaded, so repeated runs are bit-identical.
+forwards and VJPs of the first two are plain functions (``_conv_same``,
+``_additive_forward``, ``_conv_tanh_vjp``, ``_additive_vjp``), which the
+CNN's one forward (``encoders._cnn_forward``) and its training node
+(``encoders.encode_on_tape``) also run.  All math is double precision and
+single threaded, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ __all__ = [
     "sparsemax_values",
     "conv1d",
     "conv_tanh",
-    "conv_tanh_values",
     "additive_attention",
     "additive_attention_values",
     "multihead_self_attention",
@@ -503,25 +502,13 @@ def conv_tanh(x: Tensor, filters: Tensor) -> Tensor:
     return _out(y, (x, filters), lambda g: _conv_tanh_vjp(g, y, xp, filters.data), "conv_tanh")
 
 
-def conv_tanh_values(x: np.ndarray, filters: np.ndarray) -> np.ndarray:
-    """The values of conv_tanh for a stack x [..., M, d] of inputs; filters
-    is [w, d, F] with odd w."""
-    return np.tanh(_conv_same(x, filters)[1])
-
-
-def _additive_pool(r: np.ndarray, h: np.ndarray, q: np.ndarray, weight_fn: str):
-    """The pooled rows and the weights of additive attention over the rows
-    of r [..., n, d_r], given its hidden rows h = tanh(r at + b)."""
-    scores = np.matmul(h, q)
-    w = _softmax(scores) if weight_fn == "softmax" else sparsemax_values(scores)
-    return np.matmul(w[..., None, :], r)[..., 0, :], w
-
-
 def _additive_forward(r: np.ndarray, at: np.ndarray, b: np.ndarray, q: np.ndarray, weight_fn: str):
     """Additive attention over the rows (second-last axis) of r [..., n, d_r]
     with at = A^T: the pooled rows, the weights and tanh(r at + b)."""
     h = np.tanh(np.matmul(r, at) + b)
-    return (*_additive_pool(r, h, q, weight_fn), h)
+    scores = np.matmul(h, q)
+    w = _softmax(scores) if weight_fn == "softmax" else sparsemax_values(scores)
+    return np.matmul(w[..., None, :], r)[..., 0, :], w, h
 
 
 def _additive_vjp(g, r, at, q, w, h, weight_fn):

@@ -2,6 +2,7 @@
 the experiment blobs are exactly what the save functions write."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -95,6 +96,20 @@ def test_loader_rejects_wrong_kind(tmp_path):
     inject.save_hydra_heads(inject.init_hydra_heads(8, 2, seed=1), path)
     with pytest.raises(ValueError, match="holds a hydra_heads"):
         rankers.load_classifier(path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("epochs", 0), ("n_train", 0), ("n_predict", 0), ("eval_k", 0), ("k_negatives", -1),
+])
+def test_ranker_loader_rejects_a_stored_config_out_of_range_naming_the_file(tmp_path, key, value):
+    # a bit flip turns a stored "eval_k":1 into "eval_k":0
+    path = tmp_path / "ranker.slrk"
+    rankers.save_model(_ranker("attentive_cnn"), path)
+    kind, meta, tensors = read_bundle(path)
+    meta["config"][key] = value
+    write_bundle(path, kind, meta, tensors)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*stored config out of range"):
+        rankers.load_model(path)
 
 
 @pytest.mark.parametrize("how", ["drop", "reshape"])

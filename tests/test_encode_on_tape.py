@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import train_oracle
-from statutelab import encoders, rankers
+from statutelab import rankers
 from statutelab import tensor as T
 from statutelab.corpus import Article, chunk_corpus
 from statutelab.encoders import encode_on_tape
@@ -137,7 +137,7 @@ LONG_ARTICLES = chunk_corpus([
 @pytest.mark.parametrize("dropout", [0.0, 0.3])
 @pytest.mark.parametrize("sizes", [(16, 8), (17, 2)])
 @pytest.mark.parametrize("width", [1, 5])
-def test_the_one_pass_forward_has_the_bits_of_the_per_sentence_composition(width, sizes, dropout, monkeypatch):
+def test_wide_and_ragged_steps_have_the_bits_of_the_per_sentence_composition(width, sizes, dropout):
     filters, attn_dim = sizes
 
     def build(cfg):
@@ -146,13 +146,7 @@ def test_the_one_pass_forward_has_the_bits_of_the_per_sentence_composition(width
 
     lengths = [len(tokenize(LONG_QUERY))] + [len(t) for a in LONG_ARTICLES for t in rankers._statement_tokens(a)]
     assert sorted(lengths) == list(range(1, 10))
-    passes = []
-    cnn_hidden = encoders._cnn_hidden
-    monkeypatch.setattr(encoders, "_cnn_hidden", lambda xs, *rest: passes.append(len(xs)) or cnn_hidden(xs, *rest))
     node = _run_step(build, LONG_QUERY, LONG_ARTICLES, rankers._train_scores)
-    # at output widths that are multiples of 8 the lists of two tokens or
-    # more run in one pass; at 17 filters and d_q 2 each list runs alone
-    assert sorted(passes) == ([1, 8] if encoders._one_pass(filters, attn_dim) else [1] * 9)
     oracle = _run_step(build, LONG_QUERY, LONG_ARTICLES, train_oracle.train_scores)
     assert np.asarray(node[0].data).tobytes() == np.asarray(oracle[0].data).tobytes()
     assert [s.data.tobytes() for s in node[1]] == [s.data.tobytes() for s in oracle[1]]

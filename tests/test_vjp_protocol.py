@@ -18,7 +18,7 @@ from statutelab.tensor import Tensor
 
 # the names of tensor.__all__ that build no tape node
 NOT_OPS = {
-    "Tensor", "RowGrad", "tensor", "sparsemax_values", "conv_tanh_values", "additive_attention_values",
+    "Tensor", "RowGrad", "tensor", "sparsemax_values", "additive_attention_values",
     "multihead_self_attention_values", "dropout_mask", "backward", "sgd_step", "diverging_raises",
     "train_step", "grad_check",
 }
