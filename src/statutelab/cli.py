@@ -283,13 +283,13 @@ def _rank_inputs(args):
     articles = corpus_mod.chunk_corpus(corpus_mod.load_corpus(args.corpus))
     queries = corpus_mod.load_queries(args.queries)
     idx = lexical.load_index(args.index) if args.index else lexical.build_index(articles)
-    corpus_ids, index_ids = {a.id for a in articles}, set(idx.doc_ids)
+    corpus_ids, index_ids = set(articles.by_id), set(idx.doc_ids)
     if corpus_ids != index_ids:
         raise ValueError(
             f"index {args.index} was not built from corpus {args.corpus}: "
             f"{_missing(corpus_ids - index_ids, 'index')}, {_missing(index_ids - corpus_ids, 'corpus')}"
         )
-    if args.index and idx.digest != corpus_mod.digest(articles):
+    if args.index and idx.digest != articles.digest:
         raise ValueError(
             f"index {args.index} was not built from corpus {args.corpus}: the same ids, "
             f"but the corpus digest differs (an article's text or the article order changed); "
@@ -302,7 +302,7 @@ def _rank_inputs(args):
 def _cmd_rank_run(args) -> int:
     cfg, model, articles, queries, idx, files = _rank_inputs(args)
     if cfg.alpha == "grid":
-        rankers.require_relevant(queries, {a.id for a in articles})
+        rankers.require_relevant(queries, articles.by_id.keys())
     # one scoring pass serves both the alpha grid and the ranked rows
     scored = rankers.score_candidates(model, idx, articles, queries, n_predict=cfg.n_predict)
     alpha = cfg.alpha

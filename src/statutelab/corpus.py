@@ -4,6 +4,10 @@ Corpora are JSONL files with one ``{"id", "title", "text"}`` object per line;
 query sets are JSONL with ``{"id", "text", "relevant_ids", "label"}``.
 Articles are chunked at top-level enumeration markers "(1)", "(2)", ... while
 roman-numeral items "(i)", "(ii)" stay inside their parent chunk.
+``chunk_corpus`` returns a ``Prepared`` corpus: the chunked articles as a
+read-only list that also holds ``by_id``, the corpus digest and, from each
+article's first scoring on, its statements' token ids, so that scoring
+tokenizes a statement once however many calls score it.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .evalkit import ordered_mean
 
@@ -29,6 +35,8 @@ __all__ = [
     "load_queries",
     "chunk_article",
     "chunk_corpus",
+    "StatementTerms",
+    "Prepared",
     "corpus_stats",
     "digest",
 ]
@@ -223,8 +231,102 @@ def chunk_article(article: Article) -> Article:
     return Article(id=article.id, title=article.title, text=article.text, statements=statements)
 
 
-def chunk_corpus(articles: list[Article]) -> list[Article]:
-    return [chunk_article(a) for a in articles]
+def chunk_corpus(articles: list[Article]) -> Prepared:
+    """Each article chunked by chunk_article, as a Prepared corpus."""
+    return Prepared(map(chunk_article, articles))
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class StatementTerms:
+    """What scoring reads of one article's statements (its text, when it
+    has none): ``kept``, the indices of those with tokens; ``lengths``,
+    their token counts; ``terms``, their tokens' ids in the term table of
+    a Prepared, concatenated, as the bytes of native int32 (bytes hold
+    them in a third of an array's overhead).  ``text`` and ``statements``
+    are the article's when the entry was derived."""
+
+    kept: tuple[int, ...]
+    lengths: tuple[int, ...]
+    terms: bytes
+    text: str
+    statements: list[str]
+
+
+class _TermTable(dict):
+    """term -> id, giving an unseen term the next id; words[id] is the term."""
+
+    def __init__(self):
+        super().__init__()
+        self.words: list[str] = []
+
+    def __missing__(self, term: str) -> int:
+        self[term] = tid = len(self.words)
+        self.words.append(term)
+        return tid
+
+
+class Prepared(list):
+    """A chunked corpus: its articles, in order, as a read-only list, with
+    what scoring derives from them.
+
+    - ``by_id`` maps each article id to its article (the last one, for a
+      repeated id).
+    - ``digest`` is ``digest(self)``, computed on first use.
+    - ``statement_terms(article)`` is the article's StatementTerms, derived
+      on the article's first use and kept; an entry whose article's text or
+      statements have changed since is derived again.  ``words[t]`` is the
+      token of term id t.
+
+    Slicing, ``+`` and ``*`` give plain lists, and ``list(corpus)`` a
+    mutable copy; a method that would change the list raises TypeError.
+    Anything that takes a list of articles takes a Prepared.
+    """
+
+    def __init__(self, articles=()):
+        super().__init__(articles)
+        self.by_id = {a.id: a for a in self}
+        self._digest: bytes | None = None
+        self._terms = _TermTable()
+        self.words = self._terms.words
+        self._entries: dict[str, StatementTerms] = {}
+        # one tuple per distinct `kept`: most articles keep all statements
+        self._kept: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a Prepared corpus is read-only; list(corpus) is a mutable copy")
+
+    append = extend = insert = remove = pop = clear = sort = reverse = _read_only
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
+
+    def __reduce__(self):
+        return Prepared, (list(self),)
+
+    @property
+    def digest(self) -> bytes:
+        if self._digest is None:
+            self._digest = digest(self)
+        return self._digest
+
+    def statement_terms(self, article: Article) -> StatementTerms:
+        entry = self._entries.get(article.id)
+        if entry is None or entry.text != article.text or entry.statements != article.statements:
+            entry = self._entries[article.id] = self._derive(article)
+        return entry
+
+    def _derive(self, article: Article) -> StatementTerms:
+        from .lexical import tokenize  # lexical imports this module
+
+        kept, lengths, terms = [], [], []
+        for i, tokens in enumerate(map(tokenize, article.statements or [article.text])):
+            if tokens:
+                kept.append(i)
+                lengths.append(len(tokens))
+                terms.extend(map(self._terms.__getitem__, tokens))
+        kept = tuple(kept)
+        terms = np.array(terms, dtype=np.int32).tobytes()
+        return StatementTerms(
+            self._kept.setdefault(kept, kept), tuple(lengths), terms, article.text, list(article.statements)
+        )
 
 
 def corpus_stats(texts) -> CorpusStats:

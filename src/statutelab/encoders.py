@@ -13,7 +13,12 @@ stacks of the same length that ``embedded_stacks`` yields.  In training,
 ``encode_on_tape`` encodes all the sentences of a CNN's step as one tape
 node, and those of a self-attention encoder one by one.  Both CNN paths
 run one forward, ``_cnn_forward``: once per stack outside training, once
-per sentence in training.
+per sentence in training.  Behind both sits a path on table rows
+(``_encode_rows``, ``_rows_on_tape``): each sentence is a run of row ids,
+-1 for an out-of-vocabulary token, and each stack, or a training step's
+sentences, is gathered from the table with one index array.  Token lists
+reach it through ``EmbeddingTable.lookup``; a ``corpus.Prepared`` corpus
+hands the ranker its statements' rows without one.
 """
 
 from __future__ import annotations
@@ -78,24 +83,26 @@ class EmbeddingTable:
         """The vocabulary in row order."""
         return [w for w, _ in sorted(self.vocab.items(), key=lambda kv: kv[1])]
 
-    def lookup(self, tokens: list[str]) -> tuple[list[int], np.ndarray | None]:
-        """The table rows to read for the tokens, one per token, and the
-        [M, d] mask to multiply them by, or None when nothing is masked."""
+    def lookup(self, tokens: list[str]) -> np.ndarray:
+        """The table row of each token, -1 for an out-of-vocabulary token."""
         if not tokens:
             raise ValueError("cannot embed an empty token sequence")
-        ids = list(map(self.vocab.get, tokens))
-        if None not in ids:
-            return ids, None
-        # out-of-vocabulary tokens read row 0, masked to zero
-        mask = np.array([[0.0] if i is None else [1.0] for i in ids])
-        return [0 if i is None else i for i in ids], np.repeat(mask, self.dim, axis=1)
+        get = self.vocab.get
+        return np.array([get(t, -1) for t in tokens], dtype=np.intp)
 
     def embed(self, tokens: list[str]) -> Tensor:
         """Token rows as an [M, d] tensor; an out-of-vocabulary token is a
         zero row."""
-        ids, mask = self.lookup(tokens)
-        x = T.gather_rows(self.matrix, ids)
-        return x if mask is None else T.mul(x, Tensor(mask))
+        return self.embed_rows(self.lookup(tokens))
+
+    def embed_rows(self, rows: np.ndarray) -> Tensor:
+        """The table rows as an [M, d] tensor; a -1 row reads row 0 and is
+        multiplied by a zero mask row, which also stops its gradient."""
+        known = rows >= 0
+        if known.all():
+            return T.gather_rows(self.matrix, rows.tolist())
+        x = T.gather_rows(self.matrix, np.maximum(rows, 0).tolist())
+        return T.mul(x, Tensor(np.repeat(known.astype(np.float64)[:, None], self.dim, axis=1)))
 
 
 def load_embeddings(path) -> EmbeddingTable:
@@ -127,13 +134,31 @@ def load_embeddings(path) -> EmbeddingTable:
 
 def random_embeddings(words, d: int, seed: int, scale: float = 0.1) -> EmbeddingTable:
     """A trainable table of N(0, scale^2) rows, one per word."""
-    rng = np.random.default_rng(seed)
+    return _drawn_embeddings(words, d, np.random.default_rng(seed), scale)
+
+
+def _drawn_embeddings(words, d: int, rng, scale: float) -> EmbeddingTable:
+    """random_embeddings with its rows drawn from rng, a Generator or
+    _NO_DRAWS."""
     words = list(words)
     mat = rng.normal(0.0, scale, size=(len(words), d))
     vocab = {w: i for i, w in enumerate(words)}
     if len(vocab) != len(words):
         raise ValueError("duplicate words in vocabulary")
     return EmbeddingTable(vocab, Tensor(mat, requires_grad=True))
+
+
+class _NoDraws:
+    """Stands in for the Generator of a model that a checkpoint fills:
+    normal() returns an uninitialised array of the size asked, so building
+    the model draws nothing that loading would overwrite."""
+
+    @staticmethod
+    def normal(loc: float = 0.0, scale: float = 1.0, size=None) -> np.ndarray:
+        return np.empty(size)
+
+
+_NO_DRAWS = _NoDraws()
 
 
 @dataclass
@@ -182,7 +207,12 @@ class SelfAttentionEncoder:
 
     def encode(self, tokens: list[str]) -> Tensor:
         """The last layer's states, average-pooled."""
-        return T.avg_pool(self_attention_states(tokens, self)[0][-1])
+        return self.encode_rows(self.embeddings.lookup(tokens))
+
+    def encode_rows(self, rows: np.ndarray) -> Tensor:
+        """encode of the tokens at these table rows (-1 out of the
+        vocabulary)."""
+        return T.avg_pool(_attention_states(self.embeddings.embed_rows(rows), self)[0][-1])
 
 
 def init_attention_params(d_q: int, d_r: int, rng, weight_fn: str = "softmax") -> GeneralAttentionParams:
@@ -247,7 +277,11 @@ def self_attention_states(
     """embed + learned positions -> each self-attention layer in turn.
     Returns the states, the embedded input first and then each layer's
     output, and each layer's row-stochastic attention matrices per head."""
-    x = enc.embeddings.embed(tokens)
+    return _attention_states(enc.embeddings.embed(tokens), enc)
+
+
+def _attention_states(x: Tensor, enc: SelfAttentionEncoder) -> tuple[list[Tensor], list[list[np.ndarray]]]:
+    """self_attention_states of the embedded input x [M, d]."""
     m = x.data.shape[0]
     _check_length(enc, m)
     x = T.add(x, T.gather_rows(enc.positions, range(m)))
@@ -267,22 +301,52 @@ def embedded_stacks(
     their [n, M, d] embedded rows.  Every list is looked up before the first
     stack, so the errors of the per-sentence path raise for the first list
     at fault."""
-    table = enc.embeddings
-    looked = []
-    by_length: dict[int, list[int]] = {}
-    for i, tokens in enumerate(token_lists):
-        looked.append(table.lookup(tokens))
+    return _row_stacks(*_token_rows(token_lists, enc), enc)
+
+
+def _token_rows(
+    token_lists: list[list[str]], enc: SentenceEncoderCNN | SelfAttentionEncoder
+) -> tuple[np.ndarray, list[int]]:
+    """The table rows of the token lists, concatenated, and each list's
+    length.  Raises the errors of the per-sentence path for the first list
+    at fault: an empty list, or one longer than a self-attention encoder's
+    positional table."""
+    parts = []
+    for tokens in token_lists:
+        parts.append(enc.embeddings.lookup(tokens))
         if isinstance(enc, SelfAttentionEncoder):
             _check_length(enc, len(tokens))
-        by_length.setdefault(len(tokens), []).append(i)
-    for members in by_length.values():
+    return (np.concatenate(parts) if parts else np.empty(0, dtype=np.intp)), [len(p) for p in parts]
+
+
+def _row_stacks(
+    rows: np.ndarray, lengths: list[int], enc: SentenceEncoderCNN | SelfAttentionEncoder
+) -> Iterator[tuple[list[int], np.ndarray]]:
+    """embedded_stacks of the sequences whose table rows are the runs of
+    rows of these lengths, -1 for an out-of-vocabulary token: the stacks
+    of the lists' first-seen lengths in turn, members in order, each
+    gathered with one index array.  An out-of-vocabulary token reads row 0
+    and is multiplied by 0.0, the mask multiply of EmbeddingTable.embed_rows.
+    Checks every length against a self-attention encoder's positional table
+    before the first stack."""
+    by_length: dict[int, list[int]] = {}
+    for i, m in enumerate(lengths):
+        if isinstance(enc, SelfAttentionEncoder):
+            _check_length(enc, m)
+        by_length.setdefault(m, []).append(i)
+    starts = np.zeros(len(lengths), dtype=np.intp)
+    np.cumsum(lengths[:-1], out=starts[1:])
+    safe, oov = np.maximum(rows, 0), rows < 0
+    any_oov = bool(oov.any())
+    matrix = enc.embeddings.matrix.data
+    for m, members in by_length.items():
         for start in range(0, len(members), STACK_CAP):
-            rows = members[start : start + STACK_CAP]
-            x = table.matrix.data[[looked[i][0] for i in rows]]
-            for j, i in enumerate(rows):
-                if looked[i][1] is not None:
-                    x[j] *= looked[i][1]
-            yield rows, x
+            group = members[start : start + STACK_CAP]
+            take = starts[group][:, None] + np.arange(m)
+            x = matrix[safe[take]]
+            if any_oov:
+                x[oov[take]] *= 0.0
+            yield group, x
 
 
 def self_attention_stack_states(x: np.ndarray, enc: SelfAttentionEncoder) -> list[np.ndarray]:
@@ -297,17 +361,22 @@ def self_attention_stack_states(x: np.ndarray, enc: SelfAttentionEncoder) -> lis
 def encode_statements(token_lists: list[list[str]], enc: SentenceEncoderCNN | SelfAttentionEncoder) -> np.ndarray:
     """The [S, d_out] vectors of S token lists, values only and without
     dropout: row i has the bits of encode_sentence_cnn(token_lists[i], enc),
-    or of enc.encode for a self-attention encoder.  Runs embedded_stacks.
-    Raises the errors of the per-sentence path for the first list at fault."""
+    or of enc.encode for a self-attention encoder.  Runs the stacks of
+    embedded_stacks, and raises its errors."""
+    return _encode_rows(*_token_rows(token_lists, enc), enc)
+
+
+def _encode_rows(rows: np.ndarray, lengths: list[int], enc: SentenceEncoderCNN | SelfAttentionEncoder) -> np.ndarray:
+    """encode_statements of the sequences given as _row_stacks takes them."""
     cnn = isinstance(enc, SentenceEncoderCNN)
-    out = np.empty((len(token_lists), enc.filters.data.shape[2] if cnn else enc.embeddings.dim))
+    out = np.empty((len(lengths), enc.filters.data.shape[2] if cnn else enc.embeddings.dim))
     if cnn:
         weights = enc.filters.data, enc.attn.A.data.T.copy(), enc.attn.b.data, enc.u.data
-    for rows, x in embedded_stacks(token_lists, enc):
+    for members, x in _row_stacks(rows, lengths, enc):
         if cnn:
-            out[rows] = _cnn_forward(x, None, *weights)[0]
+            out[members] = _cnn_forward(x, None, *weights)[0]
         else:
-            out[rows] = self_attention_stack_states(x, enc)[-1].mean(axis=-2)
+            out[members] = self_attention_stack_states(x, enc)[-1].mean(axis=-2)
     return out
 
 
@@ -329,18 +398,27 @@ def encode_on_tape(
     the per-sentence tape; the table gets one RowGrad part with the bits of
     the per-gather parts.  Raises the errors of the per-sentence path for
     the first list at fault."""
+    return _rows_on_tape(*_token_rows(token_lists, enc), enc, rng)
+
+
+def _rows_on_tape(
+    rows: np.ndarray, lengths: list[int], enc: SentenceEncoderCNN | SelfAttentionEncoder, rng: np.random.Generator
+) -> Tensor:
+    """encode_on_tape of the sequences given as _row_stacks takes them.  A
+    CNN's sequences are gathered from the table with one index array, an
+    out-of-vocabulary token as in _row_stacks; its gradient rows are
+    multiplied by 0.0 as EmbeddingTable.embed_rows' mask does."""
+    bounds = np.cumsum(lengths)[:-1]
     if isinstance(enc, SelfAttentionEncoder):
-        return T.stack_rows([enc.encode(tokens) for tokens in token_lists])
+        return T.stack_rows([enc.encode_rows(r) for r in np.split(rows, bounds)])
     table = enc.embeddings
-    ids, xs, masks = [], [], []
-    for tokens in token_lists:
-        row_ids, mask = table.lookup(tokens)
-        x = table.matrix.data[row_ids]
-        ids.extend(row_ids)
-        xs.append(x if mask is None else x * mask)
-        masks.append(mask)
-    ids = np.array(ids, dtype=np.intp)
-    member = np.repeat(np.arange(len(xs)), [len(x) for x in xs])
+    ids, oov = np.maximum(rows, 0), rows < 0
+    any_oov = bool(oov.any())
+    x_all = table.matrix.data[ids]
+    if any_oov:
+        x_all[oov] *= 0.0
+    xs = np.split(x_all, bounds)
+    member = np.repeat(np.arange(len(lengths)), lengths)
     filt, at, b, u = enc.filters.data, enc.attn.A.data.T.copy(), enc.attn.b.data, enc.u.data
     n_filters = filt.shape[2]
     drops = [None] * len(xs)
@@ -359,10 +437,12 @@ def encode_on_tape(
             g_vecmat, g_matmul, g_a, g_b, g_u = T._additive_vjp(g[i], feats, at, u, w, h, "softmax")
             g_feats = g_vecmat + g_matmul
             gx, g_filt = T._conv_tanh_vjp(g_feats if drops[i] is None else g_feats * drops[i], y, xp, filt)
-            # out-of-vocabulary rows take no gradient
-            gxs.append(gx if masks[i] is None else gx * masks[i])
+            gxs.append(gx)
             contribs.append((g_filt, g_a, g_b, g_u))
-        table_grad = T.member_row_grad(table.matrix.data.shape, ids, member, np.concatenate(gxs[::-1]))
+        gx_all = np.concatenate(gxs[::-1])
+        if any_oov:  # out-of-vocabulary rows take no gradient
+            gx_all[oov] *= 0.0
+        table_grad = T.member_row_grad(table.matrix.data.shape, ids, member, gx_all)
         return (table_grad, *map(_in_order, zip(*contribs)))
 
     parents = (table.matrix, enc.filters, enc.attn.A, enc.attn.b, enc.u)

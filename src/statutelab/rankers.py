@@ -5,25 +5,37 @@ model scores them semantically, and the final score is
 alpha * s_lexical + (1 - alpha) * s_semantic with lexical scores min-max
 normalized per query.  Training uses negative sampling with the
 cross-entropy in tensor.ce_negsample and plain gradient descent.
+
+Scoring and training take a ``corpus.Prepared`` corpus (what
+``chunk_corpus`` returns) or any list of articles, which is wrapped in one
+for the call.  A Prepared tokenizes each article's statements on the
+article's first use and keeps their term ids; each call maps the term ids
+it meets to rows of the model's embedding table once, and the encoders
+gather the statements from those rows.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable
+from itertools import repeat
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .corpus import Article, Query
+from .corpus import Article, Prepared, Query, StatementTerms
 from .encoders import (
+    _NO_DRAWS,
     STACK_CAP,
     EmbeddingTable,
     GeneralAttentionParams,
     SelfAttentionEncoder,
     SentenceEncoderCNN,
+    _drawn_embeddings,
+    _encode_rows,
+    _rows_on_tape,
     encode_on_tape,
     encode_sentence_cnn,
     encode_statements,
@@ -113,8 +125,17 @@ def build_attentive_cnn(
     emb_scale: float = 0.1,
     config: RankerConfig | None = None,
 ) -> RankerModel:
-    rng = np.random.default_rng(seed)
     emb = random_embeddings(vocab, embed_dim, seed, scale=emb_scale)
+    config = config or RankerConfig(seed=seed)
+    return _attentive_cnn(emb, filters, attn_dim, np.random.default_rng(seed), width, dropout, para_query, config)
+
+
+def _attentive_cnn(
+    emb: EmbeddingTable, filters: int, attn_dim: int, rng, width: int, dropout: float, para_query: str,
+    config: RankerConfig,
+) -> RankerModel:
+    """build_attentive_cnn around the table emb, its weights drawn from rng
+    (a Generator, or _NO_DRAWS for a model that a checkpoint fills)."""
     enc = init_cnn_encoder(emb, filters, attn_dim, rng, width=width, dropout=dropout)
     # a derived paragraph query is the encoded query sentence, so its size is
     # the encoder output size rather than the attention query size
@@ -125,7 +146,7 @@ def build_attentive_cnn(
         pq = Tensor(rng.normal(0.0, 1.0 / math.sqrt(attn_dim), size=attn_dim), requires_grad=True)
     elif para_query != "derived":
         raise ValueError(f"para_query must be learned or derived, got {para_query!r}")
-    return RankerModel("attentive_cnn", enc, para, config or RankerConfig(seed=seed), pq)
+    return RankerModel("attentive_cnn", enc, para, config, pq)
 
 
 def build_paraformer_lite(
@@ -137,14 +158,23 @@ def build_paraformer_lite(
     max_len: int = 64,
     config: RankerConfig | None = None,
 ) -> RankerModel:
-    rng = np.random.default_rng(seed)
     emb = random_embeddings(vocab, embed_dim, seed)
+    config = config or RankerConfig(seed=seed)
+    return _paraformer_lite(emb, n_layers, n_heads, np.random.default_rng(seed), max_len, config)
+
+
+def _paraformer_lite(
+    emb: EmbeddingTable, n_layers: int, n_heads: int, rng, max_len: int, config: RankerConfig
+) -> RankerModel:
+    """build_paraformer_lite around the table emb, its weights drawn from
+    rng as in _attentive_cnn."""
+    embed_dim = emb.dim
     layers = [init_self_attention_layer(embed_dim, n_heads, rng) for _ in range(n_layers)]
     positions = Tensor(rng.normal(0.0, 0.1, size=(max_len, embed_dim)), requires_grad=True)
     # paragraph attention queried by the encoded query sentence itself
     para = init_attention_params(embed_dim, embed_dim, rng, weight_fn="sparsemax")
     enc = SelfAttentionEncoder(emb, positions, layers)
-    return RankerModel("paraformer_lite", enc, para, config or RankerConfig(seed=seed))
+    return RankerModel("paraformer_lite", enc, para, config)
 
 
 def parameters(model: RankerModel) -> list[Tensor]:
@@ -167,39 +197,79 @@ def _encode_sentence(model: RankerModel, tokens: list[str]) -> np.ndarray | None
     return encode_statements([tokens], enc)[0]
 
 
-def _statement_tokens(article: Article) -> list[list[str]]:
-    """The token lists of the article's statements (its text when it has
-    none), statements without tokens left out."""
-    return [t for t in map(tokenize, article.statements or [article.text]) if t]
+def _prepared(corpus: list[Article]) -> Prepared:
+    """The corpus as a Prepared: itself, or a new one around a plain list."""
+    return corpus if isinstance(corpus, Prepared) else Prepared(corpus)
+
+
+def _require_hits(ids, by_id: dict) -> None:
+    """Raise ValueError naming the first of the index hits `ids` that is not
+    an article of the corpus."""
+    for doc_id in ids:
+        if doc_id not in by_id:
+            raise ValueError(
+                f"index hit {doc_id!r} is not in the corpus: the index was not built from this corpus"
+            )
+
+
+class _StatementRows:
+    """The statements of a Prepared's articles as rows of one embedding
+    table, for one call: each term id is mapped to its row (-1 for a word
+    out of the vocabulary) the first time the call meets it."""
+
+    def __init__(self, corpus: Prepared, table: EmbeddingTable):
+        self.corpus = corpus
+        self.vocab = table.vocab
+        self.rows = np.empty(0, dtype=np.intp)
+        self.known = np.empty(0, dtype=bool)
+
+    def __call__(self, entries: list[StatementTerms]) -> tuple[np.ndarray, list[int], list[int]]:
+        """The rows of the statements of the articles' StatementTerms,
+        concatenated, each statement's token count, and each article's
+        statement count."""
+        terms = np.frombuffer(b"".join([e.terms for e in entries]), dtype=np.int32)
+        words = self.corpus.words
+        grow = len(words) - len(self.rows)
+        if grow > 0:
+            self.rows = np.concatenate([self.rows, np.empty(grow, dtype=np.intp)])
+            self.known = np.concatenate([self.known, np.zeros(grow, dtype=bool)])
+        met = np.zeros(len(words), dtype=bool)
+        met[terms] = True
+        new = np.flatnonzero(met & ~self.known)
+        if new.size:
+            self.rows[new] = list(map(self.vocab.get, map(words.__getitem__, new.tolist()), repeat(-1)))
+            self.known[new] = True
+        lengths = [n for e in entries for n in e.lengths]
+        return self.rows[terms], lengths, [len(e.lengths) for e in entries]
 
 
 def _train_scores(
-    model: RankerModel, q_tokens: list[str], articles: list[Article], rng, statements: dict | None = None
+    model: RankerModel, q_tokens: list[str], articles: list[Article], rng,
+    statement_rows: _StatementRows | None = None,
 ) -> list[Tensor]:
     """s_s = q . r_a of each article on the tape, the query and every
-    statement encoded in one encode_on_tape node, with dropout; 0.0 when the
-    query or every statement of the article has no tokens.  No statement is
-    encoded when the query has no tokens.  statements, when given, keeps
-    each article's _statement_tokens by id, so an article is tokenized once
-    across calls."""
+    statement with tokens encoded in one encode_on_tape node, with dropout;
+    0.0 when the query or every statement of the article has no tokens.  No
+    statement is encoded when the query has no tokens.  statement_rows
+    gives the articles' statement rows; by default they are read through a
+    Prepared of the articles."""
     if not q_tokens:
         return [Tensor(0.0) for _ in articles]
-    statements = {} if statements is None else statements
-    for a in articles:
-        if a.id not in statements:
-            statements[a.id] = _statement_tokens(a)
-    blocks = [statements[a.id] for a in articles]
-    encoded = encode_on_tape([q_tokens] + [t for ts in blocks for t in ts], model.encoder, rng)
+    if statement_rows is None:
+        statement_rows = _StatementRows(Prepared(articles), model.embeddings)
+    rows, lengths, counts = statement_rows(list(map(statement_rows.corpus.statement_terms, articles)))
+    q_rows = model.embeddings.lookup(q_tokens)
+    encoded = _rows_on_tape(np.concatenate([q_rows, rows]), [len(q_rows), *lengths], model.encoder, rng)
     qv = T.take_rows(encoded, 0)
     pq = model.para_query if model.para_query is not None else qv
     attn = model.para_attn
     scores, start = [], 1
-    for ts in blocks:
-        if not ts:
+    for n in counts:
+        if not n:
             scores.append(Tensor(0.0))
             continue
-        rows = T.take_rows(encoded, slice(start, start + len(ts)))
-        start += len(ts)
+        rows = T.take_rows(encoded, slice(start, start + n))
+        start += n
         scores.append(T.dot(qv, T.additive_attention(rows, attn.A, attn.b, pq, attn.weight_fn)[0]))
     return scores
 
@@ -225,44 +295,51 @@ def _pool_paragraphs(
     return out
 
 
-# statements per encode_statements call of _encode_articles: enough to fill
-# the stacks, few enough to bound the token lists and rows held at once
+# statements per _encode_rows call of _encode_articles: enough to fill the
+# stacks, few enough to bound the rows held at once
 ENCODE_CHUNK = 64 * STACK_CAP
 
 
-def _encode_chunk(model: RankerModel, todo: dict[str, list[list[str]]], encoded: dict) -> None:
-    """Put the entries of the articles in `todo` (id -> statement token
-    lists) into `encoded`, their statements encoded in one call."""
-    vecs = encode_statements([t for ts in todo.values() for t in ts], model.encoder)
+def _encode_chunk(
+    model: RankerModel, statement_rows: _StatementRows, todo: dict[str, StatementTerms], encoded: dict
+) -> None:
+    """Put the entries of the articles in `todo` (id -> its StatementTerms)
+    into `encoded`, their statements encoded in one call."""
+    rows, lengths, counts = statement_rows(list(todo.values()))
+    vecs = _encode_rows(rows, lengths, model.encoder)
     blocks, start = [], 0
-    for ts in todo.values():
-        blocks.append(vecs[start : start + len(ts)] if ts else None)
-        start += len(ts)
+    for n in counts:
+        blocks.append(vecs[start : start + n] if n else None)
+        start += n
     if model.para_query is not None:
         pooled = _pool_paragraphs(model, blocks, model.para_query.data)
         blocks = [None if p is None else p[0] for p in pooled]
     encoded.update(zip(todo, blocks))
 
 
-def _encode_articles(model: RankerModel, articles: Iterable[Article], encoded: dict) -> dict:
+def _encode_articles(
+    model: RankerModel, statement_rows: _StatementRows, articles: Iterable[Article], encoded: dict
+) -> dict:
     """Put what scoring needs of each article not yet in `encoded` there, in
     first-seen order: r_a when the paragraph query is learned, else the
-    statement rows; None when no statement has tokens.  The articles are
-    tokenized and encoded in chunks of at most ENCODE_CHUNK statements (an
-    article with more is a chunk of its own); every row has the bits of its
-    own encode, whatever the chunk.  Returns `encoded`."""
+    statement rows; None when no statement has tokens.  The articles'
+    statements are read through statement_rows and encoded in chunks of at
+    most ENCODE_CHUNK statements (an article with more is a chunk of its
+    own); every row has the bits of its own encode, whatever the chunk.
+    Returns `encoded`."""
+    corpus = statement_rows.corpus
     todo, size = {}, 0
     for a in articles:
         if a.id in encoded or a.id in todo:
             continue
-        ts = _statement_tokens(a)
-        if todo and size + len(ts) > ENCODE_CHUNK:
-            _encode_chunk(model, todo, encoded)
+        entry = corpus.statement_terms(a)
+        if todo and size + len(entry.lengths) > ENCODE_CHUNK:
+            _encode_chunk(model, statement_rows, todo, encoded)
             todo, size = {}, 0
-        todo[a.id] = ts
-        size += len(ts)
+        todo[a.id] = entry
+        size += len(entry.lengths)
     if todo:
-        _encode_chunk(model, todo, encoded)
+        _encode_chunk(model, statement_rows, todo, encoded)
     return encoded
 
 
@@ -281,7 +358,8 @@ def semantic_score(model: RankerModel, query_text: str, article: Article) -> flo
     qv = _encode_sentence(model, tokenize(query_text))
     if qv is None:
         return 0.0
-    return _semantic(model, qv, [_encode_articles(model, [article], {})[article.id]])[0]
+    statement_rows = _StatementRows(Prepared([article]), model.embeddings)
+    return _semantic(model, qv, [_encode_articles(model, statement_rows, [article], {})[article.id]])[0]
 
 
 def require_relevant(queries: list[Query], article_ids) -> None:
@@ -305,9 +383,10 @@ def train_ranker(
     replacement from the non-relevant articles.  With an index, the pool is
     first narrowed to each query's top n_train lexical candidates (the
     training-phase cut, which may differ from the prediction-phase
-    n_predict).  The draws are seeded by the model's config.  A step that
-    diverges raises ValueError naming the epoch and the query
-    (tensor.train_step).  No queries raise ValueError.
+    n_predict); a candidate that is not in the corpus raises ValueError.
+    The draws are seeded by the model's config.  A step that diverges
+    raises ValueError naming the epoch and the query (tensor.train_step).
+    No queries raise ValueError.  The corpus is a Prepared or a list.
     """
     if not queries:
         raise ValueError("no training queries")
@@ -315,34 +394,37 @@ def train_ranker(
     k = cfg.k_negatives
     if k >= len(corpus):
         raise ValueError(f"need more than K={k} articles, corpus has {len(corpus)}")
-    by_id = {a.id: a for a in corpus}
+    corpus = _prepared(corpus)
+    by_id = corpus.by_id
     require_relevant(queries, by_id.keys())
     # per query: its tokens, its relevant ids in the corpus and its negative pool
-    prepared = []
+    plan = []
     for q in queries:
         q_tokens = tokenize(q.text)
         if index is not None:
             cands = top_n(index, q_tokens, cfg.n_train, k1=cfg.k1, b=cfg.b)
+            _require_hits((d for d, _ in cands), by_id)
             pool = [d for d, _ in cands if d not in q.relevant_ids]
         else:
             pool = [a.id for a in corpus if a.id not in q.relevant_ids]
-        prepared.append((q_tokens, sorted(q.relevant_ids & by_id.keys()), pool))
+        plan.append((q_tokens, sorted(q.relevant_ids & by_id.keys()), pool))
     params = parameters(model)
     rng = np.random.default_rng(cfg.seed)
-    statements: dict[str, list[list[str]]] = {}
+    statement_rows = _StatementRows(corpus, model.embeddings)
     trace = []
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(queries))
         total = 0.0
         for qi in order:
             q = queries[int(qi)]
-            q_tokens, rel, pool = prepared[int(qi)]
+            q_tokens, rel, pool = plan[int(qi)]
             pos_id = rel[int(rng.integers(0, len(rel)))]
             n_negs = min(k, len(pool))
             neg_ids = [pool[i] for i in rng.choice(len(pool), size=n_negs, replace=False)] if pool else []
 
             def loss_fn():
-                ys = _train_scores(model, q_tokens, [by_id[d] for d in [pos_id, *neg_ids]], rng, statements)
+                articles = [by_id[d] for d in [pos_id, *neg_ids]]
+                ys = _train_scores(model, q_tokens, articles, rng, statement_rows)
                 return T.ce_negsample(ys[0], ys[1:])
 
             loss = T.train_step(params, cfg.lr, loss_fn, f"epoch {epoch} at query {q.id!r}")
@@ -385,17 +467,21 @@ def score_candidates(
     """Retrieve each query's top-N lexically and score the candidates
     semantically, in one pass: each query is encoded once, then the distinct
     candidates of every query with tokens once, in first-seen order and in
-    _encode_articles' chunks, and the encodings live only for this call."""
+    _encode_articles' chunks, and the encodings live only for this call.
+    The corpus is a Prepared or a list; a hit that is not in it raises
+    ValueError."""
     n_predict = model.config.n_predict if n_predict is None else n_predict
-    by_id = {a.id: a for a in corpus}
+    corpus = _prepared(corpus)
+    by_id = corpus.by_id
     out, qvs = [], []
     for query in queries:
         q_tokens = tokenize(query.text)
         hits = top_n(index, q_tokens, n_predict, k1=model.config.k1, b=model.config.b)
         out.append(CandidateScores([doc_id for doc_id, _ in hits], _minmax([s for _, s in hits]), []))
+        _require_hits(out[-1].ids, by_id)
         qvs.append(_encode_sentence(model, q_tokens))
     cands = (by_id[doc_id] for c, qv in zip(out, qvs) if qv is not None for doc_id in c.ids)
-    encoded = _encode_articles(model, cands, {})
+    encoded = _encode_articles(model, _StatementRows(corpus, model.embeddings), cands, {})
     for c, qv in zip(out, qvs):
         c.sem = [0.0] * len(c.ids) if qv is None else _semantic(model, qv, [encoded[doc_id] for doc_id in c.ids])
     return out
@@ -490,7 +576,8 @@ def grid_search_alpha(
     """Best alpha on the validation queries by macro-F2; ties take the
     smallest alpha.  The candidates are scored once, for the whole grid.
     Every query needs a relevant article in the corpus."""
-    require_relevant(val_queries, {a.id for a in corpus})
+    corpus = _prepared(corpus)
+    require_relevant(val_queries, corpus.by_id.keys())
     k = model.config.eval_k if k is None else k
     scored = score_candidates(model, index, corpus, val_queries, n_predict)
     return best_alpha(val_queries, scored, step, k)
@@ -513,8 +600,15 @@ def build_lawfulness_classifier(
     vocab, embed_dim: int, filters: int, attn_dim: int, seed: int,
     width: int = 3, lr: float = 0.1, epochs: int = 10,
 ) -> LawfulnessClassifier:
-    rng = np.random.default_rng(seed)
     emb = random_embeddings(vocab, embed_dim, seed, scale=0.5)
+    return _lawfulness_classifier(emb, filters, attn_dim, np.random.default_rng(seed), width, lr, epochs)
+
+
+def _lawfulness_classifier(
+    emb: EmbeddingTable, filters: int, attn_dim: int, rng, width: int, lr: float, epochs: int
+) -> LawfulnessClassifier:
+    """build_lawfulness_classifier around the table emb, its weights drawn
+    from rng as in _attentive_cnn."""
     enc = init_cnn_encoder(emb, filters, attn_dim, rng, width=width)
     w = Tensor(np.zeros(filters), requires_grad=True)
     b = Tensor(np.asarray(0.0), requires_grad=True)
@@ -596,33 +690,34 @@ def _check_oov_policy(meta: dict) -> None:
         raise ValueError(f"unknown oov_policy {meta['oov_policy']!r}, expected {_OOV_POLICY!r}")
 
 
-def _cnn_sizes(shapes) -> dict:
-    """CNN encoder sizes read off the stored shapes of its first tensors:
-    the table [|V|, d], the filters [w, d, F] and A [d_q, F]."""
-    return {"embed_dim": shapes[0][1], "filters": shapes[1][2], "attn_dim": shapes[2][0], "width": shapes[1][0]}
+def _blank_table(meta: dict, shapes) -> EmbeddingTable:
+    """The stored vocabulary's table, its [|V|, d] values left for the
+    checkpoint to fill."""
+    return _drawn_embeddings(meta["vocab"], shapes[0][1], _NO_DRAWS, 0.0)
+
+
+def _cnn_sizes(shapes) -> tuple[int, int, int]:
+    """The CNN encoder's filter count, attention query size and width, read
+    off the stored shapes of the filters [w, d, F] and A [d_q, F]."""
+    return shapes[1][2], shapes[2][0], shapes[1][0]
 
 
 def load_model(path) -> RankerModel:
+    """The ranker a save_model file holds.  The model is built without
+    drawing weights, since the checkpoint fills every tensor."""
+
     def build(kind, meta, shapes):
         _check_oov_policy(meta)
         cfg = RankerConfig(**meta["config"])
         if min(cfg.epochs, cfg.n_train, cfg.n_predict, cfg.eval_k) < 1 or cfg.k_negatives < 0:
             raise ValueError(f"stored config out of range: {meta['config']}")
+        emb = _blank_table(meta, shapes)
         if kind == "attentive_cnn":
-            model = build_attentive_cnn(
-                meta["vocab"], **_cnn_sizes(shapes), seed=cfg.seed, dropout=meta.get("dropout", 0.0),
-                para_query=meta.get("para_query", "learned"), config=cfg,
-            )
+            filters, attn_dim, width = _cnn_sizes(shapes)
+            dropout, para_query = meta.get("dropout", 0.0), meta.get("para_query", "learned")
+            model = _attentive_cnn(emb, filters, attn_dim, _NO_DRAWS, width, dropout, para_query, cfg)
         else:
-            model = build_paraformer_lite(
-                meta["vocab"],
-                embed_dim=shapes[0][1],
-                n_layers=meta["n_layers"],
-                n_heads=meta["n_heads"],
-                seed=cfg.seed,
-                max_len=shapes[1][0],
-                config=cfg,
-            )
+            model = _paraformer_lite(emb, meta["n_layers"], meta["n_heads"], _NO_DRAWS, shapes[1][0], cfg)
         return model, parameters(model)
 
     return load_bundle(path, ("attentive_cnn", "paraformer_lite"), build)
@@ -639,10 +734,14 @@ def save_classifier(clf: LawfulnessClassifier, path) -> None:
 
 
 def load_classifier(path) -> LawfulnessClassifier:
+    """The classifier a save_classifier file holds, built without drawing
+    weights as load_model builds a ranker."""
+
     def build(kind, meta, shapes):
         _check_oov_policy(meta)
-        clf = build_lawfulness_classifier(
-            meta["vocab"], **_cnn_sizes(shapes), seed=0, lr=meta["lr"], epochs=meta["epochs"]
+        filters, attn_dim, width = _cnn_sizes(shapes)
+        clf = _lawfulness_classifier(
+            _blank_table(meta, shapes), filters, attn_dim, _NO_DRAWS, width, meta["lr"], meta["epochs"]
         )
         return clf, _clf_params(clf)
 

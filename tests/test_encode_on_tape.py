@@ -92,7 +92,7 @@ def test_the_node_has_the_bits_of_the_per_sentence_composition(kind, step):
 @pytest.mark.parametrize("kind", sorted(MODELS))
 def test_node_rows_are_the_per_sentence_encodes_with_the_same_draws(kind):
     model = MODELS[kind](rankers.RankerConfig(seed=5))
-    token_lists = [tokenize("gift zzz")] + [t for a in ARTICLES for t in rankers._statement_tokens(a)]
+    token_lists = [tokenize("gift zzz")] + [t for a in ARTICLES for t in train_oracle.statement_tokens(a)]
     assert sorted({len(t) for t in token_lists}) == [1, 2, 3, 6]
     node_rng, oracle_rng = np.random.default_rng(4), np.random.default_rng(4)
     node = encode_on_tape(token_lists, model.encoder, node_rng)
@@ -144,7 +144,7 @@ def test_wide_and_ragged_steps_have_the_bits_of_the_per_sentence_composition(wid
         return rankers.build_attentive_cnn(
             VOCAB, embed_dim=16, filters=filters, attn_dim=attn_dim, seed=3, width=width, dropout=dropout, config=cfg)
 
-    lengths = [len(tokenize(LONG_QUERY))] + [len(t) for a in LONG_ARTICLES for t in rankers._statement_tokens(a)]
+    lengths = [len(tokenize(LONG_QUERY))] + [len(t) for a in LONG_ARTICLES for t in train_oracle.statement_tokens(a)]
     assert sorted(lengths) == list(range(1, 10))
     node = _run_step(build, LONG_QUERY, LONG_ARTICLES, rankers._train_scores)
     oracle = _run_step(build, LONG_QUERY, LONG_ARTICLES, train_oracle.train_scores)

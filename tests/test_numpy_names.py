@@ -15,11 +15,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 PINNED = {
     "abs", "add", "add.at", "all", "arange", "argmax", "array", "asarray", "ascontiguousarray",
     "bincount", "concatenate", "cumsum", "diff", "dot", "empty",
-    "errstate", "exp", "flatnonzero", "float64", "frombuffer", "full_like", "inf", "int64",
+    "errstate", "exp", "flatnonzero", "float64", "frombuffer", "full_like", "inf", "int32", "int64",
     "intp", "isfinite", "lexsort", "linalg", "linalg.norm", "linalg.qr", "log",
     "log1p", "matmul", "max", "maximum", "mean", "ndarray", "ones_like", "outer",
     "random", "random.Generator", "random.default_rng", "repeat",
-    "searchsorted", "sort", "stack", "tanh", "tile", "unique", "where", "zeros", "zeros_like",
+    "searchsorted", "sort", "split", "stack", "tanh", "tile", "unique", "where", "zeros", "zeros_like",
 }
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from statutelab import rankers, tensor
 from statutelab.cli import cli_dispatch
-from statutelab.corpus import Article, Query, chunk_corpus, load_corpus
+from statutelab.corpus import Article, Prepared, Query, chunk_corpus, load_corpus
 from statutelab.encoders import encode_paragraph, encode_sentence_cnn, encode_statements
 from statutelab.evalkit import RetrievalJudgment, macro_f2
 from statutelab.lexical import build_index, tokenize, top_n
@@ -517,32 +517,38 @@ def test_best_alpha_rejects_bad_inputs():
         best_alpha(queries, scored, 0.5, 0)
 
 
+def row_runs(rows, lengths):
+    """The runs of table rows of the given lengths, as tuples."""
+    return [tuple(r.tolist()) for r in np.split(rows, np.cumsum(lengths)[:-1])] if len(lengths) else []
+
+
 def test_score_candidates_encodes_each_query_and_article_once(monkeypatch):
     """Also in chunks of 2 statements, or of 1 (an article with 2 is then a
     chunk of its own), with the bits of a single chunk."""
     articles, queries = statement_world()
     model = scoring_models(articles, queries)["learned"]
+    lookup = model.embeddings.lookup
     idx = build_index(articles)
     seen, calls = [], []
     real = rankers.encode_sentence_cnn
-    real_statements = rankers.encode_statements
+    real_rows = rankers._encode_rows
 
     def counting(tokens, enc, **kw):
-        seen.append(tuple(tokens))
+        seen.append(tuple(lookup(tokens).tolist()))
         return real(tokens, enc, **kw)
 
-    def counting_statements(token_lists, enc):
-        seen.extend(tuple(t) for t in token_lists)
-        calls.append(len(token_lists))
-        return real_statements(token_lists, enc)
+    def counting_rows(rows, lengths, enc):
+        seen.extend(row_runs(rows, lengths))
+        calls.append(len(lengths))
+        return real_rows(rows, lengths, enc)
 
     def bits(scored):
         return [(c.ids, [x.hex() for x in c.lex], [x.hex() for x in c.sem]) for c in scored]
 
     monkeypatch.setattr(rankers, "encode_sentence_cnn", counting)
-    monkeypatch.setattr(rankers, "encode_statements", counting_statements)
-    statements = [tuple(t) for a in articles for t in map(tokenize, a.statements or [a.text]) if t]
-    once = sorted([tuple(tokenize(q.text)) for q in queries] + statements)
+    monkeypatch.setattr(rankers, "_encode_rows", counting_rows)
+    statements = [tuple(lookup(t).tolist()) for a in articles for t in map(tokenize, a.statements or [a.text]) if t]
+    once = sorted([tuple(lookup(tokenize(q.text)).tolist()) for q in queries] + statements)
     whole = score_candidates(model, idx, articles, queries, n_predict=5)
     assert sorted(seen) == once and calls == [len(statements)]
     for chunk in (2, 1):
@@ -584,11 +590,11 @@ def test_a_query_without_tokens_scores_0_encoding_no_article(kind, monkeypatch):
     articles, queries = statement_world()
     model = scoring_models(articles, queries)[kind]
 
-    def no_article_encode(token_lists, enc):
+    def no_article_encode(rows, lengths, enc):
         raise AssertionError("an article was encoded")
 
-    # every article encode goes through encode_statements, which now raises
-    monkeypatch.setattr(rankers, "encode_statements", no_article_encode)
+    # every article encode goes through _encode_rows, which now raises
+    monkeypatch.setattr(rankers, "_encode_rows", no_article_encode)
     oov = Article("z", "", "zzz qqq. yyy", ["zzz qqq", "yyy"])
     with pytest.raises(AssertionError, match="an article was encoded"):
         semantic_score(model, "gift writing", oov)
@@ -611,7 +617,7 @@ def test_pooled_paragraphs_have_the_bits_of_encode_paragraph(kind):
 
     qv = encode(tokenize("gift writing deed"))
     q = model.para_query if kind == "learned" else qv
-    token_lists = [rankers._statement_tokens(a) for a in world]
+    token_lists = [[t for t in map(tokenize, a.statements or [a.text]) if t] for a in world]
     # two articles of one statement, four of two, one of none
     assert sorted(map(len, token_lists)) == [0, 1, 1, 2, 2, 2, 2]
     blocks = [encode_statements(ts, enc) if ts else None for ts in token_lists]
@@ -623,7 +629,7 @@ def test_pooled_paragraphs_have_the_bits_of_encode_paragraph(kind):
         r_a, weights = encode_paragraph(q, [encode(t) for t in ts], model.para_attn)
         assert got[0].tobytes() == r_a.data.tobytes()
         assert got[1].tobytes() == np.array(weights).tobytes()
-    encoded = rankers._encode_articles(model, world, {})
+    encoded = rankers._encode_articles(model, rankers._StatementRows(Prepared(world), model.embeddings), world, {})
     sem = rankers._semantic(model, qv.data, [encoded[a.id] for a in world])
     assert encoded["z"] is None and sem[world.index(blank)] == 0.0
 
@@ -746,17 +752,18 @@ def test_train_step_encodes_the_query_once(kind, monkeypatch):
     model.config.epochs = 1
     # K = 4 on five articles: the step draws every article
     model.config.k_negatives = 4
+    lookup = model.embeddings.lookup
     seen = []
-    real = rankers.encode_on_tape
+    real = rankers._rows_on_tape
 
-    def counting(token_lists, enc, rng):
-        seen.extend(tuple(t) for t in token_lists)
-        return real(token_lists, enc, rng)
+    def counting(rows, lengths, enc, rng):
+        seen.extend(row_runs(rows, lengths))
+        return real(rows, lengths, enc, rng)
 
-    monkeypatch.setattr(rankers, "encode_on_tape", counting)
+    monkeypatch.setattr(rankers, "_rows_on_tape", counting)
     train_ranker(model, articles, queries[:1])
-    statements = [tuple(t) for a in articles for t in map(tokenize, a.statements or [a.text]) if t]
-    assert sorted(seen) == sorted([tuple(tokenize(queries[0].text))] + statements)
+    statements = [tuple(lookup(t).tolist()) for a in articles for t in map(tokenize, a.statements or [a.text]) if t]
+    assert sorted(seen) == sorted([tuple(lookup(tokenize(queries[0].text)).tolist())] + statements)
 
 
 @pytest.mark.parametrize("para_query, what", [

@@ -5,10 +5,16 @@ encode_paragraph, then s_s = T.dot(q, r_a).  Its tape has a node per op
 per sentence, built article by article; the node must leave every
 parameter gradient with the bits of this tape."""
 
-from statutelab import rankers
 from statutelab import tensor as T
 from statutelab.encoders import SentenceEncoderCNN, encode_paragraph
+from statutelab.lexical import tokenize
 from statutelab.tensor import Tensor
+
+
+def statement_tokens(article):
+    """The token lists of the article's statements (its text when it has
+    none), statements without tokens left out."""
+    return [t for t in map(tokenize, article.statements or [article.text]) if t]
 
 
 def encode_sentence(tokens, enc, rng):
@@ -23,15 +29,15 @@ def encode_sentence(tokens, enc, rng):
     return T.additive_attention(feats, enc.attn.A, enc.attn.b, enc.u, "softmax")[0]
 
 
-def train_scores(model, q_tokens, articles, rng, statements=None):
+def train_scores(model, q_tokens, articles, rng, statement_rows=None):
     """What rankers._train_scores returns, by the per-sentence composition;
-    it tokenizes every article itself and leaves statements alone."""
+    it tokenizes every article itself and leaves statement_rows alone."""
     if not q_tokens:
         return [Tensor(0.0) for _ in articles]
     qv = encode_sentence(q_tokens, model.encoder, rng)
     pq = model.para_query if model.para_query is not None else qv
     scores = []
     for article in articles:
-        reps = [encode_sentence(t, model.encoder, rng) for t in rankers._statement_tokens(article)]
+        reps = [encode_sentence(t, model.encoder, rng) for t in statement_tokens(article)]
         scores.append(T.dot(qv, encode_paragraph(pq, reps, model.para_attn)[0]) if reps else Tensor(0.0))
     return scores
