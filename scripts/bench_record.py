@@ -16,9 +16,11 @@ at the end.  The change is this checkout, working tree as it stands.  The
 record is rewritten after every pair, so a run that is cut short keeps what
 it measured.  The record holds the commits and the git tree id of each side's
 ``src/``, the machine, the seeds, every run's metrics with the median and
-quartiles per metric, the count of pairs in which the change is better, and
-every run's ``outputs`` digests.  The machine names the OpenBLAS core
-that numpy loads (``blas_core``), which ``OPENBLAS_CORETYPE`` can force.
+quartiles per metric, the count of pairs in which the change is better, a
+verdict per metric (``worse``, ``unresolved`` or ``ok``, see ``verdict``)
+and the names of the ``worse`` ones, and every run's ``outputs`` digests.
+The machine names the OpenBLAS core that numpy loads (``blas_core``), which
+``OPENBLAS_CORETYPE`` can force.
 """
 
 from __future__ import annotations
@@ -100,11 +102,31 @@ def summarize(runs: list[float]) -> dict:
     return {"median": float(med), "q1": float(q1), "q3": float(q3), "runs": runs}
 
 
+def verdict(spec: dict, parent: dict, change: dict) -> str:
+    """"worse" when the change's median is worse than the parent's by more
+    than the bound (a fraction of the parent's median); else "unresolved"
+    when the parent's interquartile range is wider than the bound times its
+    median, unless every change run beats every parent run; else "ok".
+    parent and change are summarize() records."""
+    limit = spec["bound"] * parent["median"]
+    gap = change["median"] - parent["median"]
+    if spec["better"] == "lower":
+        worse, beats_all = gap > limit, max(change["runs"]) < min(parent["runs"])
+    else:
+        worse, beats_all = -gap > limit, min(change["runs"]) > max(parent["runs"])
+    if worse:
+        return "worse"
+    if parent["q3"] - parent["q1"] > limit and not beats_all:
+        return "unresolved"
+    return "ok"
+
+
 def metric_record(spec: dict, parent: list[float], change: list[float]) -> dict:
     lower = spec["better"] == "lower"
     better = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
     ps, cs = summarize(parent), summarize(change)
     return {
+        "verdict": verdict(spec, ps, cs),
         "unit": spec["unit"],
         "better": spec["better"],
         "bound": spec["bound"],
@@ -161,6 +183,7 @@ def build_record(args, seeds, first, results, parent_commit, parent_tree, change
             for name, spec in specs.items()
         } if done else {},
     }
+    rec["worse"] = [name for name, m in rec["metrics"].items() if m["verdict"] == "worse"]
     if args.claim and done:
         rec["claim"] = claim_record(args.claim, args.claim_frac, rec["metrics"][args.claim])
     return rec

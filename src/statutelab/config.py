@@ -64,6 +64,17 @@ class RunConfig:
                 raise ValueError(f"{key} must be >= 1")
         if self.K < 0:
             raise ValueError("K must be >= 0")
+        for key in ("embed_dim", "filters", "attn_dim"):
+            if getattr(self, key) is not None and getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1")
+        if self.dropout is not None and not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+        if self.lr <= 0.0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
+        if self.k1 < 0.0:
+            raise ValueError(f"k1 must be >= 0, got {self.k1}")
+        if not 0.0 <= self.b <= 1.0:
+            raise ValueError(f"b must be in [0, 1], got {self.b}")
 
 
 # each key's annotation as written, and as the type it names

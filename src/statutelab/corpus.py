@@ -6,8 +6,9 @@ Articles are chunked at top-level enumeration markers "(1)", "(2)", ... while
 roman-numeral items "(i)", "(ii)" stay inside their parent chunk.
 ``chunk_corpus`` returns a ``Prepared`` corpus: the chunked articles as a
 read-only list that also holds ``by_id``, the corpus digest and, from each
-article's first scoring on, its statements' token ids, so that scoring
-tokenizes a statement once however many calls score it.
+article's first scoring on, its statements' rows in the scoring model's
+embedding table, so that scoring tokenizes and looks up a statement once
+however many calls score it with that table.
 """
 
 from __future__ import annotations
@@ -18,10 +19,14 @@ import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .evalkit import ordered_mean
+
+if TYPE_CHECKING:
+    from .encoders import EmbeddingTable  # encoders imports this module
 
 __all__ = [
     "Article",
@@ -35,7 +40,7 @@ __all__ = [
     "load_queries",
     "chunk_article",
     "chunk_corpus",
-    "StatementTerms",
+    "StatementRows",
     "Prepared",
     "corpus_stats",
     "digest",
@@ -237,32 +242,20 @@ def chunk_corpus(articles: list[Article]) -> Prepared:
 
 
 @dataclass(frozen=True, slots=True, eq=False)
-class StatementTerms:
+class StatementRows:
     """What scoring reads of one article's statements (its text, when it
-    has none): ``kept``, the indices of those with tokens; ``lengths``,
-    their token counts; ``terms``, their tokens' ids in the term table of
-    a Prepared, concatenated, as the bytes of native int32 (bytes hold
+    has none) under one embedding table: ``kept``, the indices of those
+    with tokens; ``lengths``, their token counts; ``rows``, their tokens'
+    rows in the table (EmbeddingTable.lookup: -1 for a word out of the
+    vocabulary), concatenated, as the bytes of native int32 (bytes hold
     them in a third of an array's overhead).  ``text`` and ``statements``
     are the article's when the entry was derived."""
 
     kept: tuple[int, ...]
     lengths: tuple[int, ...]
-    terms: bytes
+    rows: bytes
     text: str
     statements: list[str]
-
-
-class _TermTable(dict):
-    """term -> id, giving an unseen term the next id; words[id] is the term."""
-
-    def __init__(self):
-        super().__init__()
-        self.words: list[str] = []
-
-    def __missing__(self, term: str) -> int:
-        self[term] = tid = len(self.words)
-        self.words.append(term)
-        return tid
 
 
 class Prepared(list):
@@ -272,10 +265,11 @@ class Prepared(list):
     - ``by_id`` maps each article id to its article (the last one, for a
       repeated id).
     - ``digest`` is ``digest(self)``, computed on first use.
-    - ``statement_terms(article)`` is the article's StatementTerms, derived
-      on the article's first use and kept; an entry whose article's text or
-      statements have changed since is derived again.  ``words[t]`` is the
-      token of term id t.
+    - ``statement_rows(article, table)`` is the article's StatementRows
+      under the embedding table, derived on the article's first use and
+      kept.  The entries are those of the last table asked for, compared by
+      identity: another table clears them.  An entry whose article's text
+      or statements have changed since is derived again.
 
     Slicing, ``+`` and ``*`` give plain lists, and ``list(corpus)`` a
     mutable copy; a method that would change the list raises TypeError.
@@ -286,9 +280,8 @@ class Prepared(list):
         super().__init__(articles)
         self.by_id = {a.id: a for a in self}
         self._digest: bytes | None = None
-        self._terms = _TermTable()
-        self.words = self._terms.words
-        self._entries: dict[str, StatementTerms] = {}
+        self._table = None
+        self._entries: dict[str, StatementRows] = {}
         # one tuple per distinct `kept`: most articles keep all statements
         self._kept: dict[tuple[int, ...], tuple[int, ...]] = {}
 
@@ -307,25 +300,27 @@ class Prepared(list):
             self._digest = digest(self)
         return self._digest
 
-    def statement_terms(self, article: Article) -> StatementTerms:
+    def statement_rows(self, article: Article, table: EmbeddingTable) -> StatementRows:
+        if table is not self._table:
+            self._table, self._entries = table, {}
         entry = self._entries.get(article.id)
         if entry is None or entry.text != article.text or entry.statements != article.statements:
-            entry = self._entries[article.id] = self._derive(article)
+            entry = self._entries[article.id] = self._derive(article, table)
         return entry
 
-    def _derive(self, article: Article) -> StatementTerms:
+    def _derive(self, article: Article, table: EmbeddingTable) -> StatementRows:
         from .lexical import tokenize  # lexical imports this module
 
-        kept, lengths, terms = [], [], []
-        for i, tokens in enumerate(map(tokenize, article.statements or [article.text])):
-            if tokens:
+        kept, lengths, tokens = [], [], []
+        for i, words in enumerate(map(tokenize, article.statements or [article.text])):
+            if words:
                 kept.append(i)
-                lengths.append(len(tokens))
-                terms.extend(map(self._terms.__getitem__, tokens))
+                lengths.append(len(words))
+                tokens += words
         kept = tuple(kept)
-        terms = np.array(terms, dtype=np.int32).tobytes()
-        return StatementTerms(
-            self._kept.setdefault(kept, kept), tuple(lengths), terms, article.text, list(article.statements)
+        rows = table.lookup(tokens).astype(np.int32).tobytes() if tokens else b""
+        return StatementRows(
+            self._kept.setdefault(kept, kept), tuple(lengths), rows, article.text, list(article.statements)
         )
 
 

@@ -17,8 +17,8 @@ per sentence in training.  Behind both sits a path on table rows
 (``_encode_rows``, ``_rows_on_tape``): each sentence is a run of row ids,
 -1 for an out-of-vocabulary token, and each stack, or a training step's
 sentences, is gathered from the table with one index array.  Token lists
-reach it through ``EmbeddingTable.lookup``; a ``corpus.Prepared`` corpus
-hands the ranker its statements' rows without one.
+reach it through ``EmbeddingTable.lookup``, which a ``corpus.Prepared``
+corpus calls once per article and table to keep its statements' rows.
 """
 
 from __future__ import annotations
@@ -100,8 +100,8 @@ class EmbeddingTable:
         multiplied by a zero mask row, which also stops its gradient."""
         known = rows >= 0
         if known.all():
-            return T.gather_rows(self.matrix, rows.tolist())
-        x = T.gather_rows(self.matrix, np.maximum(rows, 0).tolist())
+            return T.gather_rows(self.matrix, rows)
+        x = T.gather_rows(self.matrix, np.maximum(rows, 0))
         return T.mul(x, Tensor(np.repeat(known.astype(np.float64)[:, None], self.dim, axis=1)))
 
 

@@ -58,9 +58,11 @@ def prf2(gold: set, retrieved: set) -> tuple[float, float, float]:
 
 
 def macro_f2(judgments: list[RetrievalJudgment], k: int) -> tuple[float, float, float]:
-    """Per-query prf2 at cut k, averaged arithmetically."""
+    """Per-query prf2 at cut k (k >= 1), averaged arithmetically."""
     if not judgments:
         raise ValueError("macro_f2 needs at least one judgment")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     ps, rs, f2s = [], [], []
     for j in judgments:
         p, r, f2 = prf2(j.gold, set(j.retrieved[:k]))

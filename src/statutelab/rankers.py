@@ -9,23 +9,22 @@ cross-entropy in tensor.ce_negsample and plain gradient descent.
 Scoring and training take a ``corpus.Prepared`` corpus (what
 ``chunk_corpus`` returns) or any list of articles, which is wrapped in one
 for the call.  A Prepared tokenizes each article's statements on the
-article's first use and keeps their term ids; each call maps the term ids
-it meets to rows of the model's embedding table once, and the encoders
-gather the statements from those rows.
+article's first use and keeps their rows in the scoring model's embedding
+table (Prepared.statement_rows); the encoders gather the statements from
+those rows.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from itertools import repeat
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .corpus import Article, Prepared, Query, StatementTerms
+from .corpus import Article, Prepared, Query, StatementRows
 from .encoders import (
     _NO_DRAWS,
     STACK_CAP,
@@ -212,52 +211,26 @@ def _require_hits(ids, by_id: dict) -> None:
             )
 
 
-class _StatementRows:
-    """The statements of a Prepared's articles as rows of one embedding
-    table, for one call: each term id is mapped to its row (-1 for a word
-    out of the vocabulary) the first time the call meets it."""
-
-    def __init__(self, corpus: Prepared, table: EmbeddingTable):
-        self.corpus = corpus
-        self.vocab = table.vocab
-        self.rows = np.empty(0, dtype=np.intp)
-        self.known = np.empty(0, dtype=bool)
-
-    def __call__(self, entries: list[StatementTerms]) -> tuple[np.ndarray, list[int], list[int]]:
-        """The rows of the statements of the articles' StatementTerms,
-        concatenated, each statement's token count, and each article's
-        statement count."""
-        terms = np.frombuffer(b"".join([e.terms for e in entries]), dtype=np.int32)
-        words = self.corpus.words
-        grow = len(words) - len(self.rows)
-        if grow > 0:
-            self.rows = np.concatenate([self.rows, np.empty(grow, dtype=np.intp)])
-            self.known = np.concatenate([self.known, np.zeros(grow, dtype=bool)])
-        met = np.zeros(len(words), dtype=bool)
-        met[terms] = True
-        new = np.flatnonzero(met & ~self.known)
-        if new.size:
-            self.rows[new] = list(map(self.vocab.get, map(words.__getitem__, new.tolist()), repeat(-1)))
-            self.known[new] = True
-        lengths = [n for e in entries for n in e.lengths]
-        return self.rows[terms], lengths, [len(e.lengths) for e in entries]
+def _rows(entries: list[StatementRows]) -> tuple[np.ndarray, list[int], list[int]]:
+    """The statement rows of the entries, concatenated, each statement's
+    token count, and each entry's statement count."""
+    rows = np.frombuffer(b"".join([e.rows for e in entries]), dtype=np.int32)
+    return rows, [n for e in entries for n in e.lengths], [len(e.lengths) for e in entries]
 
 
 def _train_scores(
-    model: RankerModel, q_tokens: list[str], articles: list[Article], rng,
-    statement_rows: _StatementRows | None = None,
+    model: RankerModel, q_tokens: list[str], articles: list[Article], rng, corpus: Prepared | None = None
 ) -> list[Tensor]:
     """s_s = q . r_a of each article on the tape, the query and every
     statement with tokens encoded in one encode_on_tape node, with dropout;
     0.0 when the query or every statement of the article has no tokens.  No
-    statement is encoded when the query has no tokens.  statement_rows
-    gives the articles' statement rows; by default they are read through a
-    Prepared of the articles."""
+    statement is encoded when the query has no tokens.  The articles'
+    statement rows are read through `corpus`, by default a Prepared of the
+    articles."""
     if not q_tokens:
         return [Tensor(0.0) for _ in articles]
-    if statement_rows is None:
-        statement_rows = _StatementRows(Prepared(articles), model.embeddings)
-    rows, lengths, counts = statement_rows(list(map(statement_rows.corpus.statement_terms, articles)))
+    corpus = _prepared(articles) if corpus is None else corpus
+    rows, lengths, counts = _rows([corpus.statement_rows(a, model.embeddings) for a in articles])
     q_rows = model.embeddings.lookup(q_tokens)
     encoded = _rows_on_tape(np.concatenate([q_rows, rows]), [len(q_rows), *lengths], model.encoder, rng)
     qv = T.take_rows(encoded, 0)
@@ -300,12 +273,10 @@ def _pool_paragraphs(
 ENCODE_CHUNK = 64 * STACK_CAP
 
 
-def _encode_chunk(
-    model: RankerModel, statement_rows: _StatementRows, todo: dict[str, StatementTerms], encoded: dict
-) -> None:
-    """Put the entries of the articles in `todo` (id -> its StatementTerms)
+def _encode_chunk(model: RankerModel, todo: dict[str, StatementRows], encoded: dict) -> None:
+    """Put the entries of the articles in `todo` (id -> its StatementRows)
     into `encoded`, their statements encoded in one call."""
-    rows, lengths, counts = statement_rows(list(todo.values()))
+    rows, lengths, counts = _rows(list(todo.values()))
     vecs = _encode_rows(rows, lengths, model.encoder)
     blocks, start = [], 0
     for n in counts:
@@ -317,29 +288,26 @@ def _encode_chunk(
     encoded.update(zip(todo, blocks))
 
 
-def _encode_articles(
-    model: RankerModel, statement_rows: _StatementRows, articles: Iterable[Article], encoded: dict
-) -> dict:
+def _encode_articles(model: RankerModel, corpus: Prepared, articles: Iterable[Article], encoded: dict) -> dict:
     """Put what scoring needs of each article not yet in `encoded` there, in
     first-seen order: r_a when the paragraph query is learned, else the
     statement rows; None when no statement has tokens.  The articles'
-    statements are read through statement_rows and encoded in chunks of at
-    most ENCODE_CHUNK statements (an article with more is a chunk of its
-    own); every row has the bits of its own encode, whatever the chunk.
-    Returns `encoded`."""
-    corpus = statement_rows.corpus
+    statement rows are read once each through `corpus` and encoded in
+    chunks of at most ENCODE_CHUNK statements (an article with more is a
+    chunk of its own); every row has the bits of its own encode, whatever
+    the chunk.  Returns `encoded`."""
     todo, size = {}, 0
     for a in articles:
         if a.id in encoded or a.id in todo:
             continue
-        entry = corpus.statement_terms(a)
+        entry = corpus.statement_rows(a, model.embeddings)
         if todo and size + len(entry.lengths) > ENCODE_CHUNK:
-            _encode_chunk(model, statement_rows, todo, encoded)
+            _encode_chunk(model, todo, encoded)
             todo, size = {}, 0
         todo[a.id] = entry
         size += len(entry.lengths)
     if todo:
-        _encode_chunk(model, statement_rows, todo, encoded)
+        _encode_chunk(model, todo, encoded)
     return encoded
 
 
@@ -358,8 +326,7 @@ def semantic_score(model: RankerModel, query_text: str, article: Article) -> flo
     qv = _encode_sentence(model, tokenize(query_text))
     if qv is None:
         return 0.0
-    statement_rows = _StatementRows(Prepared([article]), model.embeddings)
-    return _semantic(model, qv, [_encode_articles(model, statement_rows, [article], {})[article.id]])[0]
+    return _semantic(model, qv, [_encode_articles(model, Prepared([article]), [article], {})[article.id]])[0]
 
 
 def require_relevant(queries: list[Query], article_ids) -> None:
@@ -410,7 +377,6 @@ def train_ranker(
         plan.append((q_tokens, sorted(q.relevant_ids & by_id.keys()), pool))
     params = parameters(model)
     rng = np.random.default_rng(cfg.seed)
-    statement_rows = _StatementRows(corpus, model.embeddings)
     trace = []
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(queries))
@@ -424,7 +390,7 @@ def train_ranker(
 
             def loss_fn():
                 articles = [by_id[d] for d in [pos_id, *neg_ids]]
-                ys = _train_scores(model, q_tokens, articles, rng, statement_rows)
+                ys = _train_scores(model, q_tokens, articles, rng, corpus)
                 return T.ce_negsample(ys[0], ys[1:])
 
             loss = T.train_step(params, cfg.lr, loss_fn, f"epoch {epoch} at query {q.id!r}")
@@ -481,7 +447,7 @@ def score_candidates(
         _require_hits(out[-1].ids, by_id)
         qvs.append(_encode_sentence(model, q_tokens))
     cands = (by_id[doc_id] for c, qv in zip(out, qvs) if qv is not None for doc_id in c.ids)
-    encoded = _encode_articles(model, _StatementRows(corpus, model.embeddings), cands, {})
+    encoded = _encode_articles(model, corpus, cands, {})
     for c, qv in zip(out, qvs):
         c.sem = [0.0] * len(c.ids) if qv is None else _semantic(model, qv, [encoded[doc_id] for doc_id in c.ids])
     return out

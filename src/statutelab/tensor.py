@@ -330,7 +330,7 @@ def gather_rows(table: Tensor, indices: Sequence[int]) -> Tensor:
     A leaf table gets a RowGrad over the gathered rows only (duplicates
     summed in ``np.add.at`` order); any other table a dense gradient.
     """
-    idx = np.asarray(list(indices), dtype=np.intp)
+    idx = np.array(indices, dtype=np.intp)
     if table.data.ndim != 2:
         raise ValueError("gather_rows expects a matrix")
 

@@ -46,6 +46,17 @@ def test_eval_prf2_prints_hand_example(capsys):
     assert out.strip() == "1.0 0.5 0.5556"
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_eval_prf2_judgments_at_a_cut_below_1_exits_1(tmp_path, capsys, k):
+    path = tmp_path / "judgments.jsonl"
+    path.write_text(json.dumps({"gold": ["a"], "retrieved": ["b", "a"]}) + "\n")
+    code, out, err = run(capsys, "eval", "prf2", "--judgments", str(path), "--k", k)
+    assert code == 1 and out == ""
+    assert f"error: k must be >= 1, got {k}" in err
+    code, out, _ = run(capsys, "eval", "prf2", "--judgments", str(path), "--k", "2")
+    assert code == 0 and out.strip() == "0.5 1.0 0.8333"
+
+
 def test_eval_accuracy_prints_testset_value(capsys):
     code, out, _ = run(capsys, "eval", "accuracy", "--correct", "43", "--total", "81")
     assert code == 0
@@ -374,6 +385,56 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(alpha="sometimes").validate()
     RunConfig(alpha="grid").validate()
+
+
+def _training_argv(command, tmp_path):
+    """The argv of a short run of a training command on small inputs of
+    its own."""
+    if command == "rank train":
+        texts = ["gift law writing act", "(1) lease lien. (2) claim party.", "goods deed"]
+        corpus = write_corpus(tmp_path, [{"id": f"a{i}", "title": "", "text": t} for i, t in enumerate(texts)])
+        queries = _write_queries(tmp_path / "queries.jsonl", ["gift law", "lease claim"])
+        return ["rank", "train", "--corpus", str(corpus), "--queries", str(queries), "--seed", "2",
+                "--width", "1", "--epochs", "1", "--K", "1"]
+    if command == "classify train":
+        data = tmp_path / "data.jsonl"
+        data.write_text(json.dumps({"text": "party may keep goods", "lawful": True}) + "\n"
+                        + json.dumps({"text": "party never keeps goods", "lawful": False}) + "\n")
+        return ["classify", "train", "--data", str(data), "--seed", "1", "--width", "1", "--epochs", "1"]
+    return ["inject", "tre-train", "--bioe", str(_bioe(tmp_path)), "--seed", "2", "--epochs", "1"]
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("rank train", "--embed-dim", "0", "embed_dim must be >= 1"),
+    ("rank train", "--filters", "0", "filters must be >= 1"),
+    ("rank train", "--attn-dim", "0", "attn_dim must be >= 1"),
+    ("rank train", "--dropout", "-0.5", "dropout must be in [0, 1), got -0.5"),
+    ("rank train", "--dropout", "1.0", "dropout must be in [0, 1), got 1.0"),
+    ("rank train", "--lr", "-1", "lr must be > 0, got -1.0"),
+    ("rank train", "--lr", "0", "lr must be > 0, got 0.0"),
+    ("rank train", "--k1", "-1", "k1 must be >= 0, got -1.0"),
+    ("rank train", "--b", "2", "b must be in [0, 1], got 2.0"),
+    ("rank train", "--b", "-0.1", "b must be in [0, 1], got -0.1"),
+    ("classify train", "--embed-dim", "0", "embed_dim must be >= 1"),
+    ("classify train", "--filters", "0", "filters must be >= 1"),
+    ("classify train", "--attn-dim", "0", "attn_dim must be >= 1"),
+    ("classify train", "--lr", "-1", "lr must be > 0, got -1.0"),
+    ("inject tre-train", "--embed-dim", "0", "embed_dim must be >= 1"),
+    ("inject tre-train", "--lr", "-1", "lr must be > 0, got -1.0"),
+])
+def test_a_config_value_out_of_range_exits_1_before_any_work(tmp_path, capsys, command, flag, value, message):
+    out = tmp_path / "out"
+    code, _, err = run(capsys, *_training_argv(command, tmp_path), flag, value, "--out", str(out))
+    assert code == 1
+    assert f"error: {message}" in err
+    assert not out.exists()
+
+
+def test_a_config_file_value_out_of_range_names_the_file_and_the_key(tmp_path):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"dropout": 1.5}))
+    with pytest.raises(ValueError, match=r"bad\.json: dropout must be in \[0, 1\), got 1\.5"):
+        load_config(cfg)
 
 
 def test_embed_commands(tmp_path, capsys):

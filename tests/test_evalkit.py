@@ -53,6 +53,13 @@ def test_macro_f2_truncates_at_k():
     assert macro_f2([j], 2)[2] > 0.0
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_macro_f2_rejects_a_cut_below_1(k):
+    # at k=-1 the slice would drop the last retrieved id and score 0.0
+    with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+        macro_f2([RetrievalJudgment({"a"}, ["b", "a"])], k)
+
+
 def test_macro_f2_permutation_invariant():
     js = [
         RetrievalJudgment({"a"}, ["a"]),

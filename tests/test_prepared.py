@@ -1,7 +1,8 @@
 """corpus.Prepared: the chunked corpus that scoring and training read
-statement token ids from.  Its outputs are byte-identical to a plain list's,
-a second rank on it tokenizes and looks up nothing but the query, an edited
-article scores as a fresh chunk would, and it cannot be changed."""
+statement embedding rows from.  Its outputs are byte-identical to a plain
+list's, a second rank on it tokenizes and looks up nothing but the query,
+an edited article scores as a fresh chunk would, models with different
+tables can alternate on it, and it cannot be changed."""
 
 import pickle
 
@@ -71,10 +72,12 @@ def rank_bits(cands):
 def test_the_world_has_oov_words_and_a_statement_without_tokens():
     arts = world()
     assert arts[1].statements[0] == "?!" and not tokenize(arts[1].statements[0])
-    entry = arts.statement_terms(arts[1])
+    table = model_for("learned").embeddings
+    entry = arts.statement_rows(arts[1], table)
     assert entry.kept == (1, 2) and entry.lengths == (4, 7)
-    vocab = model_for("learned").embeddings.vocab
-    assert "qqq" not in vocab and "qqq" in arts.words
+    tokens = [t for s in arts[1].statements for t in tokenize(s)]
+    rows = np.frombuffer(entry.rows, dtype=np.int32)
+    assert "qqq" not in table.vocab and rows[tokens.index("qqq")] == -1
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -126,6 +129,43 @@ def test_train_ranker_is_byte_identical_to_a_plain_list(kind, with_index):
         model, trace = train_ranker(model, corpus, QUERIES, index=idx)
         runs.append((model_bytes(model), [x.hex() for x in trace]))
     assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_models_that_number_the_words_differently_alternate_on_one_prepared(kind):
+    """The memo holds the rows of the last table asked for; a model with
+    another table, here the same words in reverse order, gets its own."""
+    arts = world()
+    idx = build_index(arts)
+    words = model_for(kind).embeddings.words()
+    vocabs = {"sorted": words, "reversed": words[::-1]}
+    models = {order: build(kind, vocab) for order, vocab in vocabs.items()}
+    assert models["sorted"].embeddings.vocab != models["reversed"].embeddings.vocab
+
+    def ranked(order, corpus, q):
+        return rank_bits(rank(models[order], idx, corpus, q, n_predict=N_PREDICT, alpha=0.3))
+
+    def grid(order, corpus):
+        return grid_search_alpha(models[order], idx, corpus, QUERIES, step=0.05, n_predict=N_PREDICT, k=1)
+
+    def trained(order, corpus):
+        model, trace = train_ranker(build(kind, vocabs[order]), corpus, QUERIES, index=idx)
+        return model_bytes(model), [x.hex() for x in trace]
+
+    plain = list(arts)
+    want = {
+        order: ([ranked(order, plain, q) for q in QUERIES], grid(order, plain), trained(order, plain))
+        for order in models
+    }
+    assert want["sorted"] != want["reversed"]
+    for _ in range(2):
+        for i, q in enumerate(QUERIES):
+            for order in models:
+                assert ranked(order, arts, q) == want[order][0][i]
+        for order in models:
+            assert grid(order, arts) == want[order][1]
+        for order in models:
+            assert trained(order, arts) == want[order][2]
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -183,7 +223,7 @@ def test_an_article_edited_after_chunking_scores_as_a_fresh_chunk(kind):
     for q in QUERIES:
         got = rank(model, idx, arts, q, n_predict=N_PREDICT)
         assert rank_bits(got) == rank_bits(rank(model, idx, fresh, q, n_predict=N_PREDICT))
-    assert arts.statement_terms(arts.by_id["a3"]).kept == (0,)
+    assert arts.statement_rows(arts.by_id["a3"], model.embeddings).kept == (0,)
 
 
 def test_prepared_is_a_read_only_list():

@@ -629,7 +629,7 @@ def test_pooled_paragraphs_have_the_bits_of_encode_paragraph(kind):
         r_a, weights = encode_paragraph(q, [encode(t) for t in ts], model.para_attn)
         assert got[0].tobytes() == r_a.data.tobytes()
         assert got[1].tobytes() == np.array(weights).tobytes()
-    encoded = rankers._encode_articles(model, rankers._StatementRows(Prepared(world), model.embeddings), world, {})
+    encoded = rankers._encode_articles(model, Prepared(world), world, {})
     sem = rankers._semantic(model, qv.data, [encoded[a.id] for a in world])
     assert encoded["z"] is None and sem[world.index(blank)] == 0.0
 

@@ -29,9 +29,9 @@ def encode_sentence(tokens, enc, rng):
     return T.additive_attention(feats, enc.attn.A, enc.attn.b, enc.u, "softmax")[0]
 
 
-def train_scores(model, q_tokens, articles, rng, statement_rows=None):
+def train_scores(model, q_tokens, articles, rng, corpus=None):
     """What rankers._train_scores returns, by the per-sentence composition;
-    it tokenizes every article itself and leaves statement_rows alone."""
+    it tokenizes every article itself and leaves corpus alone."""
     if not q_tokens:
         return [Tensor(0.0) for _ in articles]
     qv = encode_sentence(q_tokens, model.encoder, rng)
